@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 from .certificates import FAIL, PASS, Certificate
 from .embeddings import EmbeddingConfig
@@ -72,11 +73,9 @@ def criterion_1_key_values(seed=0, k_max=2) -> list[Certificate]:
     return certs
 
 
-def _tower_cached(p, k_max, i_max, _cache={}):
-    key = (p, k_max, i_max)
-    if key not in _cache:
-        _cache[key] = build_tower(p, k_max, i_max)
-    return _cache[key]
+@cache
+def _tower_cached(p, k_max, i_max):
+    return build_tower(p, k_max, i_max)
 
 
 def criterion_2_tower_values(seed=0, k_max=2) -> list[Certificate]:

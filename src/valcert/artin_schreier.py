@@ -182,8 +182,8 @@ def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig, host_seq: Ge
     def check():
         host = ring_xy(p)
         x = RatFunc(Poly.var(host, "x"))
-        gap = embed_uv(appr.element, cfg) ** p - x**p
-        got = value(gap, host_seq)
+        # h^p - x^p = (h - x)^p in characteristic p
+        got = p * value(embed_uv(appr.element, cfg) - x, host_seq)
         expect = gap_value(p, appr.k)
         tail_val = value(appr.tail, host_seq)
         om = omega(p)
@@ -216,13 +216,12 @@ def gap_bound_sweep(
     bound = gap_value(p, k)
 
     def check():
-        host = ring_xy(p)
-        xp = RatFunc(Poly.var(host, "x")) ** p
+        x = RatFunc(Poly.var(ring_xy(p), "x"))
 
         def gap_of(g: RatFunc) -> GroupValue:
-            if g.is_zero():
-                return value(-xp, host_seq)
-            return value(embed_uv(g, cfg) ** p - xp, host_seq)
+            # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
+            # characteristic p, and g - x expands at 1/p of the depth
+            return p * value(embed_uv(g, cfg) - x, host_seq)
 
         attained = gap_of(appr.element)
         if attained != bound:
@@ -252,26 +251,31 @@ def ceiling_check(
     cfg: EmbeddingConfig,
     label: str,
     host_seq: GenSeq | None = None,
-) -> tuple[GroupValue, Certificate]:
-    """v(1/x - f) < -2/p + omega/p < -1/p^2 for a base-field element f."""
+) -> tuple[GroupValue | None, Certificate]:
+    """v(1/x - f) < -2/p + omega/p < -1/p^2 for a base-field element f.
+
+    Returns the value with its certificate; the value is None when the
+    certificate is budget-exceeded.
+    """
     p = cfg.p
     host_seq = host_seq or q_sequence(p)
-    host = ring_xy(p)
-    x = RatFunc(Poly.var(host, "x"))
-    diff = 1 / x - embed_uv(f, cfg)
-    got = value(diff, host_seq)
     ceiling = Fraction(-2, p) + omega(p) / p
     crit = Fraction(-1, p * p)
+    got = None
 
     def check():
+        nonlocal got
+        x = RatFunc(Poly.var(ring_xy(p), "x"))
+        got = value(1 / x - embed_uv(f, cfg), host_seq)
         ok = got < ceiling and ceiling < crit
         return f"< {ceiling} < {crit}", str(got), ok
 
-    return got, _timed(
+    cert = _timed(
         f"as/ceiling/{label}",
         {"p": p, "c": cfg.c, "f": label},
         check,
     )
+    return got, cert
 
 
 @dataclass

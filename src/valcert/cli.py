@@ -11,8 +11,8 @@ Subcommands:
     selftest   the full acceptance suite
 
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
-with a warning in the report), 1 any certificate failed, 2 usage or parse
-error.
+with a warning in the report), 1 any certificate failed, 2 usage, parse or
+configuration error (a non-integer VALCERT_SEED included).
 """
 
 from __future__ import annotations
@@ -137,12 +137,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("VALCERT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"VALCERT_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_value(cfg: RunConfig, args, report: Report) -> str | None:
@@ -293,17 +293,17 @@ COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig(
-        p=args.p,
-        c=args.c,
-        k_max=args.kmax,
-        i_max=args.imax,
-        samples=args.samples,
-        seed=_resolve_seed(args),
-        budget=args.budget,
-        format=args.format,
-    )
     try:
+        cfg = RunConfig(
+            p=args.p,
+            c=args.c,
+            k_max=args.kmax,
+            i_max=args.imax,
+            samples=args.samples,
+            seed=_resolve_seed(args),
+            budget=args.budget,
+            format=args.format,
+        )
         cfg.validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

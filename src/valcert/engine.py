@@ -14,6 +14,13 @@ Term values within one expansion are pairwise distinct.  That uniqueness is
 what makes the minimum the value, so a tie is treated as an internal fault:
 it aborts loudly with a dump of the offending expansion rather than risk a
 silently wrong value.
+
+``value()`` walks the digit recursion without materializing the expansion:
+every term value shares the denominator p^E fixed by the top key index, so
+each term is streamed as one integer numerator into a set, and a repeated
+numerator is the tie.  ``expand()`` builds the explicit ``Expansion`` for the
+``valcert expand`` listing, for the tie diagnostics, and as the test oracle
+for ``value()``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .certificates import FAIL, PASS, Certificate
 from .embeddings import EmbeddingConfig, embed_uv
@@ -98,8 +106,7 @@ class Expansion:
 
 def expand(f: Poly, seq: GenSeq) -> Expansion:
     """Top-down standard expansion of a nonzero polynomial."""
-    if f.ring != seq.ring:
-        raise ValueError(f"polynomial ring {f.ring} does not match sequence ring {seq.ring}")
+    _check_ring(f, seq)
     if f.is_zero():
         raise ValueError("cannot expand the zero polynomial")
     raw: list[tuple[int, int, tuple]] = []
@@ -112,6 +119,11 @@ def expand(f: Poly, seq: GenSeq) -> Expansion:
             a[i - 1] = j
         terms.append(ExpansionTerm(c, m, tuple(a)))
     return Expansion(seq, terms)
+
+
+def _check_ring(f: Poly, seq: GenSeq) -> None:
+    if f.ring != seq.ring:
+        raise ValueError(f"polynomial ring {f.ring} does not match sequence ring {seq.ring}")
 
 
 def _expand_into(f: Poly, seq: GenSeq, p2: int, tail: tuple, out: list) -> None:
@@ -158,43 +170,64 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> GroupValue:
         return value(f.num, seq) - value(f.den, seq)
     if f.is_zero():
         return INFINITY
-    exp = expand(f, seq)
-    return _min_distinct_value(exp, f)
-
-
-def _min_distinct_value(exp: Expansion, f: Poly) -> GroupValue:
-    # Term values share the denominator p^E, so the minimum and the
-    # pairwise-distinctness assertion run on plain integer numerators.
-    # The numerators come from the sequence's cached value table, keeping
-    # a corrupted table detectable.
-    seq = exp.seq
+    _check_ring(f, seq)
+    # Every term value is key / p^shift, where key is an integer combination
+    # of the scaled value numerators of S_0..S_top.  The numerators come from
+    # the sequence's cached value table, keeping a corrupted table detectable.
     p = seq.p
-    width = max((len(t.a) for t in exp.terms), default=0)
-    sigma = seq.scale
-    vals = [seq.value(i) for i in range(1, width + 1)]
-    shift = max([sigma.exp] + [v.exp for v in vals])
-    m_coef = sigma.num * p ** (shift - sigma.exp)
+    d2 = f.deg2()
+    top = seq.index_for_degree(d2) if d2 > 0 else 0
+    vals = [seq.scale] + [seq.value(i) for i in range(1, top + 1)]
+    shift = max(v.exp for v in vals)
     coefs = [v.num * p ** (shift - v.exp) for v in vals]
-    seen: dict[int, ExpansionTerm] = {}
-    best: int | None = None
+    keys: set[int] = set()
+    if _stream_keys(f, seq, coefs, p * p, 0, keys) != len(keys):
+        raise _tie_error(f, seq)
+    return GroupValue(p, min(keys), shift)
+
+
+def _stream_keys(f: Poly, seq: GenSeq, coefs: list[int], p2: int, acc: int, keys: set) -> int:
+    # The digit recursion of _expand_into, carrying the partial term value
+    # as the integer acc; adds each term's key to keys and returns the
+    # number of terms, so a shortfall in len(keys) reveals a tie.
+    d2 = f.deg2()
+    if d2 <= 0:
+        m = coefs[0]
+        keys.update([acc + m * e1 for e1, _ in f._t])
+        return len(f._t)
+    n = seq.index_for_degree(d2)
+    key = seq.poly(n)
+    step = coefs[n]
+    count = 0
+    rest = f
+    j = 0
+    while rest:
+        rest, digit = divmod(rest, key) if n > 1 else _split_var(rest, seq)
+        if digit:
+            if j >= p2:
+                raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
+            count += _stream_keys(digit, seq, coefs, p2, acc + j * step, keys)
+        j += 1
+    return count
+
+
+def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
+    # Rebuild the explicit expansion to name the tied pair; the streamed
+    # keys only know that some pair tied.
+    exp = expand(f, seq)
+    seen: dict[GroupValue, ExpansionTerm] = {}
     for t in exp.terms:
-        key = t.m * m_coef
-        for i, ai in enumerate(t.a):
-            if ai:
-                key += ai * coefs[i]
-        if key in seen:
-            other = seen[key]
-            raise ValueTieError(
+        val = exp.term_value(t)
+        other = seen.get(val)
+        if other is not None:
+            return ValueTieError(
                 "tied term values in a standard expansion "
-                f"({other.render()} and {t.render()} both have value "
-                f"{GroupValue(p, key, shift)}); the theory guarantees distinct "
-                "values, so this is an internal fault.\n"
-                f"input: {_clip(str(f))}\nexpansion:\n{exp.dump(limit=30)}"
+                f"({other.render()} and {t.render()} both have value {val}); "
+                "the theory guarantees distinct values, so this is an internal "
+                f"fault.\ninput: {_clip(str(f))}\nexpansion:\n{exp.dump(limit=30)}"
             )
-        seen[key] = t
-        if best is None or key < best:
-            best = key
-    return GroupValue(p, best, shift)
+        seen[val] = t
+    raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
 def _clip(text: str, limit: int = 400) -> str:
@@ -212,6 +245,13 @@ def _certificate(id_: str, params: dict, expected: str, actual: str, ok: bool, t
     )
 
 
+@cache
+def _engines(p: int) -> tuple[GenSeq, GenSeq]:
+    # one (u,v) and one (x,y) sequence per characteristic for the
+    # cross-engine checks; the public constructors stay fresh per call
+    return p_sequence(p), q_sequence(p)
+
+
 def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
@@ -223,8 +263,9 @@ def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
         f = RatFunc(f)
     p = f.ring.p
     cfg = EmbeddingConfig(p, c)
-    base = value(f, p_sequence(p))
-    host = value(embed_uv(f, cfg), q_sequence(p))
+    base_seq, host_seq = _engines(p)
+    base = value(f, base_seq)
+    host = value(embed_uv(f, cfg), host_seq)
     ident = label or str(f)
     return _certificate(
         f"engine/restriction/c={c}/{ident}",
@@ -298,8 +339,7 @@ def restriction_sweep(p: int, c: int, samples: int, seed: int, max_deg: int = 5)
     """Cross-engine agreement on seeded random base-field elements."""
     t0 = time.perf_counter()
     rng = random.Random(f"{seed}:cross:{c}")
-    seq = p_sequence(p)
-    host = q_sequence(p)
+    seq, host = _engines(p)
     cfg = EmbeddingConfig(p, c)
     bad = 0
     for _ in range(samples):

@@ -18,8 +18,6 @@ valuation restrict to the base one on the nose.
 
 from __future__ import annotations
 
-import threading
-
 from .polys import Poly, Ring, ring_uv, ring_xy
 from .values import GroupValue
 
@@ -27,11 +25,7 @@ __all__ = ["GenSeq", "p_sequence", "q_sequence"]
 
 
 class GenSeq:
-    """Lazily extended generating sequence with cached polynomials and values.
-
-    Extension is serialized behind a lock; reads of already-built entries
-    are safe from any thread (single-writer contract).
-    """
+    """Lazily extended generating sequence with cached polynomials and values."""
 
     def __init__(self, ring: Ring, scale: GroupValue, name: str):
         self.ring = ring
@@ -39,7 +33,6 @@ class GenSeq:
         self.name = name
         self._polys: list[Poly] = [Poly.var(ring, ring.vars[0]), Poly.var(ring, ring.vars[1])]
         self._values: dict[int, GroupValue] = {}
-        self._lock = threading.Lock()
 
     @property
     def p(self) -> int:
@@ -52,20 +45,17 @@ class GenSeq:
         """The i-th key polynomial, extending the sequence as needed."""
         if i < 0:
             raise IndexError("negative sequence index")
-        if i >= len(self._polys):
-            with self._lock:
-                p = self.p
-                while len(self._polys) <= i:
-                    j = len(self._polys)
-                    prev, prev2 = self._polys[j - 1], self._polys[j - 2]
-                    if j == 2:
-                        nxt = prev.frob(2) - prev2
-                    else:
-                        nxt = prev.frob(2) - self._polys[0].frob(2 * j - 4) * prev2
-                    expected_deg = p ** (2 * (j - 1))
-                    if nxt.deg2() != expected_deg or nxt.coefficient(0, expected_deg) != 1:
-                        raise AssertionError(f"key polynomial {j} lost monicity/degree")
-                    self._polys.append(nxt)
+        while len(self._polys) <= i:
+            j = len(self._polys)
+            prev, prev2 = self._polys[j - 1], self._polys[j - 2]
+            if j == 2:
+                nxt = prev.frob(2) - prev2
+            else:
+                nxt = prev.frob(2) - self._polys[0].frob(2 * j - 4) * prev2
+            expected_deg = self.p ** (2 * (j - 1))
+            if nxt.deg2() != expected_deg or nxt.coefficient(0, expected_deg) != 1:
+                raise AssertionError(f"key polynomial {j} lost monicity/degree")
+            self._polys.append(nxt)
         return self._polys[i]
 
     def value(self, i: int) -> GroupValue:

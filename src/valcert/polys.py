@@ -313,9 +313,11 @@ class Poly:
         """Long division in the second variable by a divisor monic in it.
 
         Returns (q, r) with self == q*g + r and deg2(r) < deg2(g).
-        The remainder is kept bucketed by second-variable degree with a
-        max-heap over the occupied degrees, so each reduction step touches
-        only the terms it creates.
+        The remainder is kept bucketed by second-variable degree, with a
+        max-heap over the occupied degrees that still need reducing.  Each
+        step clears one whole row: it moves the row into the quotient, then
+        subtracts it, times each non-leading divisor term, from the lower
+        row that term lands on.
         """
         if not isinstance(g, Poly):
             return NotImplemented
@@ -331,27 +333,26 @@ class Poly:
         levels: dict[int, dict[int, int]] = {}
         for (e1, e2), c in self._t.items():
             levels.setdefault(e2, {})[e1] = c
-        heap = [-e2 for e2 in levels]
+        heap = [-e2 for e2 in levels if e2 >= dg]
         heapq.heapify(heap)
         q: dict = {}
         while heap:
-            d = -heap[0]
-            if d < dg:
-                break
-            heapq.heappop(heap)
-            bucket = levels.pop(d, None)
+            d = -heapq.heappop(heap)
+            bucket = levels.pop(d)
             if not bucket:
                 continue
             shift = d - dg
             for e1, c in bucket.items():
                 q[(e1, shift)] = c
-                # subtract c * X^e1 * Y^shift * (g minus its leading term)
-                for (b1, b2), cv in rest:
-                    e2n = shift + b2
-                    lv = levels.get(e2n)
-                    if lv is None:
-                        levels[e2n] = lv = {}
+            # subtract bucket * Y^shift * (g minus its leading term)
+            for (b1, b2), cv in rest:
+                e2n = shift + b2
+                lv = levels.get(e2n)
+                if lv is None:
+                    levels[e2n] = lv = {}
+                    if e2n >= dg:
                         heapq.heappush(heap, -e2n)
+                for e1, c in bucket.items():
                     e1n = e1 + b1
                     s = (lv.get(e1n, 0) - c * cv) % p
                     if s:

@@ -20,7 +20,7 @@ from valcert.embeddings import EmbeddingConfig, embed_uv, embed_xv
 from valcert.engine import value
 from valcert.keyseq import p_sequence, q_sequence
 from valcert.polys import Poly, RatFunc, ring_uv, ring_xv, ring_xy
-from valcert.sampling import random_ratfunc
+from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import GroupValue, omega
 
@@ -131,6 +131,25 @@ def test_gap_bound_sweep(setup2):
     for k in (0, 1):
         cert = gap_bound_sweep(tower[k], apprs[k], cfg, samples=15, seed=5, host_seq=host)
         assert cert.passed, cert.actual
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k", [0, 1])
+def test_frobenius_gap_oracle(p, k, setup2, setup3):
+    # the sweeps and the ladder certificate take v(g^p - x^p) as
+    # p * v(g - x); the direct expansion must agree
+    cfg, tower, apprs = setup2 if p == 2 else setup3
+    host = q_sequence(p)
+    x = RatFunc(Poly.var(ring_xy(p), "x"))
+    rng = random.Random(f"frobenius-oracle:{p}:{k}")
+    samples = [apprs[k].element]
+    # i_cap = k + 1 keeps the level-1 draws at p = 3 small; at k + 2 one
+    # of them embeds to 468k terms
+    samples += [random_level_element(rng, tower[k], i_cap=k + 1) for _ in range(4)]
+    for g in samples:
+        e = embed_uv(g, cfg)
+        assert value(e**p - x**p, host) == p * value(e - x, host)
+    assert value(embed_uv(apprs[k].element, cfg) ** p - x**p, host) == gap_value(p, k)
 
 
 def test_gap_bound_zero_element(setup2):

@@ -136,6 +136,28 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(path2.read_text())["config"]["seed"] == 8
 
 
+def test_bad_seed_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("VALCERT_SEED", "abc")
+    code, out, err = run_cli(["fuzz", "--what", "mult"], capsys)
+    assert code == 2
+    assert "VALCERT_SEED" in err and "'abc'" in err
+    assert out == ""
+
+
+def test_ceiling_budget_is_per_certificate(capsys):
+    # a budget overflow in one ceiling check is recorded on that
+    # certificate alone; the rest of the family is still checked
+    code, out, _ = run_cli(
+        ["--kmax", "0", "--budget", "20", "--format", "structured", "ascheck", "t2", "--samples", "6"], capsys
+    )
+    assert code == 0
+    certs = json.loads(out)["certificates"]
+    labels = ["0", "1/approximant[0]"] + [f"pinned[{n}]" for n in range(3)] + [f"generic[{n}]" for n in range(3)]
+    assert [c["id"] for c in certs] == [f"as/ceiling/{label}" for label in labels]
+    statuses = {c["status"] for c in certs}
+    assert statuses == {"pass", "budget-exceeded"}
+
+
 def test_budget_exceeded_warns_but_exits_zero(capsys):
     code, out, _ = run_cli(["--budget", "3", "--format", "structured", "tower"], capsys)
     assert code == 0

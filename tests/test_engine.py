@@ -94,6 +94,18 @@ def test_reconstruction(seed):
     assert all(a < 4 for t in e.terms for a in t.a)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["uv", "xy"]), st.sampled_from([2, 3]), st.integers(min_value=0, max_value=2**30))
+def test_value_is_min_over_expansion(engine, p, seed):
+    # the streamed integer keys against the explicit expansion, whose
+    # reconstruction test_reconstruction checks independently
+    seq = p_sequence(p) if engine == "uv" else q_sequence(p)
+    rng = random.Random(seed)
+    f = rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6)
+    exp = expand(f, seq)
+    assert value(f, seq) == min(exp.term_value(t) for t in exp.terms)
+
+
 def test_multiplicativity_seeded():
     seq = p_sequence(2)
     rng = random.Random("unit:mult")

@@ -90,6 +90,48 @@ def test_divmod_reconstruction(f, g):
     assert r.deg2() < g.deg2()
 
 
+def _sympy(f: Poly):
+    # f in sympy's sparse ring GF(p)[y,x], lex with y first, so that
+    # sympy's division runs in the second variable as Poly.__divmod__ does
+    rings = pytest.importorskip("sympy.polys.rings")
+    from sympy.polys.domains import GF
+    from sympy.polys.orderings import lex
+
+    ring = rings.ring("y,x", GF(f.ring.p), lex)[0]
+    return ring.from_dict({(e2, e1): c for (e1, e2), c in f.terms()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([R2, R3]), st.data())
+def test_mul_matches_sympy(ring, data):
+    f = data.draw(poly_strategy(ring, max_deg=9, max_terms=8))
+    g = data.draw(poly_strategy(ring, max_deg=9, max_terms=8))
+    assert _sympy(f * g) == _sympy(f) * _sympy(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([R2, R3]), st.integers(min_value=1, max_value=9), st.data())
+def test_divmod_matches_sympy(ring, d, data):
+    f = data.draw(poly_strategy(ring, max_deg=30, max_terms=12))
+    low = data.draw(poly_strategy(ring, max_deg=d - 1, max_terms=4))
+    g = low + Poly.monomial(ring, 1, 0, d)  # monic of y-degree d
+    q, r = divmod(f, g)
+    assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(g))
+
+
+def test_divmod_by_key_polynomials_matches_sympy():
+    # the divisions value() makes: sparse monic keys with repeated
+    # second-variable degrees among their lower terms
+    from valcert.keyseq import p_sequence
+
+    for p, ring in ((2, R2), (3, R3)):
+        seq = p_sequence(p)
+        f = (U2 if p == 2 else U3) ** 3 * seq.poly(2) ** (p * p + 1) + seq.poly(3) + 1
+        for i in (2, 3):
+            q, r = divmod(f, seq.poly(i))
+            assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(seq.poly(i)))
+
+
 @settings(max_examples=60)
 @given(poly_strategy(R2), poly_strategy(R2), poly_strategy(R2))
 def test_ring_laws(f, g, h):
