@@ -21,6 +21,19 @@ each term is streamed as one integer numerator into a set, and a repeated
 numerator is the tie.  ``expand()`` builds the explicit ``Expansion`` for the
 ``valcert expand`` listing, for the tie diagnostics, and as the test oracle
 for ``value()``.
+
+At p = 2 ``value()`` runs the recursion on packed rows: one Python int per
+second-variable degree e2, with bit e1 set for each term x^e1 * y^e2 (every
+coefficient is 1).  Over F_2 subtraction is XOR and multiplying by x^b1 is a
+left shift, so dividing by a key costs one shift-and-XOR per row and per
+non-leading key term, and the base-S_1 digits are the rows themselves.  The
+rows spend a bit on every exponent up to each row's highest and a slot on
+every degree up to the top one, so an input is packed only when it needs a
+division (y-degree at least p^2) and its bits plus slots come to at most
+``_ROW_BITS`` per term.  Sparser inputs, such as the tower's keys with
+exponents near 2^20, and every input at odd p take the dict path through
+``Poly.__divmod__``, which also serves as the reference for the row kernel in
+the tests.
 """
 
 from __future__ import annotations
@@ -29,11 +42,12 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 
 from .certificates import FAIL, PASS, Certificate
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _check_budget
 from .values import INFINITY, GroupValue
 
 __all__ = [
@@ -181,7 +195,13 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> GroupValue:
     shift = max(v.exp for v in vals)
     coefs = [v.num * p ** (shift - v.exp) for v in vals]
     keys: set[int] = set()
-    if _stream_keys(f, seq, coefs, p * p, 0, keys) != len(keys):
+    rows = _pack_rows(f, d2) if p == 2 and d2 >= p * p else None
+    if rows is None:
+        count = _stream_keys(f, seq, coefs, p * p, 0, keys)
+    else:
+        lows = {n: _key_rows(seq.poly(n)) for n in range(2, top + 1)}
+        count = _stream_rows(rows, seq, lows, coefs, 0, keys)
+    if count != len(keys):
         raise _tie_error(f, seq)
     return GroupValue(p, min(keys), shift)
 
@@ -191,9 +211,12 @@ def _stream_keys(f: Poly, seq: GenSeq, coefs: list[int], p2: int, acc: int, keys
     # as the integer acc; adds each term's key to keys and returns the
     # number of terms, so a shortfall in len(keys) reveals a tie.
     d2 = f.deg2()
-    if d2 <= 0:
+    if d2 < p2:
+        # base S_1 is the bare second variable, so its digits are the
+        # y-degrees and every key comes out in one pass
         m = coefs[0]
-        keys.update([acc + m * e1 for e1, _ in f._t])
+        step = coefs[1] if d2 > 0 else 0
+        keys.update([acc + e2 * step + m * e1 for e1, e2 in f._t])
         return len(f._t)
     n = seq.index_for_degree(d2)
     key = seq.poly(n)
@@ -202,13 +225,98 @@ def _stream_keys(f: Poly, seq: GenSeq, coefs: list[int], p2: int, acc: int, keys
     rest = f
     j = 0
     while rest:
-        rest, digit = divmod(rest, key) if n > 1 else _split_var(rest, seq)
+        rest, digit = divmod(rest, key)
         if digit:
             if j >= p2:
                 raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
             count += _stream_keys(digit, seq, coefs, p2, acc + j * step, keys)
         j += 1
     return count
+
+
+# Sparsest input packed into rows, in row bits plus row slots per term.
+# The ladder's level-1 host inputs reach 226 and the tower's keys 10^3 to
+# 10^6.  Measured on the benchmark's inputs, the rows lost to the dict path
+# only on inputs of at most 40 terms, none of which took a millisecond.
+_ROW_BITS = 256
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack_rows(f: Poly, d2: int) -> list[int] | None:
+    # rows[e2] has bit e1 set for each term x^e1 * y^e2 of f over F_2, and
+    # d2 = deg2(f); None when the rows would be sparser than _ROW_BITS
+    cols: dict[int, list[int]] = {}
+    for e1, e2 in f._t:
+        cols.setdefault(e2, []).append(e1)
+    if sum(map(max, cols.values())) + len(cols) + d2 + 1 > _ROW_BITS * len(f._t):
+        return None
+    rows = [0] * (d2 + 1)
+    for e2, e1s in cols.items():
+        rows[e2] = sum(map((1).__lshift__, e1s))  # distinct bits: the sum is the OR
+    return rows
+
+
+def _key_rows(key: Poly) -> tuple[int, list[tuple[int, int]]]:
+    # a monic key as (its y-degree, the exponents of its other terms)
+    deg = key.deg2()
+    return deg, [e for e in key._t if e[1] != deg]
+
+
+def _divmod_rows(rows: list[int], deg: int, low: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Poly.__divmod__ over F_2 on packed rows.
+
+    Divides by the key y^deg + sum x^b1 * y^b2 over (b1, b2) in low; rows
+    and both results carry no zero top row.
+    """
+    top = len(rows) - 1
+    if top < deg:
+        return [], rows
+    r = list(rows)
+    q = [0] * (top - deg + 1)
+    for d in range(top, deg - 1, -1):
+        row = r[d]
+        if row:
+            shift = d - deg
+            q[shift] = row
+            for b1, b2 in low:
+                r[shift + b2] ^= row << b1
+    del r[deg:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _stream_rows(rows: list[int], seq: GenSeq, lows: dict, coefs: list[int], acc: int, keys: set) -> int:
+    # _stream_keys on packed rows at p = 2: the same digits, and the same
+    # budget checks on each quotient and remainder, in the same order
+    d2 = len(rows) - 1
+    if d2 < 4:
+        m = coefs[0]
+        step = coefs[1] if d2 > 0 else 0
+        return sum(_stream_row(row, m, acc + e2 * step, keys) for e2, row in enumerate(rows) if row)
+    n = seq.index_for_degree(d2)
+    deg, low = lows[n]
+    step = coefs[n]
+    count = 0
+    rest = rows
+    j = 0
+    while rest:
+        rest, digit = _divmod_rows(rest, deg, low)
+        _check_budget(sum(map(int.bit_count, rest)))
+        _check_budget(sum(map(int.bit_count, digit)))
+        if digit:
+            if j >= 4:
+                raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
+            count += _stream_rows(digit, seq, lows, coefs, acc + j * step, keys)
+        j += 1
+    return count
+
+
+def _stream_row(row: int, m: int, acc: int, keys: set) -> int:
+    # adds the key acc + m*e1 for each set bit e1 of row
+    bits = bin(row)[:1:-1].encode().translate(_BIT_BYTES)
+    keys.update(compress(range(acc, acc + m * len(bits), m), bits))
+    return row.bit_count()
 
 
 def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:

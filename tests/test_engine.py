@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valcert import engine
+from valcert.embeddings import EmbeddingConfig, embed_uv
 from valcert.engine import (
     ValueTieError,
     cross_check,
@@ -16,11 +18,20 @@ from valcert.engine import (
     value,
 )
 from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import Poly, RatFunc, ring_uv
+from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xy, support_limit
+from valcert.sampling import random_level_element
+from valcert.tower import build_tower
 from valcert.values import GroupValue, INFINITY
 
 R2 = ring_uv(2)
 U, V = Poly.var(R2, "u"), Poly.var(R2, "v")
+X, Y = Poly.var(ring_xy(2), "x"), Poly.var(ring_xy(2), "y")
+LEVEL1 = build_tower(2, 1, 3)[1]
+
+
+def packed(f):
+    # whether value() runs f through the p = 2 row kernel
+    return f.deg2() >= 4 and engine._pack_rows(f, f.deg2()) is not None
 
 
 def rnd_poly(rng, ring, max_deg=7, max_terms=5):
@@ -94,16 +105,35 @@ def test_reconstruction(seed):
     assert all(a < 4 for t in e.terms for a in t.a)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["uv", "xy"]), st.sampled_from([2, 3]), st.integers(min_value=0, max_value=2**30))
-def test_value_is_min_over_expansion(engine, p, seed):
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["uv", "xy", "level", "sparse"]),
+    st.sampled_from([2, 3]),
+    st.integers(min_value=0, max_value=2**30),
+)
+def test_value_is_min_over_expansion(source, p, seed):
     # the streamed integer keys against the explicit expansion, whose
-    # reconstruction test_reconstruction checks independently
-    seq = p_sequence(p) if engine == "uv" else q_sequence(p)
+    # reconstruction test_reconstruction checks independently.  "level"
+    # draws dense p = 2 host polynomials that take the row kernel; "sparse"
+    # spreads x-exponents past its gate, onto Poly.__divmod__.
     rng = random.Random(seed)
-    f = rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6)
-    exp = expand(f, seq)
-    assert value(f, seq) == min(exp.term_value(t) for t in exp.terms)
+    if source == "level":
+        seq = q_sequence(2)
+        g = embed_uv(random_level_element(rng, LEVEL1, i_cap=2), EmbeddingConfig.default(2))
+        inputs = [f for f in (g.num, g.den) if f]  # the draw can cancel to 0
+        assert all(packed(f) for f in inputs if f.deg2() >= 4)
+    elif source == "sparse":
+        seq = q_sequence(2)
+        f = rnd_poly(rng, seq.ring, max_deg=19, max_terms=6)
+        f = Poly(seq.ring, {((e1 + 1) << 12, e2): c for (e1, e2), c in f.terms()}) + Y**4
+        assert not packed(f)
+        inputs = [f]
+    else:
+        seq = p_sequence(p) if source == "uv" else q_sequence(p)
+        inputs = [rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6)]
+    for f in inputs:
+        exp = expand(f, seq)
+        assert value(f, seq) == min(exp.term_value(t) for t in exp.terms)
 
 
 def test_multiplicativity_seeded():
@@ -150,14 +180,33 @@ def test_distinct_values_exhaustive_small():
 
 
 def test_corrupted_value_table_aborts_loudly():
-    seq = p_sequence(2)
-    seq.value(1)
-    seq._values[1] = seq.scale  # v(S_1) deliberately collides with v(S_0)
-    with pytest.raises(ValueTieError) as info:
-        value(U + V, seq)
-    message = str(info.value)
-    assert "tied term values" in message
-    assert "expansion" in message  # diagnostic dump present
+    # U + V takes the dict path, (X + Y)^5 the row kernel
+    for seq, f in ((p_sequence(2), U + V), (q_sequence(2), (X + Y) ** 5)):
+        assert packed(f) == (seq.ring == X.ring)
+        seq.value(1)
+        seq._values[1] = seq.scale  # v(S_1) deliberately collides with v(S_0)
+        with pytest.raises(ValueTieError) as info:
+            value(f, seq)
+        message = str(info.value)
+        assert "tied term values" in message
+        assert "expansion" in message  # diagnostic dump present
+
+
+def test_packed_value_budget_names_the_dict_size(monkeypatch):
+    # the row kernel checks each quotient and remainder against the budget
+    # in the order Poly.__divmod__ builds them, so both paths name one size
+    seq = q_sequence(2)
+    f = (X + Y + 1) ** 9 * (Y**5 + X**3 * Y + X)
+    assert packed(f)
+    sizes = []
+    for pack in (engine._pack_rows, lambda f, d2: None):
+        monkeypatch.setattr(engine, "_pack_rows", pack)
+        with support_limit(8), pytest.raises(BudgetExceededError) as info:
+            value(f, seq)
+        sizes.append(info.value.size)
+        raised_in = {entry.name for entry in info.traceback}
+        assert ("_stream_rows" in raised_in) == (len(sizes) == 1)
+    assert sizes[0] == sizes[1] > 8
 
 
 def test_cross_check_examples():

@@ -119,10 +119,24 @@ def test_divmod_matches_sympy(ring, d, data):
     assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(g))
 
 
+def _rows(f: Poly) -> list[int]:
+    rows = [0] * (f.deg2() + 1)
+    for e1, e2 in f._t:
+        rows[e2] |= 1 << e1
+    return rows
+
+
+def _from_rows(ring, rows: list[int]) -> Poly:
+    return Poly(ring, {(e1, e2): 1 for e2, row in enumerate(rows) for e1 in range(row.bit_length()) if row >> e1 & 1})
+
+
 def test_divmod_by_key_polynomials_matches_sympy():
     # the divisions value() makes: sparse monic keys with repeated
-    # second-variable degrees among their lower terms
-    from valcert.keyseq import p_sequence
+    # second-variable degrees among their lower terms; at p = 2 the row
+    # kernel value() runs on dense inputs must give the same quotient and
+    # remainder, here on the host keys S_2..S_7
+    from valcert.engine import _divmod_rows, _key_rows
+    from valcert.keyseq import p_sequence, q_sequence
 
     for p, ring in ((2, R2), (3, R3)):
         seq = p_sequence(p)
@@ -130,6 +144,16 @@ def test_divmod_by_key_polynomials_matches_sympy():
         for i in (2, 3):
             q, r = divmod(f, seq.poly(i))
             assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(seq.poly(i)))
+    host = q_sequence(2)
+    x, y = Poly.var(host.ring, "x"), Poly.var(host.ring, "y")
+    for i in range(2, 8):
+        key = host.poly(i)
+        f = (x**3 + x * y) * host.poly(i - 1) ** 5 + key * y**3 + x**5 * y ** (key.deg2() + 1) + 1
+        q, r = divmod(f, key)
+        assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(key))
+        rq, rr = _divmod_rows(_rows(f), *_key_rows(key))
+        assert (_from_rows(host.ring, rq), _from_rows(host.ring, rr)) == (q, r)
+        assert rq[-1] and (not rr or rr[-1])  # no zero top rows
 
 
 @settings(max_examples=60)
