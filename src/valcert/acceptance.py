@@ -9,11 +9,10 @@ exact) and returns the certificates it checked.  The pytest suite and the
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from functools import cache
 
-from .certificates import FAIL, PASS, Certificate
+from .certificates import FAIL, Certificate, check
 from .embeddings import EmbeddingConfig
 from .engine import (
     ValueTieError,
@@ -23,8 +22,6 @@ from .engine import (
     value,
 )
 from .keyseq import p_sequence, q_sequence
-from .polys import Poly, RatFunc
-from .sampling import random_ratfunc, random_value_pinned
 from .tower import (
     build_tower,
     drift_bound,
@@ -35,18 +32,7 @@ from .tower import (
 )
 from .values import GroupValue
 
-__all__ = ["CRITERIA", "run_criterion", "run_all"]
-
-
-def _cert(id_, params, expected, actual, ok, t0) -> Certificate:
-    return Certificate(
-        id=id_,
-        params=params,
-        expected=expected,
-        actual=actual,
-        status=PASS if ok else FAIL,
-        elapsed=time.perf_counter() - t0,
-    )
+__all__ = ["CRITERIA", "run_all"]
 
 
 def criterion_1_key_values(seed=0, k_max=2) -> list[Certificate]:
@@ -55,21 +41,15 @@ def criterion_1_key_values(seed=0, k_max=2) -> list[Certificate]:
     for p in (2, 3):
         seq = p_sequence(p)
         for i in range(6):
-            t0 = time.perf_counter()
-            got = value(seq.poly(i), seq)
-            want = Fraction(1) if i == 0 else sum(
-                Fraction(p ** (4 * j), p ** (2 * i)) for j in range(i)
-            )
-            certs.append(
-                _cert(
-                    f"accept1/key-value/p={p}/i={i}",
-                    {"p": p, "i": i},
-                    str(want),
-                    str(got),
-                    got.as_fraction() == want,
-                    t0,
+
+            def run():
+                got = value(seq.poly(i), seq)
+                want = Fraction(1) if i == 0 else sum(
+                    Fraction(p ** (4 * j), p ** (2 * i)) for j in range(i)
                 )
-            )
+                return str(want), str(got), got.as_fraction() == want
+
+            certs.append(check(f"accept1/key-value/p={p}/i={i}", {"p": p, "i": i}, run))
     return certs
 
 
@@ -108,20 +88,15 @@ def criterion_4_drift_bound(seed=0, k_max=2) -> list[Certificate]:
     certs = []
     seq = p_sequence(2)
     tower = _tower_cached(2, min(2, k_max), 4)
-    t0 = time.perf_counter()
     if len(tower) > 1:
-        got = value(tower[1].drifts[2], seq)
-        bound = drift_bound(2, 1, 2)
-        certs.append(
-            _cert(
-                "accept4/drift-exact/k=1/i=2",
-                {"p": 2, "k": 1, "i": 2},
-                f"value 1/2, bound {bound}",
-                f"value {got}",
-                got == GroupValue(2, 1, 1) and bound == GroupValue(2, 1, 1),
-                t0,
-            )
-        )
+
+        def run():
+            got = value(tower[1].drifts[2], seq)
+            bound = drift_bound(2, 1, 2)
+            ok = got == GroupValue(2, 1, 1) and bound == GroupValue(2, 1, 1)
+            return f"value 1/2, bound {bound}", f"value {got}", ok
+
+        certs.append(check("accept4/drift-exact/k=1/i=2", {"p": 2, "k": 1, "i": 2}, run))
     for level in tower:
         for i in (2, 3, 4):
             certs.append(verify_drift_recursion(level, i, seq))
@@ -159,21 +134,15 @@ def criterion_6_gap_bound_sweep(seed=0, k_max=2) -> list[Certificate]:
 
 def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
     """v(1/x - f) < -2/p + omega/p < -1/p^2 for the pinned family and 100 samples."""
-    from .artin_schreier import build_approximants, ceiling_check
+    from .artin_schreier import build_approximants, ceiling_check, ceiling_family
 
     cfg = EmbeddingConfig.default(2)
     tower = _tower_cached(2, 2, 4)
     apprs = build_approximants(tower, 1, cfg)
     host = q_sequence(2)
-    base = p_sequence(2)
-    uv = base.ring
     certs = []
     expect = {"0": "-1/2", "1/approximant[0]": "-15/32", "1/approximant[1]": "-239/512"}
-    family = [("0", RatFunc(Poly.zero(uv)))]
-    family += [(f"1/approximant[{a.k}]", 1 / a.element) for a in apprs]
-    rng = random.Random(f"{seed}:accept7")
-    family += [(f"pinned[{n}]", random_value_pinned(rng, base)) for n in range(50)]
-    family += [(f"generic[{n}]", random_ratfunc(rng, uv)) for n in range(50)]
+    family = ceiling_family(random.Random(f"{seed}:accept7"), p_sequence(2), apprs, 50, 50)
     for label, f in family:
         got, cert = ceiling_check(f, cfg, label, host)
         if label in expect and cert.passed and str(got) != expect[label]:
@@ -193,8 +162,7 @@ def criterion_8_dependence(seed=0, k_max=2) -> list[Certificate]:
         km = min(2, k_max) if p == 2 else 1
         tower = _tower_cached(p, km, km + 2)
         apprs = build_approximants(tower, km, cfg)
-        report = dependence_report(cfg, apprs, samples=20, seed=seed)
-        cert = report.to_certificate()
+        _, cert = dependence_report(cfg, apprs, samples=20, seed=seed)
         cert.id = f"accept8/dependence/p={p}"
         certs.append(cert)
     return certs
@@ -213,51 +181,36 @@ def criterion_9_oracles(seed=0, k_max=2) -> list[Certificate]:
 
 def criterion_10_uniqueness(seed=0, k_max=2) -> list[Certificate]:
     """Exhaustive distinctness of standard-monomial values; corrupted table aborts."""
-    certs = []
-    t0 = time.perf_counter()
-    seq = p_sequence(2)
-    seen = set()
-    total = 0
-    for m in range(17):
-        for a1 in range(4):
-            for a2 in range(4):
-                for a3 in range(4):
-                    val = seq.scale * m + seq.value(1) * a1 + seq.value(2) * a2 + seq.value(3) * a3
-                    seen.add((val.num, val.exp))
-                    total += 1
-    certs.append(
-        _cert(
-            "accept10/exhaustive-distinct",
-            {"p": 2, "m_max": 16, "a_max": 3, "n": 3},
-            f"{total} distinct values",
-            f"{len(seen)} distinct values",
-            len(seen) == total,
-            t0,
-        )
-    )
-    t0 = time.perf_counter()
-    corrupted = p_sequence(2)
-    corrupted.value(1)
-    corrupted._values[1] = corrupted.scale  # force v(S_1) == v(S_0)
-    u_plus_v = corrupted.poly(0) + corrupted.poly(1)
-    try:
-        value(u_plus_v, corrupted)
-        ok, actual = False, "no fault raised"
-    except ValueTieError as e:
-        ok, actual = True, "tie fault raised"
-        if "tied term values" not in str(e):
-            ok, actual = False, "fault lacked diagnostics"
-    certs.append(
-        _cert(
-            "accept10/corrupted-table-aborts",
-            {"p": 2},
-            "tie fault raised",
-            actual,
-            ok,
-            t0,
-        )
-    )
-    return certs
+
+    def distinct():
+        seq = p_sequence(2)
+        seen = set()
+        total = 0
+        for m in range(17):
+            for a1 in range(4):
+                for a2 in range(4):
+                    for a3 in range(4):
+                        val = seq.scale * m + seq.value(1) * a1 + seq.value(2) * a2 + seq.value(3) * a3
+                        seen.add((val.num, val.exp))
+                        total += 1
+        return f"{total} distinct values", f"{len(seen)} distinct values", len(seen) == total
+
+    def aborts():
+        corrupted = p_sequence(2)
+        corrupted.value(1)
+        corrupted._values[1] = corrupted.scale  # force v(S_1) == v(S_0)
+        u_plus_v = corrupted.poly(0) + corrupted.poly(1)
+        try:
+            value(u_plus_v, corrupted)
+            actual = "no fault raised"
+        except ValueTieError as e:
+            actual = "tie fault raised" if "tied term values" in str(e) else "fault lacked diagnostics"
+        return "tie fault raised", actual, actual == "tie fault raised"
+
+    return [
+        check("accept10/exhaustive-distinct", {"p": 2, "m_max": 16, "a_max": 3, "n": 3}, distinct),
+        check("accept10/corrupted-table-aborts", {"p": 2}, aborts),
+    ]
 
 
 CRITERIA = [
@@ -272,11 +225,6 @@ CRITERIA = [
     ("engine oracle sweeps", criterion_9_oracles),
     ("uniqueness of the minimum", criterion_10_uniqueness),
 ]
-
-
-def run_criterion(n: int, seed: int = 0, k_max: int = 2) -> list[Certificate]:
-    description, fn = CRITERIA[n - 1]
-    return fn(seed=seed, k_max=k_max)
 
 
 def run_all(seed: int = 0, k_max: int = 2):

@@ -25,15 +25,14 @@ report says so and presents the sweep as falsifiable evidence.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import BUDGET, FAIL, PASS, Certificate
+from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed, embed_uv
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xy
+from .polys import Poly, RatFunc, ring_uv, ring_xy
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel
 from .values import INFINITY, GroupValue, omega
@@ -49,6 +48,7 @@ __all__ = [
     "build_approximants",
     "verify_approximant_gap",
     "gap_bound_sweep",
+    "ceiling_family",
     "ceiling_check",
     "dependence_report",
 ]
@@ -90,16 +90,6 @@ def gap_value(p: int, k: int) -> GroupValue:
     return GroupValue(p, series, 4 * (k + 1))
 
 
-def _timed(id_: str, params: dict, fn) -> Certificate:
-    t0 = time.perf_counter()
-    try:
-        expected, actual, ok = fn()
-        status = PASS if ok else FAIL
-    except BudgetExceededError as e:
-        expected, actual, status = "within budget", str(e), BUDGET
-    return Certificate(id=id_, params=params, expected=expected, actual=actual, status=status, elapsed=time.perf_counter() - t0)
-
-
 def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> list[Certificate]:
     """Exact facts about h = x^p - u, and the two rational inequalities."""
     p = cfg.p
@@ -116,27 +106,27 @@ def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = Non
         ok = gap == rhs
         return "x^p - u == -u*x^(p-1)", "identity" if ok else "mismatch", ok
 
-    certs.append(_timed("as/gap-identity", {"p": p, "c": cfg.c}, identity))
+    certs.append(check("as/gap-identity", {"p": p, "c": cfg.c}, identity))
 
     def gapval():
         expect = GroupValue(p, 2 * p - 1, 1)  # 2 - 1/p
         got = value(gap, host_seq)
         return str(expect), str(got), got == expect
 
-    certs.append(_timed("as/gap-value", {"p": p, "c": cfg.c}, gapval))
+    certs.append(check("as/gap-value", {"p": p, "c": cfg.c}, gapval))
 
     def above_tail():
         got = value(gap, host_seq)
         return f"> {om}", str(got), got > om
 
-    certs.append(_timed("as/gap-above-tail", {"p": p, "c": cfg.c}, above_tail))
+    certs.append(check("as/gap-above-tail", {"p": p, "c": cfg.c}, above_tail))
 
     def ceiling_strict():
         lhs = Fraction(-2, p) + om / p
         rhs = Fraction(-1, p * p)
         return f"{lhs} < {rhs}", f"{lhs} < {rhs}" if lhs < rhs else f"{lhs} >= {rhs}", lhs < rhs
 
-    certs.append(_timed("as/ceiling-strict", {"p": p, "c": cfg.c}, ceiling_strict))
+    certs.append(check("as/ceiling-strict", {"p": p, "c": cfg.c}, ceiling_strict))
     return certs
 
 
@@ -179,7 +169,7 @@ def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig, host_seq: Ge
     p = cfg.p
     host_seq = host_seq or q_sequence(p)
 
-    def check():
+    def run():
         host = ring_xy(p)
         x = RatFunc(Poly.var(host, "x"))
         # h^p - x^p = (h - x)^p in characteristic p
@@ -194,11 +184,7 @@ def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig, host_seq: Ge
             ok,
         )
 
-    return _timed(
-        f"as/approximant-gap/k={appr.k}",
-        {"p": p, "c": cfg.c, "k": appr.k},
-        check,
-    )
+    return check(f"as/approximant-gap/k={appr.k}", {"p": p, "c": cfg.c, "k": appr.k}, run)
 
 
 def gap_bound_sweep(
@@ -215,7 +201,7 @@ def gap_bound_sweep(
     host_seq = host_seq or q_sequence(p)
     bound = gap_value(p, k)
 
-    def check():
+    def run():
         x = RatFunc(Poly.var(ring_xy(p), "x"))
 
         def gap_of(g: RatFunc) -> GroupValue:
@@ -239,11 +225,30 @@ def gap_bound_sweep(
             ok,
         )
 
-    return _timed(
-        f"as/gap-bound-sweep/k={k}",
-        {"p": p, "c": cfg.c, "k": k, "samples": samples, "seed": seed},
-        check,
-    )
+    params = {"p": p, "c": cfg.c, "k": k, "samples": samples, "seed": seed}
+    return check(f"as/gap-bound-sweep/k={k}", params, run)
+
+
+def ceiling_family(
+    rng: random.Random,
+    base_seq: GenSeq,
+    approximants: list[Approximant],
+    pinned: int,
+    generic: int,
+) -> list[tuple[str, RatFunc]]:
+    """The labelled base-field elements whose ceiling is checked.
+
+    f = 0; the reciprocals of every approximant supplied; ``pinned`` seeded
+    random elements of value -1/p (the only regime where the ceiling needs
+    the ladder bound); and ``generic`` seeded random elements, drawn in that
+    order from ``rng``.
+    """
+    uv = base_seq.ring
+    family = [("0", RatFunc(Poly.zero(uv)))]
+    family += [(f"1/approximant[{a.k}]", 1 / a.element) for a in approximants]
+    family += [(f"pinned[{n}]", random_value_pinned(rng, base_seq)) for n in range(pinned)]
+    family += [(f"generic[{n}]", random_ratfunc(rng, uv)) for n in range(generic)]
+    return family
 
 
 def ceiling_check(
@@ -263,18 +268,14 @@ def ceiling_check(
     crit = Fraction(-1, p * p)
     got = None
 
-    def check():
+    def run():
         nonlocal got
         x = RatFunc(Poly.var(ring_xy(p), "x"))
         got = value(1 / x - embed_uv(f, cfg), host_seq)
         ok = got < ceiling and ceiling < crit
         return f"< {ceiling} < {crit}", str(got), ok
 
-    cert = _timed(
-        f"as/ceiling/{label}",
-        {"p": p, "c": cfg.c, "f": label},
-        check,
-    )
+    cert = check(f"as/ceiling/{label}", {"p": p, "c": cfg.c, "f": label}, run)
     return got, cert
 
 
@@ -307,20 +308,6 @@ class DefectEvidence:
         "universally quantified criterion"
     )
 
-    def to_certificate(self) -> Certificate:
-        ok = self.verdict == "dependent-consistent"
-        worst = max(
-            (e.value.as_fraction() for e in self.entries if e.value is not INFINITY),
-            default=None,
-        )
-        return Certificate(
-            id="as/dependence",
-            params={"p": self.p, "c": self.c, "m": self.m, "entries": len(self.entries)},
-            expected=f"all sampled values < -1/p^{self.m}",
-            actual=f"verdict {self.verdict}; supremum observed {worst}",
-            status=PASS if ok else FAIL,
-        )
-
 
 def dependence_report(
     cfg: EmbeddingConfig,
@@ -329,49 +316,33 @@ def dependence_report(
     seed: int = 0,
     m: int = 2,
     host_seq: GenSeq | None = None,
-) -> DefectEvidence:
-    """Run the ceiling check over the documented family of base elements.
+) -> tuple[DefectEvidence | None, Certificate]:
+    """Run the ceiling check over the ceiling family, ``samples`` of each kind.
 
-    The family: f = 0; the reciprocals of every approximant supplied;
-    seeded random elements pinned to value -1/p (the only regime where the
-    ceiling needs the ladder bound); and generic seeded random elements.
+    Returns the evidence with its ``as/dependence`` certificate; the
+    evidence is None when the certificate is budget-exceeded.
     """
     p = cfg.p
     host_seq = host_seq or q_sequence(p)
-    base_seq = p_sequence(p)
     crit = Fraction(-1, p**m)
     ceiling = Fraction(-2, p) + omega(p) / p
-    uv = base_seq.ring
+    evidence = None
 
-    family: list[tuple[str, RatFunc]] = [("0", RatFunc(Poly.zero(uv)))]
-    for appr in approximants:
-        family.append((f"1/approximant[{appr.k}]", 1 / appr.element))
-    rng = random.Random(f"{seed}:dependence")
-    for n in range(samples):
-        family.append((f"pinned[{n}]", random_value_pinned(rng, base_seq)))
-    for n in range(samples):
-        f = random_ratfunc(rng, uv)
-        family.append((f"generic[{n}]", f))
+    def run():
+        nonlocal evidence
+        rng = random.Random(f"{seed}:dependence")
+        family = ceiling_family(rng, p_sequence(p), approximants, samples, samples)
+        inv_x = 1 / RatFunc(Poly.var(ring_xy(p), "x"))
+        entries = []
+        for label, f in family:
+            got = value(inv_x - embed_uv(f, cfg), host_seq)
+            entries.append(EvidenceEntry(label, got, got < ceiling, got < crit))
+        ok = all(e.below_criterion for e in entries)
+        verdict = "dependent-consistent" if ok else "criterion-violated"
+        evidence = DefectEvidence(p, cfg.c, m, entries, verdict)
+        worst = max((e.value.as_fraction() for e in entries if e.value is not INFINITY), default=None)
+        return f"all sampled values < -1/p^{m}", f"verdict {verdict}; supremum observed {worst}", ok
 
-    host = ring_xy(p)
-    x = RatFunc(Poly.var(host, "x"))
-    inv_x = 1 / x
-    entries = []
-    for label, f in family:
-        got = value(inv_x - embed_uv(f, cfg), host_seq)
-        entries.append(
-            EvidenceEntry(
-                label=label,
-                value=got,
-                below_ceiling=got < ceiling,
-                below_criterion=got < crit,
-            )
-        )
-    ok = all(e.below_criterion for e in entries)
-    return DefectEvidence(
-        p=p,
-        c=cfg.c,
-        m=m,
-        entries=entries,
-        verdict="dependent-consistent" if ok else "criterion-violated",
-    )
+    params = {"p": p, "c": cfg.c, "m": m, "entries": 1 + len(approximants) + 2 * samples}
+    cert = check("as/dependence", params, run)
+    return evidence, cert

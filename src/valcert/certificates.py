@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
-__all__ = ["Certificate", "Report", "PASS", "FAIL", "BUDGET"]
+from .polys import BudgetExceededError
+
+__all__ = ["Certificate", "Report", "check", "PASS", "FAIL", "BUDGET"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -50,6 +53,22 @@ class Certificate:
     def text_row(self) -> str:
         status = self.status.upper()
         return f"{status:<16} {self.id:<44} expected {self.expected}  actual {self.actual}"
+
+
+def check(id_: str, params: dict, fn) -> Certificate:
+    """Run ``fn() -> (expected, actual, ok)`` as the timed certificate ``id_``.
+
+    A BudgetExceededError raised inside ``fn`` becomes a budget-exceeded
+    record on this certificate alone, so the rest of the run goes on.
+    """
+    t0 = time.perf_counter()
+    try:
+        expected, actual, ok = fn()
+        status = PASS if ok else FAIL
+    except BudgetExceededError as e:
+        expected, actual, status = "within budget", str(e), BUDGET
+    elapsed = time.perf_counter() - t0
+    return Certificate(id=id_, params=params, expected=expected, actual=actual, status=status, elapsed=elapsed)
 
 
 @dataclass

@@ -36,8 +36,7 @@ from .engine import (
 )
 from .keyseq import p_sequence, q_sequence
 from .parsing import ParseError, parse_expr
-from .polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
-from .sampling import random_ratfunc, random_value_pinned
+from .polys import BudgetExceededError, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
 from .values import is_prime
 
 RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
@@ -207,6 +206,7 @@ def _ladder(cfg: RunConfig, k_max: int):
 def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     from .artin_schreier import (
         ceiling_check,
+        ceiling_family,
         dependence_report,
         gap_bound_sweep,
         gap_element_certificates,
@@ -234,23 +234,21 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             _, cert = ceiling_check(f, cfg.embedding(), args.f, host)
             report.certificates.append(cert)
             return None
-        base = p_sequence(cfg.p)
-        family = [("0", RatFunc(Poly.zero(base.ring)))]
-        family += [(f"1/approximant[{a.k}]", 1 / a.element) for a in apprs]
-        rng = random.Random(f"{cfg.seed}:t2")
         half = cfg.samples // 2
-        family += [(f"pinned[{n}]", random_value_pinned(rng, base)) for n in range(half)]
-        family += [(f"generic[{n}]", random_ratfunc(rng, base.ring)) for n in range(cfg.samples - half)]
+        rng = random.Random(f"{cfg.seed}:t2")
+        family = ceiling_family(rng, p_sequence(cfg.p), apprs, half, cfg.samples - half)
         for label, f in family:
             _, cert = ceiling_check(f, cfg.embedding(), label, host)
             report.certificates.append(cert)
         return None
     # report
     _, apprs = _ladder(cfg, cfg.k_max)
-    evidence = dependence_report(
+    evidence, cert = dependence_report(
         cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed, host_seq=host
     )
-    report.certificates.append(evidence.to_certificate())
+    report.certificates.append(cert)
+    if evidence is None:
+        return None
     lines = [f"verdict: {evidence.verdict} (m={evidence.m})", f"note: {evidence.note}"]
     if args.dump_values:
         for e in evidence.entries:

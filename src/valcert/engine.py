@@ -39,15 +39,15 @@ the tests.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 
-from .certificates import FAIL, PASS, Certificate
+from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, _check_budget
+from .sampling import random_poly, random_ratfunc
 from .values import INFINITY, GroupValue
 
 __all__ = [
@@ -342,17 +342,6 @@ def _clip(text: str, limit: int = 400) -> str:
     return text if len(text) <= limit else text[:limit] + " ..."
 
 
-def _certificate(id_: str, params: dict, expected: str, actual: str, ok: bool, t0: float) -> Certificate:
-    return Certificate(
-        id=id_,
-        params=params,
-        expected=expected,
-        actual=actual,
-        status=PASS if ok else FAIL,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 @cache
 def _engines(p: int) -> tuple[GenSeq, GenSeq]:
     # one (u,v) and one (x,y) sequence per characteristic for the
@@ -366,101 +355,83 @@ def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     The host valuation restricts to the base one, so the two independently
     computed values must agree exactly.
     """
-    t0 = time.perf_counter()
     if isinstance(f, Poly):
         f = RatFunc(f)
     p = f.ring.p
-    cfg = EmbeddingConfig(p, c)
-    base_seq, host_seq = _engines(p)
-    base = value(f, base_seq)
-    host = value(embed_uv(f, cfg), host_seq)
     ident = label or str(f)
-    return _certificate(
-        f"engine/restriction/c={c}/{ident}",
-        {"p": p, "c": c, "f": ident},
-        str(base),
-        str(host),
-        base == host,
-        t0,
-    )
 
+    def run():
+        base_seq, host_seq = _engines(p)
+        base = value(f, base_seq)
+        host = value(embed_uv(f, EmbeddingConfig(p, c)), host_seq)
+        return str(base), str(host), base == host
 
-def _random_poly(rng: random.Random, seq: GenSeq, max_deg: int, max_terms: int) -> Poly:
-    while True:
-        n = rng.randint(1, max_terms)
-        terms = {}
-        for _ in range(n):
-            e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-            terms[e] = rng.randint(1, seq.p - 1)
-        f = Poly(seq.ring, terms)
-        if not f.is_zero():
-            return f
+    return check(f"engine/restriction/c={c}/{ident}", {"p": p, "c": c, "f": ident}, run)
 
 
 def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 8) -> Certificate:
     """value(f*g) == value(f) + value(g) over seeded random pairs."""
-    t0 = time.perf_counter()
-    rng = random.Random(f"{seed}:mult:{seq.name}")
-    bad = 0
-    for _ in range(samples):
-        f = _random_poly(rng, seq, max_deg, 5)
-        g = _random_poly(rng, seq, max_deg, 5)
-        if value(f * g, seq) != value(f, seq) + value(g, seq):
-            bad += 1
-    return _certificate(
+
+    def run():
+        rng = random.Random(f"{seed}:mult:{seq.name}")
+        bad = 0
+        for _ in range(samples):
+            f = random_poly(rng, seq.ring, max_deg, 5)
+            g = random_poly(rng, seq.ring, max_deg, 5)
+            if value(f * g, seq) != value(f, seq) + value(g, seq):
+                bad += 1
+        want = f"{samples} products split"
+        return want, f"{samples - bad} split" if bad else want, bad == 0
+
+    return check(
         f"engine/multiplicative/engine={seq.name}",
         {"engine": seq.name, "p": seq.p, "samples": samples, "seed": seed},
-        f"{samples} products split",
-        f"{samples - bad} split" if bad else f"{samples} products split",
-        bad == 0,
-        t0,
+        run,
     )
 
 
 def ultrametric_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 8) -> Certificate:
     """value(f+g) >= min of values, with equality whenever the values differ."""
-    t0 = time.perf_counter()
-    rng = random.Random(f"{seed}:ultra:{seq.name}")
-    bad = 0
-    for _ in range(samples):
-        f = _random_poly(rng, seq, max_deg, 5)
-        g = _random_poly(rng, seq, max_deg, 5)
-        s = f + g
-        vf, vg = value(f, seq), value(g, seq)
-        lo = vf if vf <= vg else vg
-        vs = value(s, seq)
-        if vs < lo:
-            bad += 1
-        elif vf != vg and vs != lo:
-            bad += 1
-    return _certificate(
+
+    def run():
+        rng = random.Random(f"{seed}:ultra:{seq.name}")
+        bad = 0
+        for _ in range(samples):
+            f = random_poly(rng, seq.ring, max_deg, 5)
+            g = random_poly(rng, seq.ring, max_deg, 5)
+            s = f + g
+            vf, vg = value(f, seq), value(g, seq)
+            lo = vf if vf <= vg else vg
+            vs = value(s, seq)
+            if vs < lo or (vf != vg and vs != lo):
+                bad += 1
+        want = f"{samples} sums dominated"
+        return want, f"{samples - bad} dominated" if bad else want, bad == 0
+
+    return check(
         f"engine/ultrametric/engine={seq.name}",
         {"engine": seq.name, "p": seq.p, "samples": samples, "seed": seed},
-        f"{samples} sums dominated",
-        f"{samples - bad} dominated" if bad else f"{samples} sums dominated",
-        bad == 0,
-        t0,
+        run,
     )
 
 
 def restriction_sweep(p: int, c: int, samples: int, seed: int, max_deg: int = 5) -> Certificate:
     """Cross-engine agreement on seeded random base-field elements."""
-    t0 = time.perf_counter()
-    rng = random.Random(f"{seed}:cross:{c}")
-    seq, host = _engines(p)
-    cfg = EmbeddingConfig(p, c)
-    bad = 0
-    for _ in range(samples):
-        num = _random_poly(rng, seq, max_deg, 4)
-        den = _random_poly(rng, seq, max_deg, 3)
-        f = RatFunc(num, den)
-        if value(f, seq) != value(embed_uv(f, cfg), host):
-            bad += 1
-    return _certificate(
+
+    def run():
+        rng = random.Random(f"{seed}:cross:{c}")
+        seq, host = _engines(p)
+        cfg = EmbeddingConfig(p, c)
+        bad = 0
+        for _ in range(samples):
+            f = random_ratfunc(rng, seq.ring, max_deg)
+            if value(f, seq) != value(embed_uv(f, cfg), host):
+                bad += 1
+        want = f"{samples} restrictions agree"
+        return want, f"{samples - bad} agree" if bad else want, bad == 0
+
+    return check(
         f"engine/restriction-sweep/c={c}",
         {"p": p, "c": c, "samples": samples, "seed": seed},
-        f"{samples} restrictions agree",
-        f"{samples - bad} agree" if bad else f"{samples} restrictions agree",
-        bad == 0,
-        t0,
+        run,
     )

@@ -433,10 +433,6 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def from_poly(cls, f: Poly) -> "RatFunc":
-        return cls(f)
-
     @property
     def ring(self) -> Ring:
         return self.num.ring

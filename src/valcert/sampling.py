@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .engine import value
+from . import engine  # by module: engine imports the samplers from here
 from .keyseq import GenSeq
 from .polys import Poly, RatFunc, Ring
 from .values import GroupValue
@@ -95,7 +95,7 @@ def random_value_pinned(rng: random.Random, seq: GenSeq) -> RatFunc:
     backbone = RatFunc(unit, Poly.monomial(ring, 1, 0, p))
     noise = RatFunc(random_poly(rng, ring, 4, 3, nonzero=False), Poly.monomial(ring, 1, 0, p - 1))
     f = backbone + noise
-    got = value(f, seq)
+    got = engine.value(f, seq)
     if got != GroupValue(p, -1, 1):
         raise AssertionError(f"pinned sampler produced value {got}, wanted -1/{p}")
     return f

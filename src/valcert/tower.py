@@ -20,14 +20,13 @@ with all level-0 unit factors equal to 1 and all level-0 drifts equal to 0.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .certificates import BUDGET, FAIL, PASS, Certificate
+from .certificates import Certificate, check
 from .engine import value
 from .keyseq import GenSeq, p_sequence
-from .polys import BudgetExceededError, Poly, RatFunc, support_limit
+from .polys import Poly, RatFunc, support_limit
 from .values import GroupValue
 
 __all__ = [
@@ -58,9 +57,6 @@ class TowerLevel:
     @property
     def p(self) -> int:
         return self.u.ring.p
-
-    def key(self, i: int) -> RatFunc:
-        return self.keys[i]
 
 
 def build_tower(p: int, k_max: int, i_max: int, budget: int | None = None) -> list[TowerLevel]:
@@ -148,30 +144,13 @@ def drift_bound(p: int, k: int, i: int) -> GroupValue:
     return GroupValue(p, series + p**4, 2 * i + 2 * k)
 
 
-def _timed(id_: str, params: dict, fn) -> Certificate:
-    t0 = time.perf_counter()
-    try:
-        expected, actual, ok = fn()
-        status = PASS if ok else FAIL
-    except BudgetExceededError as e:
-        expected, actual, status = "within budget", str(e), BUDGET
-    return Certificate(
-        id=id_,
-        params=params,
-        expected=expected,
-        actual=actual,
-        status=status,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certificate:
     """u equals u_k^(p^(2k)) times the descent unit, and the unit has value 0."""
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
     base_u = RatFunc(seq.poly(0))
 
-    def check():
+    def run():
         lhs = base_u
         rhs = level.u ** (p ** (2 * k)) * level.descent_unit
         identity = lhs == rhs
@@ -183,11 +162,7 @@ def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certifi
         )
         return expected, actual, ok
 
-    return _timed(
-        f"tower/unit-descent/k={k}",
-        {"p": p, "k": k},
-        check,
-    )
+    return check(f"tower/unit-descent/k={k}", {"p": p, "k": k}, run)
 
 
 def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
@@ -203,7 +178,7 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 
-    def check():
+    def run():
         gamma = level.unit_factors[i]
         if i == 2:
             rhs = level.keys[1].frob(2) - gamma * level.keys[0]
@@ -221,11 +196,7 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
         )
         return expected, actual, ok
 
-    return _timed(
-        f"tower/twisted-recursion/k={k}/i={i}",
-        {"p": p, "k": k, "i": i},
-        check,
-    )
+    return check(f"tower/twisted-recursion/k={k}/i={i}", {"p": p, "k": k, "i": i}, run)
 
 
 def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
@@ -240,7 +211,7 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 
-    def check():
+    def run():
         drift = level.drifts[i]
         if i == 2:
             rhs = level.keys[1].frob(2) - level.keys[0] + drift
@@ -254,11 +225,7 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
         actual = f"{'identity' if identity else 'mismatch'}; drift value {dval}"
         return expected, actual, ok
 
-    return _timed(
-        f"tower/drift-recursion/k={k}/i={i}",
-        {"p": p, "k": k, "i": i},
-        check,
-    )
+    return check(f"tower/drift-recursion/k={k}/i={i}", {"p": p, "k": k, "i": i}, run)
 
 
 def verify_value_formula(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
@@ -266,13 +233,9 @@ def verify_value_formula(level: TowerLevel, i: int, seq: GenSeq | None = None) -
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 
-    def check():
+    def run():
         expected = key_value_formula(p, k, i)
         actual = value(level.keys[i], seq)
         return str(expected), str(actual), actual == expected
 
-    return _timed(
-        f"tower/value-formula/k={k}/i={i}",
-        {"p": p, "k": k, "i": i},
-        check,
-    )
+    return check(f"tower/value-formula/k={k}/i={i}", {"p": p, "k": k, "i": i}, run)

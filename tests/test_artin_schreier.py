@@ -19,7 +19,7 @@ from valcert.artin_schreier import (
 from valcert.embeddings import EmbeddingConfig, embed_uv, embed_xv
 from valcert.engine import value
 from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import Poly, RatFunc, ring_uv, ring_xv, ring_xy
+from valcert.polys import Poly, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
 from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import GroupValue, omega
@@ -204,12 +204,27 @@ def test_dependence_report(p):
     k_max = 2 if p == 2 else 1
     tower = build_tower(p, k_max, k_max + 2)
     apprs = build_approximants(tower, k_max, cfg)
-    report = dependence_report(cfg, apprs, samples=10, seed=11)
+    report, cert = dependence_report(cfg, apprs, samples=10, seed=11)
     assert report.verdict == "dependent-consistent"
     assert report.m == 2
     assert all(e.below_ceiling and e.below_criterion for e in report.entries)
-    assert report.to_certificate().passed
+    assert cert.passed
+    assert cert.params == {"p": p, "c": cfg.c, "m": 2, "entries": len(report.entries)}
     assert "falsifiable" in report.note
+
+
+def test_dependence_budget_is_per_certificate():
+    # the ladder is built without a budget; an overflow inside the sweep
+    # lands on the as/dependence certificate instead of raising
+    cfg = EmbeddingConfig.default(2)
+    apprs = build_approximants(build_tower(2, 0, 2), 0, cfg)
+    with support_limit(30):
+        report, cert = dependence_report(cfg, apprs, samples=5, seed=0)
+    assert report is None
+    assert cert.id == "as/dependence"
+    assert cert.status == "budget-exceeded"
+    assert cert.params == {"p": 2, "c": 1, "m": 2, "entries": 12}
+    assert "exceeds budget 30" in cert.actual
 
 
 def test_restriction_c_independence():

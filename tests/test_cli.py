@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, budget handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -145,17 +146,27 @@ def test_bad_seed_env_exit_2(capsys, monkeypatch):
 
 
 def test_ceiling_budget_is_per_certificate(capsys):
-    # a budget overflow in one ceiling check is recorded on that
-    # certificate alone; the rest of the family is still checked
-    code, out, _ = run_cli(
-        ["--kmax", "0", "--budget", "20", "--format", "structured", "ascheck", "t2", "--samples", "6"], capsys
-    )
-    assert code == 0
-    certs = json.loads(out)["certificates"]
+    # a budget overflow in one ceiling check or one engine sweep is recorded
+    # on that certificate alone; the rest of the command is still checked
     labels = ["0", "1/approximant[0]"] + [f"pinned[{n}]" for n in range(3)] + [f"generic[{n}]" for n in range(3)]
-    assert [c["id"] for c in certs] == [f"as/ceiling/{label}" for label in labels]
-    statuses = {c["status"] for c in certs}
-    assert statuses == {"pass", "budget-exceeded"}
+    cases = [
+        (
+            ["--kmax", "0", "--budget", "20", "ascheck", "t2", "--samples", "6"],
+            [f"as/ceiling/{label}" for label in labels],
+            {"pass", "budget-exceeded"},
+        ),
+        (
+            ["--budget", "12", "fuzz", "--what", "mult"],
+            ["engine/multiplicative/engine=uv", "engine/multiplicative/engine=xy"],
+            {"budget-exceeded"},
+        ),
+    ]
+    for argv, ids, statuses in cases:
+        code, out, _ = run_cli(["--format", "structured", *argv], capsys)
+        assert code == 0
+        certs = json.loads(out)["certificates"]
+        assert [c["id"] for c in certs] == ids
+        assert {c["status"] for c in certs} == statuses
 
 
 def test_budget_exceeded_warns_but_exits_zero(capsys):
@@ -174,3 +185,28 @@ def test_report_exit_code_logic():
     assert report.exit_code() == 0
     report.certificates.append(Certificate(id="c", status="fail"))
     assert report.exit_code() == 1
+
+
+# sha256 of the --format structured stdout of each command, as recorded at
+# commit f7c9753; a change here is a change to the published certificates
+STRUCTURED_DIGESTS = {
+    "selftest": "0e278db85e88b4a1260f3882358bc479088de007a2cabbf7af49d4b0604eb253",
+    "--kmax 1 selftest": "182e3c971fc662ab6dbd5ba08adbc2c95ed2bf1ca92951e0f0d23e0b61356694",
+    "ascheck t1": "f996e0c2e423ba1c363762fa4d0ab6a893d5115cc3e0daa174086f0d9c36cc5e",
+    "ascheck t1 --k 1 --samples 20": "8bc4c2ddf36df746e8561594267ddc84fbdbac6d1d98e667eeb302f887527e8a",
+    "ascheck t2 --samples 40": "cb3ba0e680e9bd37d232c4c32ac4e0eb3668f17ca596a5d6c38431c3304b5203",
+    "ascheck report": "ebb25345e201ceeee6c7efd926bbce9ce67e7419b59a8a7b0eac1058e62eaf37",
+    "tower": "0114a3a03b9c6c740e648df1c135efeecfaea5e9591aeab6714b467a40d81b36",
+    "fuzz --what cross": "c899bbe8efe01ced8f96aaf4699045dce80c55e47bb8ec1b2391ffb4a2f04313",
+    "fuzz --what mult": "84bac240ccb89b1f7b4d76fc63be33af5fde1bb4784e6214df4b54c71e3cc344",
+    "fuzz --what ultra": "416d173c5751876a174dea0b8ae2e00ec03abb975b5e1076db7c0c73a9ce26ca",
+    "--budget 1000 ascheck t1 --k 1 --samples 5": "850588053c09d69ddcda62e147c17ca850c2d1329eeda361cc830c4f5301b269",
+    "--kmax 0 --budget 20 ascheck t2 --samples 6": "d1fcbfaaef4361aa1e586cd3c2db1d7db8318986adf7b914982d5a8821bcb84e",
+}
+
+
+@pytest.mark.parametrize("command", list(STRUCTURED_DIGESTS))
+def test_structured_output_digest(command, capsys):
+    code, out, _ = run_cli(["--format", "structured", *command.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_DIGESTS[command]
