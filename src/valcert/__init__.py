@@ -27,13 +27,11 @@ from .polys import (
     substitute,
     support_limit,
 )
-from .values import INFINITY, GroupValue, RationalBound, omega
+from .values import INFINITY, omega
 
 __all__ = [
     "__version__",
-    "GroupValue",
     "INFINITY",
-    "RationalBound",
     "omega",
     "Ring",
     "ring_uv",

@@ -35,7 +35,7 @@ from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, ring_uv, ring_xy
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel
-from .values import INFINITY, GroupValue, omega
+from .values import INFINITY, omega
 
 __all__ = [
     "ASGenerator",
@@ -73,7 +73,7 @@ def artin_schreier_generator(cfg: EmbeddingConfig) -> ASGenerator:
     return ASGenerator(cfg, 1 / x)
 
 
-def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> GroupValue:
+def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> Fraction:
     """Value of an element of the base, intermediate or host field.
 
     Inputs on (u,v) or (x,v) coordinates are embedded into (x,y) first;
@@ -84,10 +84,10 @@ def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig, host_seq: GenSeq | N
     return value(embed(g, cfg), host_seq)
 
 
-def gap_value(p: int, k: int) -> GroupValue:
+def gap_value(p: int, k: int) -> Fraction:
     """Closed-form ladder value 1 + p^-4 + ... + p^(-4(k+1))."""
     series = (p ** (4 * (k + 2)) - 1) // (p**4 - 1)
-    return GroupValue(p, series, 4 * (k + 1))
+    return Fraction(series, p ** (4 * (k + 1)))
 
 
 def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> list[Certificate]:
@@ -109,7 +109,7 @@ def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = Non
     certs.append(check("as/gap-identity", {"p": p, "c": cfg.c}, identity))
 
     def gapval():
-        expect = GroupValue(p, 2 * p - 1, 1)  # 2 - 1/p
+        expect = Fraction(2 * p - 1, p)  # 2 - 1/p
         got = value(gap, host_seq)
         return str(expect), str(got), got == expect
 
@@ -204,7 +204,7 @@ def gap_bound_sweep(
     def run():
         x = RatFunc(Poly.var(ring_xy(p), "x"))
 
-        def gap_of(g: RatFunc) -> GroupValue:
+        def gap_of(g: RatFunc) -> Fraction:
             # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
             # characteristic p, and g - x expands at 1/p of the depth
             return p * value(embed_uv(g, cfg) - x, host_seq)
@@ -256,7 +256,7 @@ def ceiling_check(
     cfg: EmbeddingConfig,
     label: str,
     host_seq: GenSeq | None = None,
-) -> tuple[GroupValue | None, Certificate]:
+) -> tuple[Fraction | None, Certificate]:
     """v(1/x - f) < -2/p + omega/p < -1/p^2 for a base-field element f.
 
     Returns the value with its certificate; the value is None when the
@@ -282,7 +282,7 @@ def ceiling_check(
 @dataclass
 class EvidenceEntry:
     label: str
-    value: GroupValue
+    value: Fraction
     below_ceiling: bool
     below_criterion: bool
 
@@ -340,7 +340,7 @@ def dependence_report(
         ok = all(e.below_criterion for e in entries)
         verdict = "dependent-consistent" if ok else "criterion-violated"
         evidence = DefectEvidence(p, cfg.c, m, entries, verdict)
-        worst = max((e.value.as_fraction() for e in entries if e.value is not INFINITY), default=None)
+        worst = max((e.value for e in entries if e.value is not INFINITY), default=None)
         return f"all sampled values < -1/p^{m}", f"verdict {verdict}; supremum observed {worst}", ok
 
     params = {"p": p, "c": cfg.c, "m": m, "entries": 1 + len(approximants) + 2 * samples}

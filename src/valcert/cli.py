@@ -176,7 +176,7 @@ def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
 
     seq = p_sequence(cfg.p)
     try:
-        levels = build_tower(cfg.p, cfg.k_max, cfg.i_max, budget=cfg.budget)
+        levels = build_tower(cfg.p, cfg.k_max, cfg.i_max)
     except BudgetExceededError as e:
         report.certificates.append(
             Certificate(id="tower/build", params=cfg.echo(), expected="within budget", actual=str(e), status="budget-exceeded")
@@ -199,7 +199,7 @@ def _ladder(cfg: RunConfig, k_max: int):
     from .artin_schreier import build_approximants
     from .tower import build_tower
 
-    tower = build_tower(cfg.p, k_max, max(cfg.i_max, k_max + 2), budget=cfg.budget)
+    tower = build_tower(cfg.p, k_max, max(cfg.i_max, k_max + 2))
     return tower, build_approximants(tower, k_max, cfg.embedding())
 
 
@@ -216,8 +216,8 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     host = q_sequence(cfg.p)
     if args.what == "t1":
         k = cfg.k_max if args.k is None else args.k
-        tower, apprs = _ladder(cfg, k)
         report.extend(gap_element_certificates(cfg.embedding(), host))
+        tower, apprs = _ladder(cfg, k)
         for appr in apprs:
             report.certificates.append(verify_approximant_gap(appr, cfg.embedding(), host))
         if cfg.samples and args.k is not None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import compress
 
@@ -48,7 +49,7 @@ from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, _check_budget
 from .sampling import random_poly, random_ratfunc
-from .values import INFINITY, GroupValue
+from .values import INFINITY
 
 __all__ = [
     "ExpansionTerm",
@@ -91,7 +92,7 @@ class Expansion:
     seq: GenSeq
     terms: list[ExpansionTerm]
 
-    def term_value(self, t: ExpansionTerm) -> GroupValue:
+    def term_value(self, t: ExpansionTerm) -> Fraction:
         val = self.seq.scale * t.m
         for i, ai in enumerate(t.a, start=1):
             if ai:
@@ -172,7 +173,7 @@ def _split_var(f: Poly, seq: GenSeq):
     return Poly._make(f.ring, keep), Poly._make(f.ring, digit)
 
 
-def value(f: Poly | RatFunc, seq: GenSeq) -> GroupValue:
+def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
     """The valuation of f: minimum standard-expansion term value, exactly.
 
     Zero maps to INFINITY.  For fractions the value is value(numerator)
@@ -185,15 +186,16 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> GroupValue:
     if f.is_zero():
         return INFINITY
     _check_ring(f, seq)
-    # Every term value is key / p^shift, where key is an integer combination
-    # of the scaled value numerators of S_0..S_top.  The numerators come from
-    # the sequence's cached value table, keeping a corrupted table detectable.
+    # Every term value is key / den, where den is the largest denominator
+    # (a power of p) among the values of S_0..S_top, and key is an integer
+    # combination of those values rescaled to den.  The values come from the
+    # sequence's cached value table, keeping a corrupted table detectable.
     p = seq.p
     d2 = f.deg2()
     top = seq.index_for_degree(d2) if d2 > 0 else 0
     vals = [seq.scale] + [seq.value(i) for i in range(1, top + 1)]
-    shift = max(v.exp for v in vals)
-    coefs = [v.num * p ** (shift - v.exp) for v in vals]
+    den = max(v.denominator for v in vals)
+    coefs = [v.numerator * (den // v.denominator) for v in vals]
     keys: set[int] = set()
     rows = _pack_rows(f, d2) if p == 2 and d2 >= p * p else None
     if rows is None:
@@ -203,7 +205,7 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> GroupValue:
         count = _stream_rows(rows, seq, lows, coefs, 0, keys)
     if count != len(keys):
         raise _tie_error(f, seq)
-    return GroupValue(p, min(keys), shift)
+    return Fraction(min(keys), den)
 
 
 def _stream_keys(f: Poly, seq: GenSeq, coefs: list[int], p2: int, acc: int, keys: set) -> int:
@@ -323,7 +325,7 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
     # Rebuild the explicit expansion to name the tied pair; the streamed
     # keys only know that some pair tied.
     exp = expand(f, seq)
-    seen: dict[GroupValue, ExpansionTerm] = {}
+    seen: dict[Fraction, ExpansionTerm] = {}
     for t in exp.terms:
         val = exp.term_value(t)
         other = seen.get(val)

@@ -18,8 +18,9 @@ valuation restrict to the base one on the nose.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .polys import Poly, Ring, ring_uv, ring_xy
-from .values import GroupValue
 
 __all__ = ["GenSeq", "p_sequence", "q_sequence"]
 
@@ -27,12 +28,12 @@ __all__ = ["GenSeq", "p_sequence", "q_sequence"]
 class GenSeq:
     """Lazily extended generating sequence with cached polynomials and values."""
 
-    def __init__(self, ring: Ring, scale: GroupValue, name: str):
+    def __init__(self, ring: Ring, scale: Fraction, name: str):
         self.ring = ring
         self.scale = scale
         self.name = name
         self._polys: list[Poly] = [Poly.var(ring, ring.vars[0]), Poly.var(ring, ring.vars[1])]
-        self._values: dict[int, GroupValue] = {}
+        self._values: dict[int, Fraction] = {}
 
     @property
     def p(self) -> int:
@@ -58,7 +59,7 @@ class GenSeq:
             self._polys.append(nxt)
         return self._polys[i]
 
-    def value(self, i: int) -> GroupValue:
+    def value(self, i: int) -> Fraction:
         """Closed-form value of the i-th key polynomial (times the scale)."""
         if i < 0:
             raise IndexError("negative sequence index")
@@ -69,7 +70,7 @@ class GenSeq:
                 got = self.scale
             else:
                 series = (p ** (4 * i) - 1) // (p**4 - 1)
-                got = self.scale * GroupValue(p, series, 2 * i)
+                got = self.scale * Fraction(series, p ** (2 * i))
             self._values[i] = got
         return got
 
@@ -87,9 +88,9 @@ class GenSeq:
 
 def p_sequence(p: int) -> GenSeq:
     """Generating sequence on (u,v): the base valuation, v(u) = 1."""
-    return GenSeq(ring_uv(p), GroupValue(p, 1), "uv")
+    return GenSeq(ring_uv(p), Fraction(1), "uv")
 
 
 def q_sequence(p: int) -> GenSeq:
     """Generating sequence on (x,y): the host valuation, v(x) = 1/p."""
-    return GenSeq(ring_xy(p), GroupValue(p, 1, 1), "xy")
+    return GenSeq(ring_xy(p), Fraction(1, p), "xy")

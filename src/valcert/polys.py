@@ -14,7 +14,6 @@ computed on numerator and denominator separately.
 from __future__ import annotations
 
 import heapq
-import threading
 from contextlib import contextmanager
 
 from .values import is_prime
@@ -51,7 +50,7 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"polynomial support {size} exceeds budget {limit}")
 
 
-_LIMIT = threading.local()
+_LIMIT: int | None = None
 
 
 @contextmanager
@@ -61,18 +60,18 @@ def support_limit(max_terms: int | None):
     Exceeding the bound raises BudgetExceededError instead of silently
     truncating; ``None`` disables the check.
     """
-    prev = getattr(_LIMIT, "value", None)
-    _LIMIT.value = max_terms
+    global _LIMIT
+    prev = _LIMIT
+    _LIMIT = max_terms
     try:
         yield
     finally:
-        _LIMIT.value = prev
+        _LIMIT = prev
 
 
 def _check_budget(size: int) -> None:
-    limit = getattr(_LIMIT, "value", None)
-    if limit is not None and size > limit:
-        raise BudgetExceededError(size, limit)
+    if _LIMIT is not None and size > _LIMIT:
+        raise BudgetExceededError(size, _LIMIT)
 
 
 class Ring:

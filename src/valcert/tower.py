@@ -20,14 +20,13 @@ with all level-0 unit factors equal to 1 and all level-0 drifts equal to 0.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .certificates import Certificate, check
 from .engine import value
 from .keyseq import GenSeq, p_sequence
-from .polys import Poly, RatFunc, support_limit
-from .values import GroupValue
+from .polys import Poly, RatFunc
 
 __all__ = [
     "TowerLevel",
@@ -59,38 +58,36 @@ class TowerLevel:
         return self.u.ring.p
 
 
-def build_tower(p: int, k_max: int, i_max: int, budget: int | None = None) -> list[TowerLevel]:
+def build_tower(p: int, k_max: int, i_max: int) -> list[TowerLevel]:
     """Levels 0..k_max, each carrying key polynomials up to index i_max.
 
     Intermediate levels carry extra indices (level j holds i_max + k_max - j
-    of them) because every recursion step consumes one index.  A support
-    budget, when given, aborts with BudgetExceededError instead of silently
-    truncating.
+    of them) because every recursion step consumes one index.  Run it inside
+    ``support_limit`` to abort with BudgetExceededError instead of growing
+    without bound.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    guard = support_limit(budget) if budget is not None else nullcontext()
-    with guard:
-        seq = p_sequence(p)
-        one = RatFunc(Poly.one(seq.ring))
-        zero = RatFunc(Poly.zero(seq.ring))
-        top = i_max + k_max
-        level0 = TowerLevel(
-            k=0,
-            u=RatFunc(seq.poly(0)),
-            v=RatFunc(seq.poly(1)),
-            chart_shift=None,
-            descent_unit=one,
-            keys={i: RatFunc(seq.poly(i)) for i in range(top + 1)},
-            unit_factors={i: one for i in range(2, top + 2)},
-            drifts={i: zero for i in range(2, top + 2)},
-        )
-        levels = [level0]
-        for k in range(1, k_max + 1):
-            levels.append(_next_level(levels[-1], i_max + k_max - k))
-        return levels
+    seq = p_sequence(p)
+    one = RatFunc(Poly.one(seq.ring))
+    zero = RatFunc(Poly.zero(seq.ring))
+    top = i_max + k_max
+    level0 = TowerLevel(
+        k=0,
+        u=RatFunc(seq.poly(0)),
+        v=RatFunc(seq.poly(1)),
+        chart_shift=None,
+        descent_unit=one,
+        keys={i: RatFunc(seq.poly(i)) for i in range(top + 1)},
+        unit_factors={i: one for i in range(2, top + 2)},
+        drifts={i: zero for i in range(2, top + 2)},
+    )
+    levels = [level0]
+    for k in range(1, k_max + 1):
+        levels.append(_next_level(levels[-1], i_max + k_max - k))
+    return levels
 
 
 def _next_level(prev: TowerLevel, i_top: int) -> TowerLevel:
@@ -130,18 +127,18 @@ def _next_level(prev: TowerLevel, i_top: int) -> TowerLevel:
     )
 
 
-def key_value_formula(p: int, k: int, i: int) -> GroupValue:
+def key_value_formula(p: int, k: int, i: int) -> Fraction:
     """Closed-form value of the level-k key polynomial of index i."""
     if i == 0:
-        return GroupValue(p, 1, 2 * k)
+        return Fraction(1, p ** (2 * k))
     series = (p ** (4 * i) - 1) // (p**4 - 1)
-    return GroupValue(p, series, 2 * i + 2 * k)
+    return Fraction(series, p ** (2 * i + 2 * k))
 
 
-def drift_bound(p: int, k: int, i: int) -> GroupValue:
+def drift_bound(p: int, k: int, i: int) -> Fraction:
     """Lower bound sum_(j=1..i-1) p^(4j-2i-2k) + p^(4-2i-2k) for drift values."""
     series = (p ** (4 * i) - p**4) // (p**4 - 1)  # sum of p^(4j), j = 1..i-1
-    return GroupValue(p, series + p**4, 2 * i + 2 * k)
+    return Fraction(series + p**4, p ** (2 * i + 2 * k))
 
 
 def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certificate:
@@ -187,7 +184,7 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
         identity = level.keys[i] == rhs
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
-        floor = GroupValue(p, 2, 2 * (k + 1))
+        floor = Fraction(2, p ** (2 * (k + 1)))
         ok = identity and unit_val == 0 and dist >= floor
         expected = f"identity; unit value 0; offset value >= {floor}"
         actual = (

@@ -1,19 +1,17 @@
-"""Exact arithmetic in the value group Z[1/p] and its ambient rationals.
+"""The value group Z[1/p] inside the rationals, and its point at infinity.
 
-Values of nonzero field elements live in Z[1/p], written n / p^e in a
-canonical form.  Bounds that fall outside Z[1/p] (such as the tail constant
-p^4/(p^4-1)) are ordinary reduced fractions; comparisons between the two
-kinds are exact, by cross-multiplication of big integers.
+Values of nonzero field elements are ``fractions.Fraction`` instances whose
+reduced denominators are powers of p; ``str`` prints them as n/p^e in lowest
+terms.  Bounds outside Z[1/p] (such as the tail constant p^4/(p^4-1)) are
+fractions too, so every comparison is exact.  The zero element has value
+INFINITY.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["GroupValue", "INFINITY", "RationalBound", "omega", "is_prime"]
-
-# Bounds outside Z[1/p] are plain reduced fractions.
-RationalBound = Fraction
+__all__ = ["INFINITY", "omega", "is_prime"]
 
 
 def is_prime(n: int) -> bool:
@@ -42,6 +40,9 @@ class _Infinity:
         if other is INFINITY:
             raise ArithmeticError("inf - inf is undefined")
         return self
+
+    def __rsub__(self, other):
+        raise ArithmeticError("finite - inf is undefined")
 
     def __mul__(self, other):
         return self
@@ -77,163 +78,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-class GroupValue:
-    """Element numerator / p^exponent of Z[1/p] in canonical form.
-
-    Canonical form: exponent == 0, or p does not divide the numerator.
-    All integers are arbitrary precision; no overflow is possible.
-    Instances are immutable and freely shareable.
-    """
-
-    __slots__ = ("p", "num", "exp")
-
-    def __init__(self, p: int, num: int, exp: int = 0):
-        if exp < 0:
-            num *= p ** (-exp)
-            exp = 0
-        if num == 0:
-            exp = 0
-        else:
-            while exp > 0 and num % p == 0:
-                num //= p
-                exp -= 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupValue is immutable")
-
-    # -- conversions ---------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p**self.exp)
-
-    @staticmethod
-    def _fractionof(other) -> Fraction | None:
-        if isinstance(other, GroupValue):
-            return other.as_fraction()
-        if isinstance(other, int):
-            return Fraction(other)
-        if isinstance(other, Fraction):
-            return other
-        return None
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        if other is INFINITY:
-            return INFINITY
-        if isinstance(other, int):
-            other = GroupValue(self.p, other)
-        if not isinstance(other, GroupValue):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        e = max(self.exp, other.exp)
-        n = self.num * self.p ** (e - self.exp) + other.num * self.p ** (e - other.exp)
-        return GroupValue(self.p, n, e)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupValue(self.p, -self.num, self.exp)
-
-    def __sub__(self, other):
-        if other is INFINITY:
-            raise ArithmeticError("finite - inf is undefined")
-        if isinstance(other, int):
-            other = GroupValue(self.p, other)
-        if not isinstance(other, GroupValue):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if other is INFINITY:
-            return INFINITY
-        if isinstance(other, int):
-            return GroupValue(self.p, self.num * other, self.exp)
-        if not isinstance(other, GroupValue):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        return GroupValue(self.p, self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    # -- total order, including Fraction bounds ---------------------------
-
-    def __eq__(self, other):
-        if other is INFINITY:
-            return False
-        f = self._fractionof(other)
-        if f is None:
-            return NotImplemented
-        return self.as_fraction() == f
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __lt__(self, other):
-        if other is INFINITY:
-            return True
-        f = self._fractionof(other)
-        if f is None:
-            return NotImplemented
-        return self.as_fraction() < f
-
-    def __le__(self, other):
-        if other is INFINITY:
-            return True
-        f = self._fractionof(other)
-        if f is None:
-            return NotImplemented
-        return self.as_fraction() <= f
-
-    def __gt__(self, other):
-        if other is INFINITY:
-            return False
-        f = self._fractionof(other)
-        if f is None:
-            return NotImplemented
-        return self.as_fraction() > f
-
-    def __ge__(self, other):
-        if other is INFINITY:
-            return False
-        f = self._fractionof(other)
-        if f is None:
-            return NotImplemented
-        return self.as_fraction() >= f
-
-    # -- rendering --------------------------------------------------------
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{self.p ** self.exp}"
-
-    def __repr__(self):
-        return f"GroupValue(p={self.p}, {self})"
-
-    def exact_decimal(self) -> str | None:
-        """Exact decimal expansion, when one exists (p in {2, 5} or integer)."""
-        if self.exp == 0:
-            return str(self.num)
-        if self.p == 2:
-            scaled = self.num * 5**self.exp
-        elif self.p == 5:
-            scaled = self.num * 2**self.exp
-        else:
-            return None
-        sign = "-" if scaled < 0 else ""
-        digits = str(abs(scaled)).rjust(self.exp + 1, "0")
-        return f"{sign}{digits[: -self.exp]}.{digits[-self.exp :]}"
 
 
 def omega(p: int) -> Fraction:

@@ -42,9 +42,10 @@ def test_value_fraction(capsys):
 def test_expand_command(capsys):
     code, out, _ = run_cli(["expand", "v^5"], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert any("5/4" in line for line in lines)
+    assert out.splitlines() == [
+        "S0*S1                            value 5/4",
+        "S1*S2                            value 21/16",
+    ]
 
 
 def test_parse_error_exit_2(capsys):
@@ -160,6 +161,11 @@ def test_ceiling_budget_is_per_certificate(capsys):
             ["engine/multiplicative/engine=uv", "engine/multiplicative/engine=xy"],
             {"budget-exceeded"},
         ),
+        (
+            ["--budget", "40", "ascheck", "t1"],
+            ["as/gap-identity", "as/gap-value", "as/gap-above-tail", "as/ceiling-strict", "ascheck"],
+            {"pass", "budget-exceeded"},
+        ),
     ]
     for argv, ids, statuses in cases:
         code, out, _ = run_cli(["--format", "structured", *argv], capsys)
@@ -210,3 +216,19 @@ def test_structured_output_digest(command, capsys):
     code, out, _ = run_cli(["--format", "structured", *command.split()], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_DIGESTS[command]
+
+
+# (line count, sha256) of the text-mode value listing that each command
+# prints before its report header, as recorded at commit ecc51ad
+TEXT_LISTING_DIGESTS = {
+    "tower --dump-values": (15, "c6d58c547d8fe73b8a8786f79fb6a2cd6d49837c01a4c0af1dd0bd3505037065"),
+    "ascheck report --dump-values": (56, "d82c314e604b6c8fbcb67f6bcb42c419c7b3d7afda814e0d27b717288479dc3b"),
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_LISTING_DIGESTS))
+def test_text_listing_digest(command, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    listing = out[: out.index("valcert 0.1.0  config=")]
+    assert (len(listing.splitlines()), hashlib.sha256(listing.encode()).hexdigest()) == TEXT_LISTING_DIGESTS[command]

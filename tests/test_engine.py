@@ -1,5 +1,7 @@
 """Expansion and value computation, with the independent oracles."""
 
+from fractions import Fraction
+
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from valcert.keyseq import p_sequence, q_sequence
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xy, support_limit
 from valcert.sampling import random_level_element
 from valcert.tower import build_tower
-from valcert.values import GroupValue, INFINITY
+from valcert.values import INFINITY
 
 R2 = ring_uv(2)
 U, V = Poly.var(R2, "u"), Poly.var(R2, "v")
@@ -78,19 +80,19 @@ def test_expand_rejects():
 
 def test_value_examples():
     seq = p_sequence(2)
-    assert value(V**4 + U, seq) == GroupValue(2, 17, 4)
+    assert value(V**4 + U, seq) == Fraction(17, 16)
     for m in (0, 1, 5):
         assert value(U**m, seq) == m
-    assert value(V**5, seq) == GroupValue(2, 5, 2)
+    assert value(V**5, seq) == Fraction(5, 4)
     assert value(Poly.zero(R2), seq) is INFINITY
 
 
 def test_value_ratfunc():
     seq = p_sequence(2)
-    assert value(RatFunc(U, V), seq) == GroupValue(2, 3, 2)
+    assert value(RatFunc(U, V), seq) == Fraction(3, 4)
     f = RatFunc(V**3 + U, V**2 + U * V)
     assert value(f / f, seq) == 0
-    assert value(RatFunc(Poly.one(R2), V**2), seq) == GroupValue(2, -1, 1)
+    assert value(RatFunc(Poly.one(R2), V**2), seq) == Fraction(-1, 2)
     assert value(RatFunc(Poly.zero(R2), V), seq) is INFINITY
 
 
@@ -133,7 +135,10 @@ def test_value_is_min_over_expansion(source, p, seed):
         inputs = [rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6)]
     for f in inputs:
         exp = expand(f, seq)
-        assert value(f, seq) == min(exp.term_value(t) for t in exp.terms)
+        got = value(f, seq)
+        assert got == min(exp.term_value(t) for t in exp.terms)
+        # values lie in Z[1/p]: p^N is a multiple of the denominator for some N
+        assert seq.p ** got.denominator.bit_length() % got.denominator == 0
 
 
 def test_multiplicativity_seeded():
@@ -151,13 +156,13 @@ def test_ultrametric_seeded():
             f, g = rnd_poly(rng, seq.ring), rnd_poly(rng, seq.ring)
             s = f + g
             vf, vg, vs = value(f, seq), value(g, seq), value(s, seq)
-            lo = min(vf.as_fraction(), vg.as_fraction())
+            lo = min(vf, vg)
             if s.is_zero():
                 assert vs is INFINITY
             else:
-                assert vs.as_fraction() >= lo
+                assert vs >= lo
             if vf != vg:
-                assert vs == min((vf, vg), key=lambda x: x.as_fraction())
+                assert vs == lo
 
 
 def test_sweep_certificates():
@@ -175,7 +180,7 @@ def test_distinct_values_exhaustive_small():
             for a2 in range(4):
                 for a3 in range(4):
                     val = seq.scale * m + seq.value(1) * a1 + seq.value(2) * a2 + seq.value(3) * a3
-                    seen.add(val.as_fraction())
+                    seen.add(val)
     assert len(seen) == 17 * 4 * 4 * 4
 
 

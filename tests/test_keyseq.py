@@ -1,10 +1,11 @@
 """Generating sequences: recursion shape, degrees, closed-form values."""
 
+from fractions import Fraction
+
 import pytest
 
 from valcert.keyseq import p_sequence, q_sequence
 from valcert.polys import Poly
-from valcert.values import GroupValue
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -45,15 +46,15 @@ def test_monic_and_degree(p):
 def test_values_p2():
     seq = p_sequence(2)
     assert seq.value(0) == 1
-    assert seq.value(1) == GroupValue(2, 1, 2)
-    assert seq.value(2) == GroupValue(2, 17, 4)
-    assert seq.value(3) == GroupValue(2, 273, 6)
+    assert seq.value(1) == Fraction(1, 4)
+    assert seq.value(2) == Fraction(17, 16)
+    assert seq.value(3) == Fraction(273, 64)
 
 
 def test_host_sequence_scale():
     host = q_sequence(2)
-    assert host.value(0) == GroupValue(2, 1, 1)
-    assert host.value(1) == GroupValue(2, 1, 3)  # 1/8
+    assert host.value(0) == Fraction(1, 2)
+    assert host.value(1) == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("p", [2, 3])

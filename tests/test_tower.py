@@ -1,11 +1,13 @@
 """Tower construction: exact identities, value formulas, bounds."""
 
+from fractions import Fraction
+
 import pytest
 
 from valcert.engine import value
 from valcert.keyseq import p_sequence
 from valcert.parsing import parse_expr
-from valcert.polys import BudgetExceededError, RatFunc, ring_uv
+from valcert.polys import BudgetExceededError, RatFunc, ring_uv, support_limit
 from valcert.tower import (
     build_tower,
     drift_bound,
@@ -15,7 +17,6 @@ from valcert.tower import (
     verify_unit_descent,
     verify_value_formula,
 )
-from valcert.values import GroupValue
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def test_twisted_recursion_offset_value(tower2):
     # v(gamma_(1,2) - 1) = v(s_1^4) = 4 * 1/16 = 1/4, above the floor 1/8
     seq = p_sequence(2)
     gamma = tower2[1].unit_factors[2]
-    assert value(gamma - 1, seq) == GroupValue(2, 1, 2)
+    assert value(gamma - 1, seq) == Fraction(1, 4)
 
 
 def test_drift_recursion(tower2, tower3):
@@ -80,8 +81,8 @@ def test_drift_exact_value_k1_i2(tower2):
     seq = p_sequence(2)
     L1 = tower2[1]
     assert L1.drifts[2] == L1.u * L1.v.frob(2)
-    assert value(L1.drifts[2], seq) == GroupValue(2, 1, 1)
-    assert drift_bound(2, 1, 2) == GroupValue(2, 1, 1)
+    assert value(L1.drifts[2], seq) == Fraction(1, 2)
+    assert drift_bound(2, 1, 2) == Fraction(1, 2)
 
 
 def test_value_formulas(tower2, tower3):
@@ -95,8 +96,8 @@ def test_value_formulas(tower2, tower3):
 def test_value_formula_two_routes():
     # v(K_(1,2)) both by closed form and by the division route
     seq = p_sequence(2)
-    assert key_value_formula(2, 1, 2) == GroupValue(2, 17, 6)
-    assert seq.value(3) - GroupValue(2, 1, 2) * 16 == GroupValue(2, 17, 6)
+    assert key_value_formula(2, 1, 2) == Fraction(17, 64)
+    assert seq.value(3) - Fraction(1, 4) * 16 == Fraction(17, 64)
 
 
 def test_chart_shift_positive_value(tower2, tower3):
@@ -132,8 +133,8 @@ def test_division_spot_check(tower2):
 
 
 def test_budget_aborts_build():
-    with pytest.raises(BudgetExceededError):
-        build_tower(2, 2, 4, budget=3)
+    with support_limit(3), pytest.raises(BudgetExceededError):
+        build_tower(2, 2, 4)
 
 
 def test_build_validation():
