@@ -12,6 +12,14 @@ import random
 from fractions import Fraction
 from functools import cache
 
+from .artin_schreier import (
+    build_approximants,
+    ceiling_check,
+    ceiling_family,
+    dependence_report,
+    gap_bound_sweep,
+    verify_approximant_gap,
+)
 from .certificates import FAIL, Certificate, check
 from .embeddings import EmbeddingConfig
 from .engine import (
@@ -21,7 +29,8 @@ from .engine import (
     ultrametric_sweep,
     value,
 )
-from .keyseq import p_sequence, q_sequence
+from .keyseq import GenSeq, p_sequence, q_sequence
+from .polys import ring_uv
 from .tower import (
     build_tower,
     drift_bound,
@@ -104,46 +113,37 @@ def criterion_4_drift_bound(seed=0, k_max=2) -> list[Certificate]:
 
 def criterion_5_approximant_gaps(seed=0, k_max=2) -> list[Certificate]:
     """Ladder values 17/16, 273/256, 4369/4096 at p=2 and 82/81 at p=3; tails above omega."""
-    from .artin_schreier import build_approximants, verify_approximant_gap
-
     certs = []
     for p, km in ((2, min(2, k_max)), (3, 0)):
         cfg = EmbeddingConfig.default(p)
         tower = _tower_cached(p, km, km + 2)
         apprs = build_approximants(tower, km, cfg)
-        host = q_sequence(p)
         for appr in apprs:
-            certs.append(verify_approximant_gap(appr, cfg, host))
+            certs.append(verify_approximant_gap(appr, cfg))
     return certs
 
 
 def criterion_6_gap_bound_sweep(seed=0, k_max=2) -> list[Certificate]:
     """200 seeded local-ring samples never beat the ladder bound; h_k attains it."""
-    from .artin_schreier import build_approximants, gap_bound_sweep
-
     cfg = EmbeddingConfig.default(2)
     tower = _tower_cached(2, 2, 4)
     apprs = build_approximants(tower, 1, cfg)
-    host = q_sequence(2)
     return [
-        gap_bound_sweep(tower[0], apprs[0], cfg, samples=100, seed=seed, host_seq=host),
-        gap_bound_sweep(tower[1], apprs[1], cfg, samples=100, seed=seed, host_seq=host),
+        gap_bound_sweep(tower[0], apprs[0], cfg, samples=100, seed=seed),
+        gap_bound_sweep(tower[1], apprs[1], cfg, samples=100, seed=seed),
     ]
 
 
 def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
     """v(1/x - f) < -2/p + omega/p < -1/p^2 for the pinned family and 100 samples."""
-    from .artin_schreier import build_approximants, ceiling_check, ceiling_family
-
     cfg = EmbeddingConfig.default(2)
     tower = _tower_cached(2, 2, 4)
     apprs = build_approximants(tower, 1, cfg)
-    host = q_sequence(2)
     certs = []
     expect = {"0": "-1/2", "1/approximant[0]": "-15/32", "1/approximant[1]": "-239/512"}
     family = ceiling_family(random.Random(f"{seed}:accept7"), p_sequence(2), apprs, 50, 50)
     for label, f in family:
-        got, cert = ceiling_check(f, cfg, label, host)
+        got, cert = ceiling_check(f, cfg, label)
         if label in expect and cert.passed and str(got) != expect[label]:
             cert.status = FAIL
             cert.actual = f"{got} (expected the frozen value {expect[label]})"
@@ -153,8 +153,6 @@ def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
 
 def criterion_8_dependence(seed=0, k_max=2) -> list[Certificate]:
     """Dependence verdict with m=2 for p in {2,3}."""
-    from .artin_schreier import build_approximants, dependence_report
-
     certs = []
     for p in (2, 3):
         cfg = EmbeddingConfig.default(p)
@@ -195,7 +193,9 @@ def criterion_10_uniqueness(seed=0, k_max=2) -> list[Certificate]:
         return f"{total} distinct values", f"{len(seen)} distinct values", len(seen) == total
 
     def aborts():
-        corrupted = p_sequence(2)
+        # a private sequence: corrupting the shared one would poison every
+        # later caller in the process
+        corrupted = GenSeq(ring_uv(2), Fraction(1), "uv")
         corrupted.value(1)
         corrupted._values[1] = corrupted.scale  # force v(S_1) == v(S_0)
         u_plus_v = corrupted.poly(0) + corrupted.poly(1)

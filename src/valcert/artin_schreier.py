@@ -38,11 +38,9 @@ from .tower import TowerLevel
 from .values import INFINITY, omega
 
 __all__ = [
-    "ASGenerator",
     "Approximant",
     "DefectEvidence",
     "EvidenceEntry",
-    "artin_schreier_generator",
     "extended_value",
     "gap_element_certificates",
     "build_approximants",
@@ -54,34 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ASGenerator:
-    """The generator 1/x with its minimal-polynomial data X^p - X - 1/u."""
-
-    cfg: EmbeddingConfig
-    element: RatFunc  # 1/x in the host ring
-
-    def minimal_poly_at(self, t: RatFunc) -> RatFunc:
-        """Evaluate X^p - X - 1/u at t, inside the host ring."""
-        one_over_u = 1 / embed_uv(Poly.var(ring_uv(self.cfg.p), "u"), self.cfg)
-        return t ** self.cfg.p - t - one_over_u
-
-
-def artin_schreier_generator(cfg: EmbeddingConfig) -> ASGenerator:
-    host = ring_xy(cfg.p)
-    x = RatFunc(Poly.var(host, "x"))
-    return ASGenerator(cfg, 1 / x)
-
-
-def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> Fraction:
+def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig) -> Fraction:
     """Value of an element of the base, intermediate or host field.
 
     Inputs on (u,v) or (x,v) coordinates are embedded into (x,y) first;
     one engine computes all three valuations, since each is the restriction
     of the host value.
     """
-    host_seq = host_seq or q_sequence(cfg.p)
-    return value(embed(g, cfg), host_seq)
+    return value(embed(g, cfg), q_sequence(cfg.p))
 
 
 def gap_value(p: int, k: int) -> Fraction:
@@ -90,10 +68,15 @@ def gap_value(p: int, k: int) -> Fraction:
     return Fraction(series, p ** (4 * (k + 1)))
 
 
-def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> list[Certificate]:
+def ceiling(p: int) -> Fraction:
+    """The approximation ceiling -2/p + omega/p."""
+    return Fraction(-2, p) + omega(p) / p
+
+
+def gap_element_certificates(cfg: EmbeddingConfig) -> list[Certificate]:
     """Exact facts about h = x^p - u, and the two rational inequalities."""
     p = cfg.p
-    host_seq = host_seq or q_sequence(p)
+    seq = q_sequence(p)
     host = ring_xy(p)
     x = RatFunc(Poly.var(host, "x"))
     u_img = embed_uv(Poly.var(ring_uv(p), "u"), cfg)
@@ -110,19 +93,19 @@ def gap_element_certificates(cfg: EmbeddingConfig, host_seq: GenSeq | None = Non
 
     def gapval():
         expect = Fraction(2 * p - 1, p)  # 2 - 1/p
-        got = value(gap, host_seq)
+        got = value(gap, seq)
         return str(expect), str(got), got == expect
 
     certs.append(check("as/gap-value", {"p": p, "c": cfg.c}, gapval))
 
     def above_tail():
-        got = value(gap, host_seq)
+        got = value(gap, seq)
         return f"> {om}", str(got), got > om
 
     certs.append(check("as/gap-above-tail", {"p": p, "c": cfg.c}, above_tail))
 
     def ceiling_strict():
-        lhs = Fraction(-2, p) + om / p
+        lhs = ceiling(p)
         rhs = Fraction(-1, p * p)
         return f"{lhs} < {rhs}", f"{lhs} < {rhs}" if lhs < rhs else f"{lhs} >= {rhs}", lhs < rhs
 
@@ -164,18 +147,18 @@ def build_approximants(tower: list[TowerLevel], k_max: int, cfg: EmbeddingConfig
     return out
 
 
-def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig, host_seq: GenSeq | None = None) -> Certificate:
+def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:
     """Gap value of h_k^p - x^p against the ladder closed form; tail above omega."""
     p = cfg.p
-    host_seq = host_seq or q_sequence(p)
+    seq = q_sequence(p)
 
     def run():
         host = ring_xy(p)
         x = RatFunc(Poly.var(host, "x"))
         # h^p - x^p = (h - x)^p in characteristic p
-        got = p * value(embed_uv(appr.element, cfg) - x, host_seq)
+        got = p * value(embed_uv(appr.element, cfg) - x, seq)
         expect = gap_value(p, appr.k)
-        tail_val = value(appr.tail, host_seq)
+        tail_val = value(appr.tail, seq)
         om = omega(p)
         ok = got == expect and tail_val > om
         return (
@@ -264,7 +247,7 @@ def ceiling_check(
     """
     p = cfg.p
     host_seq = host_seq or q_sequence(p)
-    ceiling = Fraction(-2, p) + omega(p) / p
+    bound = ceiling(p)
     crit = Fraction(-1, p * p)
     got = None
 
@@ -272,8 +255,8 @@ def ceiling_check(
         nonlocal got
         x = RatFunc(Poly.var(ring_xy(p), "x"))
         got = value(1 / x - embed_uv(f, cfg), host_seq)
-        ok = got < ceiling and ceiling < crit
-        return f"< {ceiling} < {crit}", str(got), ok
+        ok = got < bound and bound < crit
+        return f"< {bound} < {crit}", str(got), ok
 
     cert = check(f"as/ceiling/{label}", {"p": p, "c": cfg.c, "f": label}, run)
     return got, cert
@@ -314,18 +297,18 @@ def dependence_report(
     approximants: list[Approximant],
     samples: int = 40,
     seed: int = 0,
-    m: int = 2,
-    host_seq: GenSeq | None = None,
 ) -> tuple[DefectEvidence | None, Certificate]:
     """Run the ceiling check over the ceiling family, ``samples`` of each kind.
 
-    Returns the evidence with its ``as/dependence`` certificate; the
-    evidence is None when the certificate is budget-exceeded.
+    The criterion exponent is m = 2.  Returns the evidence with its
+    ``as/dependence`` certificate; the evidence is None when the
+    certificate is budget-exceeded.
     """
     p = cfg.p
-    host_seq = host_seq or q_sequence(p)
+    m = 2
+    seq = q_sequence(p)
     crit = Fraction(-1, p**m)
-    ceiling = Fraction(-2, p) + omega(p) / p
+    bound = ceiling(p)
     evidence = None
 
     def run():
@@ -335,8 +318,8 @@ def dependence_report(
         inv_x = 1 / RatFunc(Poly.var(ring_xy(p), "x"))
         entries = []
         for label, f in family:
-            got = value(inv_x - embed_uv(f, cfg), host_seq)
-            entries.append(EvidenceEntry(label, got, got < ceiling, got < crit))
+            got = value(inv_x - embed_uv(f, cfg), seq)
+            entries.append(EvidenceEntry(label, got, got < bound, got < crit))
         ok = all(e.below_criterion for e in entries)
         verdict = "dependent-consistent" if ok else "criterion-violated"
         evidence = DefectEvidence(p, cfg.c, m, entries, verdict)

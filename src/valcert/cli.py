@@ -21,12 +21,24 @@ import argparse
 import os
 import random
 import sys
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import __version__
 from .acceptance import run_all
+from .artin_schreier import (
+    build_approximants,
+    ceiling_check,
+    ceiling_family,
+    dependence_report,
+    extended_value,
+    gap_bound_sweep,
+    gap_element_certificates,
+    verify_approximant_gap,
+)
 from .certificates import Certificate, Report
-from .embeddings import EmbeddingConfig, embed
+from .embeddings import EmbeddingConfig
 from .engine import (
     expand,
     multiplicativity_sweep,
@@ -37,6 +49,13 @@ from .engine import (
 from .keyseq import p_sequence, q_sequence
 from .parsing import ParseError, parse_expr
 from .polys import BudgetExceededError, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
+from .tower import (
+    build_tower,
+    verify_drift_recursion,
+    verify_twisted_recursion,
+    verify_unit_descent,
+    verify_value_formula,
+)
 from .values import is_prime
 
 RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
@@ -51,7 +70,6 @@ class RunConfig:
     samples: int = 100
     seed: int = 0
     budget: int = 2_000_000
-    format: str = "text"
 
     def validate(self) -> None:
         if not is_prime(self.p) or self.p > 7:
@@ -66,8 +84,6 @@ class RunConfig:
             raise ValueError("imax must be >= 2")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.format not in ("text", "structured"):
-            raise ValueError(f"unknown format {self.format!r}")
 
     def embedding(self) -> EmbeddingConfig:
         return EmbeddingConfig(self.p, self.c)
@@ -150,7 +166,7 @@ def cmd_value(cfg: RunConfig, args, report: Report) -> str | None:
     if args.ring == "uv":
         got = value(f, p_sequence(cfg.p))
     else:
-        got = value(embed(f, cfg.embedding()), q_sequence(cfg.p))
+        got = extended_value(f, cfg.embedding())
     return f"{got}\n"
 
 
@@ -166,22 +182,8 @@ def cmd_expand(cfg: RunConfig, args, report: Report) -> str | None:
 
 
 def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
-    from .tower import (
-        build_tower,
-        verify_drift_recursion,
-        verify_twisted_recursion,
-        verify_unit_descent,
-        verify_value_formula,
-    )
-
     seq = p_sequence(cfg.p)
-    try:
-        levels = build_tower(cfg.p, cfg.k_max, cfg.i_max)
-    except BudgetExceededError as e:
-        report.certificates.append(
-            Certificate(id="tower/build", params=cfg.echo(), expected="within budget", actual=str(e), status="budget-exceeded")
-        )
-        return None
+    levels = build_tower(cfg.p, cfg.k_max, cfg.i_max)
     extra = []
     for level in levels:
         report.certificates.append(verify_unit_descent(level, seq))
@@ -196,34 +198,19 @@ def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
 
 
 def _ladder(cfg: RunConfig, k_max: int):
-    from .artin_schreier import build_approximants
-    from .tower import build_tower
-
     tower = build_tower(cfg.p, k_max, max(cfg.i_max, k_max + 2))
     return tower, build_approximants(tower, k_max, cfg.embedding())
 
 
 def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
-    from .artin_schreier import (
-        ceiling_check,
-        ceiling_family,
-        dependence_report,
-        gap_bound_sweep,
-        gap_element_certificates,
-        verify_approximant_gap,
-    )
-
-    host = q_sequence(cfg.p)
     if args.what == "t1":
         k = cfg.k_max if args.k is None else args.k
-        report.extend(gap_element_certificates(cfg.embedding(), host))
+        report.extend(gap_element_certificates(cfg.embedding()))
         tower, apprs = _ladder(cfg, k)
         for appr in apprs:
-            report.certificates.append(verify_approximant_gap(appr, cfg.embedding(), host))
+            report.certificates.append(verify_approximant_gap(appr, cfg.embedding()))
         if cfg.samples and args.k is not None:
-            report.certificates.append(
-                gap_bound_sweep(tower[k], apprs[k], cfg.embedding(), cfg.samples, cfg.seed, host)
-            )
+            report.certificates.append(gap_bound_sweep(tower[k], apprs[k], cfg.embedding(), cfg.samples, cfg.seed))
         return None
     if args.what == "t2":
         _, apprs = _ladder(cfg, min(cfg.k_max, 1))
@@ -231,21 +218,19 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             f = parse_expr(args.f, ring_uv(cfg.p))
             if not isinstance(f, RatFunc):
                 f = RatFunc(f)
-            _, cert = ceiling_check(f, cfg.embedding(), args.f, host)
+            _, cert = ceiling_check(f, cfg.embedding(), args.f)
             report.certificates.append(cert)
             return None
         half = cfg.samples // 2
         rng = random.Random(f"{cfg.seed}:t2")
         family = ceiling_family(rng, p_sequence(cfg.p), apprs, half, cfg.samples - half)
         for label, f in family:
-            _, cert = ceiling_check(f, cfg.embedding(), label, host)
+            _, cert = ceiling_check(f, cfg.embedding(), label)
             report.certificates.append(cert)
         return None
     # report
     _, apprs = _ladder(cfg, cfg.k_max)
-    evidence, cert = dependence_report(
-        cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed, host_seq=host
-    )
+    evidence, cert = dependence_report(cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed)
     report.certificates.append(cert)
     if evidence is None:
         return None
@@ -300,13 +285,13 @@ def main(argv=None) -> int:
             samples=args.samples,
             seed=_resolve_seed(args),
             budget=args.budget,
-            format=args.format,
         )
         cfg.validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report = Report(tool="valcert", version=__version__, config=cfg.echo())
+    t0 = time.perf_counter()
     try:
         with support_limit(cfg.budget):
             text = COMMANDS[args.command](cfg, args, report)
@@ -314,23 +299,18 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceededError as e:
+        # an overflow outside every certificate ends the command in one
+        # timed record named after it
+        elapsed = time.perf_counter() - t0
         report.certificates.append(
-            Certificate(id=args.command, params=cfg.echo(), expected="within budget", actual=str(e), status="budget-exceeded")
+            Certificate(args.command, cfg.echo(), "within budget", str(e), "budget-exceeded", elapsed)
         )
         text = None
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w")
-        close = True
-    try:
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         if text is not None:
             out.write(text)
         if report.certificates:
-            out.write(report.to_json() if cfg.format == "structured" else report.to_text())
-    finally:
-        if close:
-            out.close()
+            out.write(report.to_json() if args.format == "structured" else report.to_text())
     return report.exit_code()
 
 

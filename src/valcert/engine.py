@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import compress
 
 from .certificates import Certificate, check
@@ -111,11 +110,11 @@ class Expansion:
             out = out + part
         return out
 
-    def dump(self, limit: int | None = None) -> str:
-        shown = self.terms if limit is None else self.terms[:limit]
-        rows = [f"  {t.render():<32} value {self.term_value(t)}" for t in shown]
-        if limit is not None and len(self.terms) > limit:
-            rows.append(f"  ... {len(self.terms) - limit} more terms")
+    def dump(self) -> str:
+        """The first 30 terms with their values, one per line."""
+        rows = [f"  {t.render():<32} value {self.term_value(t)}" for t in self.terms[:30]]
+        if len(self.terms) > 30:
+            rows.append(f"  ... {len(self.terms) - 30} more terms")
         return "\n".join(rows)
 
 
@@ -145,32 +144,22 @@ def _expand_into(f: Poly, seq: GenSeq, p2: int, tail: tuple, out: list) -> None:
     # tail holds the (index, digit) exponents already peeled off above this
     # level, highest index first
     d2 = f.deg2()
-    if d2 <= 0:
-        for (e1, _), c in f._t.items():
-            out.append((c, e1, tail))
+    if d2 < p2:
+        # base S_1 is the bare second variable, so its digits are the
+        # y-degrees; the stable sort lists them in increasing order
+        for (e1, e2), c in sorted(f._t.items(), key=lambda t: t[0][1]):
+            out.append((c, e1, tail + ((1, e2),) if e2 else tail))
         return
     n = seq.index_for_degree(d2)
     rest = f
     j = 0
     while not rest.is_zero():
-        rest, digit = divmod(rest, seq.poly(n)) if n > 1 else _split_var(rest, seq)
+        rest, digit = divmod(rest, seq.poly(n))
         if not digit.is_zero():
             if j >= p2:
                 raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
             _expand_into(digit, seq, p2, tail + ((n, j),) if j else tail, out)
         j += 1
-
-
-def _split_var(f: Poly, seq: GenSeq):
-    # base S_1 is the bare second variable: peel off the v^0 layer directly
-    keep = {}
-    digit = {}
-    for (e1, e2), c in f._t.items():
-        if e2 == 0:
-            digit[(e1, 0)] = c
-        else:
-            keep[(e1, e2 - 1)] = c
-    return Poly._make(f.ring, keep), Poly._make(f.ring, digit)
 
 
 def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
@@ -334,21 +323,14 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
                 "tied term values in a standard expansion "
                 f"({other.render()} and {t.render()} both have value {val}); "
                 "the theory guarantees distinct values, so this is an internal "
-                f"fault.\ninput: {_clip(str(f))}\nexpansion:\n{exp.dump(limit=30)}"
+                f"fault.\ninput: {_clip(str(f))}\nexpansion:\n{exp.dump()}"
             )
         seen[val] = t
     raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
-def _clip(text: str, limit: int = 400) -> str:
-    return text if len(text) <= limit else text[:limit] + " ..."
-
-
-@cache
-def _engines(p: int) -> tuple[GenSeq, GenSeq]:
-    # one (u,v) and one (x,y) sequence per characteristic for the
-    # cross-engine checks; the public constructors stay fresh per call
-    return p_sequence(p), q_sequence(p)
+def _clip(text: str) -> str:
+    return text if len(text) <= 400 else text[:400] + " ..."
 
 
 def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
@@ -363,23 +345,22 @@ def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     ident = label or str(f)
 
     def run():
-        base_seq, host_seq = _engines(p)
-        base = value(f, base_seq)
-        host = value(embed_uv(f, EmbeddingConfig(p, c)), host_seq)
+        base = value(f, p_sequence(p))
+        host = value(embed_uv(f, EmbeddingConfig(p, c)), q_sequence(p))
         return str(base), str(host), base == host
 
     return check(f"engine/restriction/c={c}/{ident}", {"p": p, "c": c, "f": ident}, run)
 
 
-def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 8) -> Certificate:
+def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
     """value(f*g) == value(f) + value(g) over seeded random pairs."""
 
     def run():
         rng = random.Random(f"{seed}:mult:{seq.name}")
         bad = 0
         for _ in range(samples):
-            f = random_poly(rng, seq.ring, max_deg, 5)
-            g = random_poly(rng, seq.ring, max_deg, 5)
+            f = random_poly(rng, seq.ring, 8, 5)
+            g = random_poly(rng, seq.ring, 8, 5)
             if value(f * g, seq) != value(f, seq) + value(g, seq):
                 bad += 1
         want = f"{samples} products split"
@@ -392,15 +373,15 @@ def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 
     )
 
 
-def ultrametric_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 8) -> Certificate:
+def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
     """value(f+g) >= min of values, with equality whenever the values differ."""
 
     def run():
         rng = random.Random(f"{seed}:ultra:{seq.name}")
         bad = 0
         for _ in range(samples):
-            f = random_poly(rng, seq.ring, max_deg, 5)
-            g = random_poly(rng, seq.ring, max_deg, 5)
+            f = random_poly(rng, seq.ring, 8, 5)
+            g = random_poly(rng, seq.ring, 8, 5)
             s = f + g
             vf, vg = value(f, seq), value(g, seq)
             lo = vf if vf <= vg else vg
@@ -417,16 +398,16 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int, max_deg: int = 8) ->
     )
 
 
-def restriction_sweep(p: int, c: int, samples: int, seed: int, max_deg: int = 5) -> Certificate:
+def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
     """Cross-engine agreement on seeded random base-field elements."""
 
     def run():
         rng = random.Random(f"{seed}:cross:{c}")
-        seq, host = _engines(p)
+        seq, host = p_sequence(p), q_sequence(p)
         cfg = EmbeddingConfig(p, c)
         bad = 0
         for _ in range(samples):
-            f = random_ratfunc(rng, seq.ring, max_deg)
+            f = random_ratfunc(rng, seq.ring)
             if value(f, seq) != value(embed_uv(f, cfg), host):
                 bad += 1
         want = f"{samples} restrictions agree"

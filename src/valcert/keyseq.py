@@ -14,11 +14,16 @@ the value
 The sequence on (u,v) has scale 1 (the base valuation, normalized so that
 v(u) = 1); the sequence on (x,y) has scale 1/p, which makes the host-field
 valuation restrict to the base one on the nose.
+
+``p_sequence(p)`` and ``q_sequence(p)`` return the one shared sequence of
+each kind per p, so keys and values built once serve every later caller;
+``GenSeq(ring, scale, name)`` builds a private one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .polys import Poly, Ring, ring_uv, ring_xy
 
@@ -86,11 +91,13 @@ class GenSeq:
         return i
 
 
+@cache
 def p_sequence(p: int) -> GenSeq:
     """Generating sequence on (u,v): the base valuation, v(u) = 1."""
     return GenSeq(ring_uv(p), Fraction(1), "uv")
 
 
+@cache
 def q_sequence(p: int) -> GenSeq:
     """Generating sequence on (x,y): the host valuation, v(x) = 1/p."""
     return GenSeq(ring_xy(p), Fraction(1, p), "xy")

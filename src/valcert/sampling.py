@@ -44,32 +44,23 @@ def random_ratfunc(rng: random.Random, ring: Ring, max_deg: int = 5) -> RatFunc:
     return RatFunc(num, den)
 
 
-def random_level_element(
-    rng: random.Random,
-    level,
-    i_cap: int,
-    max_m: int = 2,
-    max_summands: int = 3,
-    weight_cap: int | None = None,
-) -> RatFunc:
+def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     """Random element of the level-k local ring.
 
-    An F_p-combination of standard monomials u_k^m * prod K_(k,i)^(a_i)
-    with every a_i < p^2, realized over the ambient (u,v) field.  Each
-    summand's total key weight sum a_i * p^(2i) is capped (default: twice
-    the weight of the single top-index key), which keeps degrees at a level
-    the exact engine expands in well under a second while still reaching
-    the extremal single-key monomials.
+    An F_p-combination of one to three standard monomials
+    u_k^m * prod K_(k,i)^(a_i) with m <= 2 and every a_i < p^2, realized
+    over the ambient (u,v) field.  Each summand's total key weight
+    sum a_i * p^(2i) is capped at twice the weight of the single top-index
+    key, which keeps degrees at a level the exact engine expands in well
+    under a second while still reaching the extremal single-key monomials.
     """
     p = level.p
     i_cap = min(i_cap, max(level.keys))
-    if weight_cap is None:
-        weight_cap = 2 * p ** (2 * i_cap)
     out = RatFunc(Poly.zero(level.u.ring))
-    for _ in range(rng.randint(1, max_summands)):
+    for _ in range(rng.randint(1, 3)):
         part = RatFunc(Poly.const(level.u.ring, rng.randint(1, p - 1)))
-        part = part * level.keys[0] ** rng.randint(0, max_m)
-        budget = weight_cap
+        part = part * level.keys[0] ** rng.randint(0, 2)
+        budget = 2 * p ** (2 * i_cap)
         picks = rng.sample(range(1, i_cap + 1), rng.randint(0, min(2, i_cap)))
         for i in sorted(picks, reverse=True):
             w = p ** (2 * i)

@@ -166,6 +166,7 @@ def test_ceiling_budget_is_per_certificate(capsys):
             ["as/gap-identity", "as/gap-value", "as/gap-above-tail", "as/ceiling-strict", "ascheck"],
             {"pass", "budget-exceeded"},
         ),
+        (["--budget", "3", "tower"], ["tower"], {"budget-exceeded"}),
     ]
     for argv, ids, statuses in cases:
         code, out, _ = run_cli(["--format", "structured", *argv], capsys)
@@ -173,6 +174,15 @@ def test_ceiling_budget_is_per_certificate(capsys):
         certs = json.loads(out)["certificates"]
         assert [c["id"] for c in certs] == ids
         assert {c["status"] for c in certs} == statuses
+
+
+def test_whole_command_budget_record_is_timed(capsys):
+    # the record of an overflow outside every certificate carries the time
+    # the command ran until it overflowed
+    code, out, _ = run_cli(["--budget", "40", "ascheck", "t1"], capsys)
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("BUDGET-EXCEEDED  ascheck "))
+    assert not row.endswith("[0.000s]")
 
 
 def test_budget_exceeded_warns_but_exits_zero(capsys):

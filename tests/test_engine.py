@@ -19,7 +19,7 @@ from valcert.engine import (
     ultrametric_sweep,
     value,
 )
-from valcert.keyseq import p_sequence, q_sequence
+from valcert.keyseq import GenSeq, p_sequence, q_sequence
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xy, support_limit
 from valcert.sampling import random_level_element
 from valcert.tower import build_tower
@@ -185,8 +185,10 @@ def test_distinct_values_exhaustive_small():
 
 
 def test_corrupted_value_table_aborts_loudly():
-    # U + V takes the dict path, (X + Y)^5 the row kernel
-    for seq, f in ((p_sequence(2), U + V), (q_sequence(2), (X + Y) ** 5)):
+    # U + V takes the dict path, (X + Y)^5 the row kernel; each corrupts a
+    # private sequence, since the shared ones serve every later test
+    uv, xy = GenSeq(R2, Fraction(1), "uv"), GenSeq(ring_xy(2), Fraction(1, 2), "xy")
+    for seq, f in ((uv, U + V), (xy, (X + Y) ** 5)):
         assert packed(f) == (seq.ring == X.ring)
         seq.value(1)
         seq._values[1] = seq.scale  # v(S_1) deliberately collides with v(S_0)

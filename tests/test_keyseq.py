@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import Poly
+from valcert.acceptance import criterion_10_uniqueness
+from valcert.engine import value
+from valcert.keyseq import GenSeq, p_sequence, q_sequence
+from valcert.polys import Poly, ring_uv
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -81,7 +83,21 @@ def test_index_for_degree():
 
 
 def test_lazy_extension_is_consistent():
-    a, b = p_sequence(2), p_sequence(2)
+    a, b = p_sequence(2), GenSeq(ring_uv(2), Fraction(1), "uv")
     b.poly(6)  # extend eagerly
     assert a.poly(6) == b.poly(6)
     assert isinstance(a.poly(5), Poly)
+
+
+def test_sequences_are_shared_per_characteristic():
+    assert p_sequence(2) is p_sequence(2)
+    assert q_sequence(3) is q_sequence(3)
+    assert p_sequence(2) is not q_sequence(2)
+    # the corrupted-table check must leave the shared sequence intact
+    assert all(c.passed for c in criterion_10_uniqueness())
+    seq = p_sequence(2)
+    assert 1 in seq._values
+    for i, got in seq._values.items():
+        want = seq.scale if i == 0 else Fraction((2 ** (4 * i) - 1) // 15, 2 ** (2 * i))
+        assert got == want
+    assert value(seq.poly(0) + seq.poly(1), seq) == Fraction(1, 4)
