@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed, embed_uv
-from .engine import value
+from .engine import _first_failure, value
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, ring_uv, ring_xy
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
@@ -196,15 +196,16 @@ def gap_bound_sweep(
         if attained != bound:
             return f"attained {bound}", f"attained {attained}", False
         rng = random.Random(f"{seed}:gapbound:k={k}")
-        over = 0
-        for _ in range(samples):
+        over, first = 0, ""
+        for n in range(samples):
             g = random_level_element(rng, level, i_cap=k + 3)
             if gap_of(g) > bound:
                 over += 1
+                first = first or f"; {_first_failure(n, g=g)}"
         ok = over == 0
         return (
             f"{samples} samples <= {bound}; attained by approximant",
-            f"{samples - over} samples <= bound; attained {attained}",
+            f"{samples - over} samples <= bound; attained {attained}{first}",
             ok,
         )
 

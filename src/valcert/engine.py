@@ -30,10 +30,15 @@ non-leading key term, and the base-S_1 digits are the rows themselves.  The
 rows spend a bit on every exponent up to each row's highest and a slot on
 every degree up to the top one, so an input is packed only when it needs a
 division (y-degree at least p^2) and its bits plus slots come to at most
-``_ROW_BITS`` per term.  Sparser inputs, such as the tower's keys with
-exponents near 2^20, and every input at odd p take the dict path through
-``Poly.__divmod__``, which also serves as the reference for the row kernel in
-the tests.
+``_ROW_BITS`` per term.
+
+Every other input that needs a division, such as the tower's sparse keys
+and products with exponents near 2^20 and every input at odd p, runs the
+recursion on its terms bucketed once as {e2: {e1: c}}.  ``polys._divmod_buckets``, the one
+dict division kernel, which ``Poly.__divmod__`` wraps, divides the buckets
+in place: its quotient becomes the next dividend and its remainder is the
+digit, so no Poly is built per digit.  The tests check that kernel against
+sympy, and the row kernel against it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from itertools import compress
 from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _check_budget
+from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -186,41 +191,58 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
     den = max(v.denominator for v in vals)
     coefs = [v.numerator * (den // v.denominator) for v in vals]
     keys: set[int] = set()
-    rows = _pack_rows(f, d2) if p == 2 and d2 >= p * p else None
-    if rows is None:
-        count = _stream_keys(f, seq, coefs, p * p, 0, keys)
+    if d2 < p * p:
+        # base S_1 is the bare second variable, so its digits are the
+        # y-degrees and every key comes out in one pass
+        step = coefs[1] if d2 > 0 else 0
+        keys.update([e2 * step + coefs[0] * e1 for e1, e2 in f._t])
+        count = len(f._t)
     else:
-        lows = {n: _key_rows(seq.poly(n)) for n in range(2, top + 1)}
-        count = _stream_rows(rows, seq, lows, coefs, 0, keys)
+        keyed = {n: _key_data(seq.poly(n)) for n in range(2, top + 1)}
+        rows = _pack_rows(f, d2) if p == 2 else None
+        if rows is None:
+            count = _stream_buckets(_bucket(f._t), seq, keyed, coefs, 0, keys)
+        else:
+            count = _stream_rows(rows, seq, keyed, coefs, 0, keys)
     if count != len(keys):
         raise _tie_error(f, seq)
     return Fraction(min(keys), den)
 
 
-def _stream_keys(f: Poly, seq: GenSeq, coefs: list[int], p2: int, acc: int, keys: set) -> int:
-    # The digit recursion of _expand_into, carrying the partial term value
-    # as the integer acc; adds each term's key to keys and returns the
-    # number of terms, so a shortfall in len(keys) reveals a tie.
-    d2 = f.deg2()
+def _key_data(key: Poly) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    # a monic key as (its y-degree, its other terms as ((b1, b2), c))
+    deg = key.deg2()
+    return deg, [(e, c) for e, c in key._t.items() if e[1] != deg]
+
+
+def _stream_buckets(levels: dict, seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
+    # The digit recursion of _expand_into on bucketed terms {e2: {e1: c}},
+    # carrying the partial term value as the integer acc; adds each term's
+    # key to keys and returns the number of terms, so a shortfall in
+    # len(keys) reveals a tie.  Each division consumes its dividend, and
+    # the budget checks its quotient, then its remainder, as
+    # Poly.__divmod__ does.
+    d2 = max(levels)
+    p2 = seq.p * seq.p
     if d2 < p2:
-        # base S_1 is the bare second variable, so its digits are the
-        # y-degrees and every key comes out in one pass
         m = coefs[0]
         step = coefs[1] if d2 > 0 else 0
-        keys.update([acc + e2 * step + m * e1 for e1, e2 in f._t])
-        return len(f._t)
+        keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
+        return sum(map(len, levels.values()))
     n = seq.index_for_degree(d2)
-    key = seq.poly(n)
+    deg, low = keyed[n]
     step = coefs[n]
     count = 0
-    rest = f
+    rest = levels
     j = 0
     while rest:
-        rest, digit = divmod(rest, key)
+        rest, digit = _divmod_buckets(rest, deg, low, seq.p)
+        _check_budget(sum(map(len, rest.values())))
+        _check_budget(sum(map(len, digit.values())))
         if digit:
             if j >= p2:
                 raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-            count += _stream_keys(digit, seq, coefs, p2, acc + j * step, keys)
+            count += _stream_buckets(digit, seq, keyed, coefs, acc + j * step, keys)
         j += 1
     return count
 
@@ -247,17 +269,11 @@ def _pack_rows(f: Poly, d2: int) -> list[int] | None:
     return rows
 
 
-def _key_rows(key: Poly) -> tuple[int, list[tuple[int, int]]]:
-    # a monic key as (its y-degree, the exponents of its other terms)
-    deg = key.deg2()
-    return deg, [e for e in key._t if e[1] != deg]
+def _divmod_rows(rows: list[int], deg: int, low: list) -> tuple[list[int], list[int]]:
+    """_divmod_buckets over F_2 on packed rows.
 
-
-def _divmod_rows(rows: list[int], deg: int, low: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Poly.__divmod__ over F_2 on packed rows.
-
-    Divides by the key y^deg + sum x^b1 * y^b2 over (b1, b2) in low; rows
-    and both results carry no zero top row.
+    Divides by the key y^deg + sum x^b1 * y^b2 over ((b1, b2), 1) in low;
+    rows and both results carry no zero top row.
     """
     top = len(rows) - 1
     if top < deg:
@@ -269,7 +285,7 @@ def _divmod_rows(rows: list[int], deg: int, low: list[tuple[int, int]]) -> tuple
         if row:
             shift = d - deg
             q[shift] = row
-            for b1, b2 in low:
+            for (b1, b2), _ in low:
                 r[shift + b2] ^= row << b1
     del r[deg:]
     while r and not r[-1]:
@@ -277,8 +293,8 @@ def _divmod_rows(rows: list[int], deg: int, low: list[tuple[int, int]]) -> tuple
     return q, r
 
 
-def _stream_rows(rows: list[int], seq: GenSeq, lows: dict, coefs: list[int], acc: int, keys: set) -> int:
-    # _stream_keys on packed rows at p = 2: the same digits, and the same
+def _stream_rows(rows: list[int], seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
+    # _stream_buckets on packed rows at p = 2: the same digits, and the same
     # budget checks on each quotient and remainder, in the same order
     d2 = len(rows) - 1
     if d2 < 4:
@@ -286,7 +302,7 @@ def _stream_rows(rows: list[int], seq: GenSeq, lows: dict, coefs: list[int], acc
         step = coefs[1] if d2 > 0 else 0
         return sum(_stream_row(row, m, acc + e2 * step, keys) for e2, row in enumerate(rows) if row)
     n = seq.index_for_degree(d2)
-    deg, low = lows[n]
+    deg, low = keyed[n]
     step = coefs[n]
     count = 0
     rest = rows
@@ -298,7 +314,7 @@ def _stream_rows(rows: list[int], seq: GenSeq, lows: dict, coefs: list[int], acc
         if digit:
             if j >= 4:
                 raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-            count += _stream_rows(digit, seq, lows, coefs, acc + j * step, keys)
+            count += _stream_rows(digit, seq, keyed, coefs, acc + j * step, keys)
         j += 1
     return count
 
@@ -333,6 +349,13 @@ def _clip(text: str) -> str:
     return text if len(text) <= 400 else text[:400] + " ..."
 
 
+def _first_failure(n: int, **named) -> str:
+    # the index and rendering of a failing sample, which parse_expr reads
+    # back, so that `valcert value` or `ascheck t2 --f` can replay it
+    shown = ", ".join(f"{name} = {_clip(str(x))}" for name, x in named.items())
+    return f"first failure: sample {n}, {shown}"
+
+
 def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
@@ -357,14 +380,15 @@ def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 
     def run():
         rng = random.Random(f"{seed}:mult:{seq.name}")
-        bad = 0
-        for _ in range(samples):
+        bad, first = 0, ""
+        for n in range(samples):
             f = random_poly(rng, seq.ring, 8, 5)
             g = random_poly(rng, seq.ring, 8, 5)
             if value(f * g, seq) != value(f, seq) + value(g, seq):
                 bad += 1
+                first = first or _first_failure(n, f=f, g=g)
         want = f"{samples} products split"
-        return want, f"{samples - bad} split" if bad else want, bad == 0
+        return want, f"{samples - bad} split; {first}" if bad else want, bad == 0
 
     return check(
         f"engine/multiplicative/engine={seq.name}",
@@ -378,8 +402,8 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 
     def run():
         rng = random.Random(f"{seed}:ultra:{seq.name}")
-        bad = 0
-        for _ in range(samples):
+        bad, first = 0, ""
+        for n in range(samples):
             f = random_poly(rng, seq.ring, 8, 5)
             g = random_poly(rng, seq.ring, 8, 5)
             s = f + g
@@ -388,8 +412,9 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
             vs = value(s, seq)
             if vs < lo or (vf != vg and vs != lo):
                 bad += 1
+                first = first or _first_failure(n, f=f, g=g)
         want = f"{samples} sums dominated"
-        return want, f"{samples - bad} dominated" if bad else want, bad == 0
+        return want, f"{samples - bad} dominated; {first}" if bad else want, bad == 0
 
     return check(
         f"engine/ultrametric/engine={seq.name}",
@@ -405,13 +430,14 @@ def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
         rng = random.Random(f"{seed}:cross:{c}")
         seq, host = p_sequence(p), q_sequence(p)
         cfg = EmbeddingConfig(p, c)
-        bad = 0
-        for _ in range(samples):
+        bad, first = 0, ""
+        for n in range(samples):
             f = random_ratfunc(rng, seq.ring)
             if value(f, seq) != value(embed_uv(f, cfg), host):
                 bad += 1
+                first = first or _first_failure(n, f=f)
         want = f"{samples} restrictions agree"
-        return want, f"{samples - bad} agree" if bad else want, bad == 0
+        return want, f"{samples - bad} agree; {first}" if bad else want, bad == 0
 
     return check(
         f"engine/restriction-sweep/c={c}",

@@ -249,24 +249,24 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product of two polynomials.
+
+        Over F_2, when both factors have _GF2_MUL_TERMS terms or more, it
+        runs on packed exponents (_mul_gf2).  Otherwise, and at every odd p,
+        it runs the dict loop (_mul_dict), which is the packed kernel's
+        reference in the tests.  Both leave the terms in the same order.
+        """
         g = self._coerce(other)
         if g is None:
             return NotImplemented
         p = self.ring.p
-        t: dict = {}
         if len(self._t) > len(g._t):
             big, small = self._t, g._t
         else:
             big, small = g._t, self._t
-        for (a1, a2), c in small.items():
-            for (b1, b2), d in big.items():
-                e = (a1 + b1, a2 + b2)
-                s = (t.get(e, 0) + c * d) % p
-                if s:
-                    t[e] = s
-                elif e in t:
-                    del t[e]
-        return Poly._make(self.ring, t)
+        if p == 2 and len(small) >= _GF2_MUL_TERMS:
+            return Poly._make(self.ring, _mul_gf2(big, small))
+        return Poly._make(self.ring, _mul_dict(big, small, p))
 
     __rmul__ = __mul__
 
@@ -311,12 +311,9 @@ class Poly:
     def __divmod__(self, g: "Poly"):
         """Long division in the second variable by a divisor monic in it.
 
-        Returns (q, r) with self == q*g + r and deg2(r) < deg2(g).
-        The remainder is kept bucketed by second-variable degree, with a
-        max-heap over the occupied degrees that still need reducing.  Each
-        step clears one whole row: it moves the row into the quotient, then
-        subtracts it, times each non-leading divisor term, from the lower
-        row that term lands on.
+        Returns (q, r) with self == q*g + r and deg2(r) < deg2(g).  Checks
+        the divisor, then runs _divmod_buckets, the one dict division
+        kernel, which engine.value also runs on its digits directly.
         """
         if not isinstance(g, Poly):
             return NotImplemented
@@ -327,43 +324,9 @@ class Poly:
         lead = [(e1, c) for (e1, e2), c in g._t.items() if e2 == dg]
         if lead != [(0, 1)]:
             raise NonMonicDivisorError(f"divisor not monic in {g.ring.vars[1]}: {g}")
-        p = self.ring.p
-        rest = [(e, c) for e, c in g._t.items() if e[1] != dg]
-        levels: dict[int, dict[int, int]] = {}
-        for (e1, e2), c in self._t.items():
-            levels.setdefault(e2, {})[e1] = c
-        heap = [-e2 for e2 in levels if e2 >= dg]
-        heapq.heapify(heap)
-        q: dict = {}
-        while heap:
-            d = -heapq.heappop(heap)
-            bucket = levels.pop(d)
-            if not bucket:
-                continue
-            shift = d - dg
-            for e1, c in bucket.items():
-                q[(e1, shift)] = c
-            # subtract bucket * Y^shift * (g minus its leading term)
-            for (b1, b2), cv in rest:
-                e2n = shift + b2
-                lv = levels.get(e2n)
-                if lv is None:
-                    levels[e2n] = lv = {}
-                    if e2n >= dg:
-                        heapq.heappush(heap, -e2n)
-                for e1, c in bucket.items():
-                    e1n = e1 + b1
-                    s = (lv.get(e1n, 0) - c * cv) % p
-                    if s:
-                        lv[e1n] = s
-                    elif e1n in lv:
-                        del lv[e1n]
-        r = {
-            (e1, e2): c
-            for e2, bucket in levels.items()
-            for e1, c in bucket.items()
-        }
-        return Poly._make(self.ring, q), Poly._make(self.ring, r)
+        low = [(e, c) for e, c in g._t.items() if e[1] != dg]
+        q, r = _divmod_buckets(_bucket(self._t), dg, low, self.ring.p)
+        return Poly._make(self.ring, _unbucket(q)), Poly._make(self.ring, _unbucket(r))
 
     # -- comparison and rendering -------------------------------------------
 
@@ -397,6 +360,115 @@ class Poly:
         return f"Poly({self.ring}, {self})"
 
 
+# -- kernels on raw term dicts ------------------------------------------------
+
+# Fewest terms of the smaller factor that send an F_2 product to _mul_gf2.
+# Timed on the benchmark's F_2 products, the packed kernel took 0.7 of the
+# dict loop's time on the tower's products with 48 to 63 terms in the
+# smaller factor, which carry most of its multiplication time, and about as
+# long on those with 64 to 126; on the ladder's and oracle's products,
+# nearly all with one to three terms in the smaller factor, it was 2.7 to 4
+# times slower.
+_GF2_MUL_TERMS = 32
+
+
+def _mul_dict(big: dict, small: dict, p: int) -> dict:
+    # the product of two term dicts over F_p, one small term at a time
+    t: dict = {}
+    for (a1, a2), c in small.items():
+        for (b1, b2), d in big.items():
+            e = (a1 + b1, a2 + b2)
+            s = (t.get(e, 0) + c * d) % p
+            if s:
+                t[e] = s
+            elif e in t:
+                del t[e]
+    return t
+
+
+def _mul_gf2(big: dict, small: dict) -> dict:
+    # The product over F_2 on packed exponents: each pair (e1, e2) becomes
+    # e1 << s | e2, with s wide enough for any e2 sum, so adding the packed
+    # ints adds both exponents.  Every coefficient is 1 and addition is
+    # XOR, so each small term XORs its shifted copy of big into one set,
+    # which holds one partial sum at a time, never the list of all products.
+    s = (max(e2 for _, e2 in big) + max(e2 for _, e2 in small)).bit_length()
+    keys = [e1 << s | e2 for e1, e2 in big]
+    shifts = [a1 << s | a2 for a1, a2 in small]
+    acc: set = set()
+    for shift in shifts:
+        acc ^= set(map(shift.__add__, keys))
+    # Order the terms as _mul_dict leaves them, by the last (small, big)
+    # pair that produced each one, because expand() lists the terms of one
+    # y-degree in dict order.  Walking the small terms backwards, a term's
+    # first hit is its last.
+    where = dict(zip(keys, range(len(keys))))
+    rows = []
+    for shift in reversed(shifts):
+        if not acc:
+            break
+        hit = acc.intersection(map(shift.__add__, keys))
+        if hit:
+            acc -= hit
+            at = sorted(map(where.__getitem__, map((-shift).__add__, hit)))
+            rows.append(map(shift.__add__, map(keys.__getitem__, at)))
+    mask = (1 << s) - 1
+    return {(k >> s, k & mask): 1 for row in reversed(rows) for k in row}
+
+
+def _bucket(t: dict) -> dict[int, dict[int, int]]:
+    # a term dict as {e2: {e1: c}}
+    levels: dict[int, dict[int, int]] = {}
+    for (e1, e2), c in t.items():
+        levels.setdefault(e2, {})[e1] = c
+    return levels
+
+
+def _unbucket(levels: dict[int, dict[int, int]]) -> dict:
+    return {(e1, e2): c for e2, bucket in levels.items() for e1, c in bucket.items()}
+
+
+def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: int) -> tuple[dict, dict]:
+    """Long division of bucketed terms {e2: {e1: c}} over F_p.
+
+    The divisor is y^deg plus c * x^b1 * y^b2 for each ((b1, b2), c) in
+    low.  A max-heap holds the occupied degrees that still need reducing.
+    Each step clears one whole row: it moves the row into the quotient, then
+    subtracts it, times each term of low, from the lower row that term lands
+    on.  levels is consumed: it becomes the remainder.  Returns (quotient,
+    remainder), both bucketed and without empty rows.
+    """
+    heap = [-e2 for e2 in levels if e2 >= deg]
+    heapq.heapify(heap)
+    q: dict[int, dict[int, int]] = {}
+    while heap:
+        d = -heapq.heappop(heap)
+        bucket = levels.pop(d)
+        if not bucket:
+            continue
+        shift = d - deg
+        q[shift] = bucket
+        for (b1, b2), cv in low:
+            e2n = shift + b2
+            lv = levels.get(e2n)
+            if lv is None:
+                # a fresh row: no term can cancel
+                levels[e2n] = {e1 + b1: -c * cv % p for e1, c in bucket.items()}
+                if e2n >= deg:
+                    heapq.heappush(heap, -e2n)
+                continue
+            for e1, c in bucket.items():
+                e1n = e1 + b1
+                s = (lv.get(e1n, 0) - c * cv) % p
+                if s:
+                    lv[e1n] = s
+                elif e1n in lv:
+                    del lv[e1n]
+    for e2 in [e2 for e2, bucket in levels.items() if not bucket]:
+        del levels[e2]
+    return q, levels
+
+
 class RatFunc:
     """Fraction of two polynomials with the same ring tag.
 
@@ -421,7 +493,7 @@ class RatFunc:
             if m1 or m2:
                 num = Poly._make(num.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in num._t.items()})
                 den = Poly._make(den.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in den._t.items()})
-            lead = den.terms()[0][1]
+            lead = den._t[max(den._t, key=lambda e: (e[1], e[0]))]
             if lead != 1:
                 inv = pow(lead, num.ring.p - 2, num.ring.p)
                 num = num * inv

@@ -117,7 +117,7 @@ def test_value_is_min_over_expansion(source, p, seed):
     # the streamed integer keys against the explicit expansion, whose
     # reconstruction test_reconstruction checks independently.  "level"
     # draws dense p = 2 host polynomials that take the row kernel; "sparse"
-    # spreads x-exponents past its gate, onto Poly.__divmod__.
+    # spreads x-exponents past its gate, onto the bucketed dict path.
     rng = random.Random(seed)
     if source == "level":
         seq = q_sequence(2)
@@ -201,7 +201,7 @@ def test_corrupted_value_table_aborts_loudly():
 
 def test_packed_value_budget_names_the_dict_size(monkeypatch):
     # the row kernel checks each quotient and remainder against the budget
-    # in the order Poly.__divmod__ builds them, so both paths name one size
+    # in the order the bucketed dict path does, so both paths name one size
     seq = q_sequence(2)
     f = (X + Y + 1) ** 9 * (Y**5 + X**3 * Y + X)
     assert packed(f)
@@ -213,7 +213,42 @@ def test_packed_value_budget_names_the_dict_size(monkeypatch):
         sizes.append(info.value.size)
         raised_in = {entry.name for entry in info.traceback}
         assert ("_stream_rows" in raised_in) == (len(sizes) == 1)
+        assert ("_stream_buckets" in raised_in) == (len(sizes) == 2)
     assert sizes[0] == sizes[1] > 8
+
+
+def test_value_routes_dict_inputs_through_buckets(monkeypatch):
+    # sparse p = 2 inputs (a tower key) and odd-p inputs that need a
+    # division run the bucketed digit recursion and build no Poly per digit;
+    # small inputs take the one-pass leaf and dense p = 2 ones the rows
+    def no_divmod(f, g):
+        raise AssertionError("value() divided a Poly")
+
+    calls = []
+    stream = engine._stream_buckets
+
+    def counted(levels, *args):
+        calls.append(max(levels))
+        return stream(levels, *args)
+
+    key = build_tower(2, 4, 4)[4].keys[2].num
+    p3 = q_sequence(3)
+    f3 = (Poly.var(p3.ring, "x") + Poly.var(p3.ring, "y") + 1) ** 10
+    want = [value(key, p_sequence(2)), value(f3, p3)]
+    monkeypatch.setattr(Poly, "__divmod__", no_divmod)
+    monkeypatch.setattr(engine, "_stream_buckets", counted)
+    for f, seq, routed in (
+        (key, p_sequence(2), True),
+        (f3, p3, True),
+        (U**3 * V**3 + V, p_sequence(2), False),
+        ((X + Y) ** 5, q_sequence(2), False),
+    ):
+        calls.clear()
+        got = value(f, seq)
+        assert bool(calls) == routed and (not routed or calls[0] == f.deg2())
+        if routed:
+            assert got == want.pop(0)
+    assert not packed(key) and not want
 
 
 def test_cross_check_examples():
@@ -229,3 +264,36 @@ def test_cross_check_values_match_spec():
     assert cert.expected == "1"
     cert = cross_check(RatFunc(V), 1)
     assert cert.expected == "1/4"
+
+
+def test_failing_sweeps_name_their_first_counterexample(monkeypatch):
+    # a value() that returns a fresh number on every call breaks every
+    # sweep at its first sample; each certificate must name that sample in
+    # a rendering that parses back, so the CLI can replay it
+    from valcert import artin_schreier
+    from valcert.artin_schreier import build_approximants, gap_bound_sweep, gap_value
+    from valcert.parsing import parse_expr
+
+    cfg = EmbeddingConfig.default(2)
+    tower = build_tower(2, 0, 3)
+    appr = build_approximants(tower, 0, cfg)[0]
+
+    counter = iter(range(10**6))
+    monkeypatch.setattr(engine, "value", lambda f, seq: Fraction(next(counter)))
+    certs = [
+        (multiplicativity_sweep(p_sequence(2), 3, seed=1), ring_uv(2)),
+        (ultrametric_sweep(q_sequence(3), 3, seed=1), ring_xy(3)),
+        (restriction_sweep(3, 2, 3, seed=1), ring_uv(3)),
+    ]
+    # the approximant attains the ladder value; every sample then beats it
+    bound = gap_value(2, 0)
+    gaps = iter([bound / 2])
+    monkeypatch.setattr(artin_schreier, "value", lambda f, seq: next(gaps, bound))
+    certs.append((gap_bound_sweep(tower[0], appr, cfg, samples=3, seed=1), ring_uv(2)))
+    for cert, ring in certs:
+        assert not cert.passed
+        head, _, named = cert.actual.partition("first failure: sample 0, ")
+        assert head.startswith("0 ") and named, cert.actual
+        for part in named.split(", "):
+            name, _, text = part.partition(" = ")
+            assert name in ("f", "g") and str(parse_expr(text, ring)) == text

@@ -1,5 +1,7 @@
 """Sparse polynomial and rational-function arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,18 +134,26 @@ def _from_rows(ring, rows: list[int]) -> Poly:
 
 def test_divmod_by_key_polynomials_matches_sympy():
     # the divisions value() makes: sparse monic keys with repeated
-    # second-variable degrees among their lower terms; at p = 2 the row
-    # kernel value() runs on dense inputs must give the same quotient and
-    # remainder, here on the host keys S_2..S_7
-    from valcert.engine import _divmod_rows, _key_rows
+    # second-variable degrees among their lower terms.  _divmod_buckets,
+    # which value() runs on sparse and odd-p inputs, consumes its dividend,
+    # which becomes the remainder, and leaves no empty row.  At p = 2 the
+    # row kernel value() runs on dense inputs must give the same quotient
+    # and remainder, here on the host keys S_2..S_7.
+    from valcert.engine import _divmod_rows, _key_data
     from valcert.keyseq import p_sequence, q_sequence
+    from valcert.polys import _bucket, _divmod_buckets, _unbucket
 
-    for p, ring in ((2, R2), (3, R3)):
-        seq = p_sequence(p)
-        f = (U2 if p == 2 else U3) ** 3 * seq.poly(2) ** (p * p + 1) + seq.poly(3) + 1
-        for i in (2, 3):
-            q, r = divmod(f, seq.poly(i))
-            assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(seq.poly(i)))
+    for p in (2, 3):
+        for seq in (p_sequence(p), q_sequence(p)):
+            f = seq.poly(0) ** 3 * seq.poly(2) ** (p * p + 1) + seq.poly(3) + 1
+            for i in (2, 3):
+                key = seq.poly(i)
+                q, r = divmod(f, key)
+                assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(key))
+                levels = _bucket(f._t)
+                bq, br = _divmod_buckets(levels, *_key_data(key), p)
+                assert br is levels and all(bq.values()) and all(br.values())
+                assert (Poly(seq.ring, _unbucket(bq)), Poly(seq.ring, _unbucket(br))) == (q, r)
     host = q_sequence(2)
     x, y = Poly.var(host.ring, "x"), Poly.var(host.ring, "y")
     for i in range(2, 8):
@@ -151,9 +161,68 @@ def test_divmod_by_key_polynomials_matches_sympy():
         f = (x**3 + x * y) * host.poly(i - 1) ** 5 + key * y**3 + x**5 * y ** (key.deg2() + 1) + 1
         q, r = divmod(f, key)
         assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(key))
-        rq, rr = _divmod_rows(_rows(f), *_key_rows(key))
+        rq, rr = _divmod_rows(_rows(f), *_key_data(key))
         assert (_from_rows(host.ring, rq), _from_rows(host.ring, rr)) == (q, r)
         assert rq[-1] and (not rr or rr[-1])  # no zero top rows
+
+
+def _tower_parts() -> list[Poly]:
+    # numerators and denominators of build_tower(2, 4, 4) with 32 terms or
+    # more (40 to 344), exponents near 2^16: the sparse operands of the
+    # tower's identity checks
+    from valcert.tower import build_tower
+
+    parts = []
+    for level in build_tower(2, 4, 4):
+        for f in (*level.keys.values(), *level.unit_factors.values(), *level.drifts.values()):
+            parts += [f.num, f.den]
+    return [f for f in parts if f.support_size >= 32]
+
+
+def test_gf2_product_matches_dict_loop_and_sympy():
+    # the packed F_2 product against the dict loop, term order included,
+    # since expand() lists terms in dict order, and against sympy: on the
+    # sparse tower operands, and on dense ones whose products cancel so
+    # often that terms leave and re-enter the dict loop's result
+    from valcert.polys import _mul_dict, _mul_gf2
+
+    parts = _tower_parts()
+    assert len(parts) >= 4 and max(f.support_size for f in parts) > 300
+    pairs = list(zip(parts, parts[1:] + parts[:1]))
+    rng = random.Random("gf2-order")
+    for _ in range(20):
+        f, g = (Poly(R2, {(rng.randrange(9), rng.randrange(7)): 1 for _ in range(60)}) for _ in "fg")
+        pairs.append((f, g))
+    for f, g in pairs:
+        big, small = (f._t, g._t) if len(f._t) > len(g._t) else (g._t, f._t)
+        packed = _mul_gf2(big, small)
+        assert list(packed.items()) == list(_mul_dict(big, small, 2).items())
+        assert (f * g)._t == packed
+        assert _sympy(f * g) == _sympy(f) * _sympy(g)
+
+
+def test_mul_routes_by_characteristic_and_size(monkeypatch):
+    # F_2 products whose smaller factor has _GF2_MUL_TERMS terms or more
+    # take the packed kernel; the rest, and every odd p, the dict loop
+    from valcert import polys
+
+    routed = []
+    for name in ("_mul_gf2", "_mul_dict"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *args, _k=kernel, _n=name: routed.append(_n) or _k(*args))
+    n = polys._GF2_MUL_TERMS
+
+    def line(ring, terms):
+        return Poly(ring, {(e, 1): 1 for e in range(terms)})
+
+    for ring, a, b, want in (
+        (R2, n, n, "_mul_gf2"),
+        (R2, n - 1, 4 * n, "_mul_dict"),
+        (R3, 2 * n, 2 * n, "_mul_dict"),
+    ):
+        routed.clear()
+        line(ring, a) * line(ring, b)
+        assert routed == [want]
 
 
 @settings(max_examples=60)
@@ -209,6 +278,10 @@ def test_ratfunc_denominator_normalized():
     assert f.den == V3  # leading coefficient scaled to 1
     assert f.num == 2 * U3  # 1/2 == 2 in F_3
     assert f == RatFunc(2 * U3, V3)
+    # the leading term is the first in terms() order: highest v-degree,
+    # then highest u-degree
+    g = RatFunc(U3, V3 + U3**2 + 2 * U3 * V3)
+    assert g.den == 2 * V3 + 2 * U3**2 + U3 * V3 and g.num == 2 * U3
 
 
 def test_substitute_images():
@@ -236,6 +309,45 @@ def test_substitute_homomorphism(f, g):
     }
     assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
     assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
+
+
+def _images(p: int) -> list[dict]:
+    # the (u,v) -> (x,y) embedding's images, and images with both
+    # denominators nontrivial (in x alone, which keeps sympy's gcd fast)
+    from valcert.embeddings import EmbeddingConfig, uv_images
+
+    host = ring_xy(p)
+    x, y = Poly.var(host, "x"), Poly.var(host, "y")
+    one = Poly.one(host)
+    return [
+        uv_images(EmbeddingConfig.default(p)),
+        {"u": RatFunc(x**2 + y, one + x), "v": RatFunc(y**p + x, one + x + x**2)},
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=1), st.data())
+def test_substitute_matches_sympy(p, which, data):
+    # substitute's cleared-denominator sum against sympy's fraction field
+    # GF(p)(y,x), which cancels by gcd: the two fractions must agree as
+    # num * den' == num' * den
+    fields = pytest.importorskip("sympy.polys.fields")
+    from sympy.polys.domains import GF
+    from sympy.polys.orderings import lex
+
+    f = data.draw(poly_strategy(ring_uv(p), max_deg=4, max_terms=4))
+    images = _images(p)[which]
+    got = substitute(f, images)
+    field = fields.field("y,x", GF(p), lex)[0]
+
+    def conv(h: Poly):
+        return field.ring.from_dict({(e2, e1): c for (e1, e2), c in h.terms()})
+
+    u, v = (field(conv(images[n].num)) / field(conv(images[n].den)) for n in "uv")
+    want = field(0)
+    for (e1, e2), c in f.terms():
+        want += c * u**e1 * v**e2
+    assert conv(got.num) * want.denom == want.numer * conv(got.den)
 
 
 def test_support_budget():
