@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError("kmax must be >= 0")
         if self.i_max < 2:
             raise ValueError("imax must be >= 2")
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
 

@@ -252,9 +252,10 @@ class Poly:
         """Product of two polynomials.
 
         Over F_2, when both factors have _GF2_MUL_TERMS terms or more, it
-        runs on packed exponents (_mul_gf2).  Otherwise, and at every odd p,
-        it runs the dict loop (_mul_dict), which is the packed kernel's
-        reference in the tests.  Both leave the terms in the same order.
+        runs on packed exponents (_mul_gf2, which orders _xor_product's
+        set).  Otherwise, and at every odd p, it runs the dict loop
+        (_mul_dict), which is the packed kernel's reference in the tests.
+        Both leave the terms in the same order.
         """
         g = self._coerce(other)
         if g is None:
@@ -368,7 +369,8 @@ class Poly:
 # smaller factor, which carry most of its multiplication time, and about as
 # long on those with 64 to 126; on the ladder's and oracle's products,
 # nearly all with one to three terms in the smaller factor, it was 2.7 to 4
-# times slower.
+# times slower.  RatFunc.__eq__ is not gated on it: the threshold pays for
+# _mul_gf2's ordering pass, which the equality's _xor_product sets skip.
 _GF2_MUL_TERMS = 32
 
 
@@ -386,27 +388,33 @@ def _mul_dict(big: dict, small: dict, p: int) -> dict:
     return t
 
 
-def _mul_gf2(big: dict, small: dict) -> dict:
-    # The product over F_2 on packed exponents: each pair (e1, e2) becomes
-    # e1 << s | e2, with s wide enough for any e2 sum, so adding the packed
-    # ints adds both exponents.  Every coefficient is 1 and addition is
-    # XOR, so each small term XORs its shifted copy of big into one set,
+def _xor_product(big: dict, small: dict, s: int) -> set:
+    # The product over F_2 as a set of packed exponents: each pair (e1, e2)
+    # becomes e1 << s | e2, with s wide enough for any e2 sum, so adding the
+    # packed ints adds both exponents.  Every coefficient is 1 and addition
+    # is XOR, so each small term XORs its shifted copy of big into one set,
     # which holds one partial sum at a time, never the list of all products.
-    s = (max(e2 for _, e2 in big) + max(e2 for _, e2 in small)).bit_length()
     keys = [e1 << s | e2 for e1, e2 in big]
-    shifts = [a1 << s | a2 for a1, a2 in small]
     acc: set = set()
-    for shift in shifts:
-        acc ^= set(map(shift.__add__, keys))
-    # Order the terms as _mul_dict leaves them, by the last (small, big)
-    # pair that produced each one, because expand() lists the terms of one
-    # y-degree in dict order.  Walking the small terms backwards, a term's
-    # first hit is its last.
+    for a1, a2 in small:
+        acc ^= set(map((a1 << s | a2).__add__, keys))
+    return acc
+
+
+def _mul_gf2(big: dict, small: dict) -> dict:
+    # _xor_product as a term dict, in the order _mul_dict leaves the terms:
+    # by the last (small, big) pair that produced each one, because expand()
+    # lists the terms of one y-degree in dict order.  Walking the small
+    # terms backwards, a term's first hit is its last.
+    s = (max(e2 for _, e2 in big) + max(e2 for _, e2 in small)).bit_length()
+    acc = _xor_product(big, small, s)
+    keys = [e1 << s | e2 for e1, e2 in big]
     where = dict(zip(keys, range(len(keys))))
     rows = []
-    for shift in reversed(shifts):
+    for a1, a2 in reversed(small):
         if not acc:
             break
+        shift = a1 << s | a2
         hit = acc.intersection(map(shift.__add__, keys))
         if hit:
             acc -= hit
@@ -474,7 +482,8 @@ class RatFunc:
 
     Common monomial content of numerator and denominator is cancelled and
     the denominator is scaled monic-leading; no other reduction is done.
-    Equality is exact, by cross-multiplication.
+    Equality is exact, by cross-multiplication; over F_2 the two cross
+    products are compared as sets of packed exponents (_xor_product).
     """
 
     __slots__ = ("num", "den")
@@ -583,7 +592,20 @@ class RatFunc:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        return self.num * g.den == g.num * self.den
+        if self.ring.p != 2:
+            return self.num * g.den == g.num * self.den
+        # over F_2 the two cross products are compared as packed sets, so
+        # neither is built as a Poly or put in _mul_dict's order; one shift
+        # serves both, and each is budget-checked as its Poly would be; a
+        # zero numerator's deg2 of -1 only narrows s for its empty set
+        s = max(self.num.deg2() + g.den.deg2(), g.num.deg2() + self.den.deg2()).bit_length()
+
+        def product(a: dict, b: dict) -> set:
+            t = _xor_product(a, b, s) if len(a) > len(b) else _xor_product(b, a, s)
+            _check_budget(len(t))
+            return t
+
+        return product(self.num._t, g.den._t) == product(g.num._t, self.den._t)
 
     __hash__ = None  # cross-multiplied equality has no cheap consistent hash
 

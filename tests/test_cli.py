@@ -60,6 +60,20 @@ def test_bad_config_exit_2(capsys):
     assert "prime" in err
 
 
+def test_negative_samples_exit_2(capsys):
+    # 0 stays valid: ascheck t1 reads it as "skip the sweep"
+    for argv in (
+        ["--samples", "-3", "fuzz", "--what", "mult"],
+        ["fuzz", "--what", "mult", "--samples", "-3"],
+        ["--samples", "-5", "ascheck", "t2"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "samples must be >= 0" in err and out == ""
+    code, _, _ = run_cli(["--kmax", "0", "--samples", "0", "ascheck", "t1"], capsys)
+    assert code == 0
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -218,6 +232,10 @@ STRUCTURED_DIGESTS = {
     "fuzz --what ultra": "416d173c5751876a174dea0b8ae2e00ec03abb975b5e1076db7c0c73a9ce26ca",
     "--budget 1000 ascheck t1 --k 1 --samples 5": "850588053c09d69ddcda62e147c17ca850c2d1329eeda361cc830c4f5301b269",
     "--kmax 0 --budget 20 ascheck t2 --samples 6": "d1fcbfaaef4361aa1e586cd3c2db1d7db8318986adf7b914982d5a8821bcb84e",
+    # recorded at commit 1e04c13: a 403-line listing whose product of two
+    # factors of 82 and 80 terms runs through the ordered packed F_2 kernel,
+    # so it pins the term order expand() lists
+    "expand ((u+v+1)^15+u^3*v)*((u^2+v+1)^15+v)": "4de778eb1fa57f3e3e59113d58058ba9f38c3d3b34b3a05505f6b3d7f2ca1bdf",
 }
 
 

@@ -225,6 +225,103 @@ def test_mul_routes_by_characteristic_and_size(monkeypatch):
         assert routed == [want]
 
 
+def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
+    # the two sides of every k = 4 twisted- and drift-recursion identity of
+    # build_tower(2, 4, 4), as the certificates hand them to RatFunc.__eq__
+    from valcert.tower import build_tower, verify_drift_recursion, verify_twisted_recursion
+
+    level = build_tower(2, 4, 4)[4]
+    sides = []
+    eq = RatFunc.__eq__
+
+    def spy(a, b):
+        sides.append((a, b))
+        return eq(a, b)
+
+    RatFunc.__eq__ = spy
+    try:
+        for i in range(2, 5):
+            assert verify_twisted_recursion(level, i).passed
+            assert verify_drift_recursion(level, i).passed
+    finally:
+        RatFunc.__eq__ = eq
+    return sides
+
+
+def _toggled(f: RatFunc) -> RatFunc:
+    # f with the first term of its numerator removed
+    (e1, e2), _ = f.num.terms()[0]
+    return RatFunc(f.num + Poly.monomial(f.ring, 1, e1, e2), f.den)
+
+
+def test_packed_equality_matches_poly_products():
+    # at p = 2 RatFunc.__eq__ compares packed sets; the Poly products it
+    # replaces are the oracle, on equal, unequal, mixed-size and zero pairs
+    sides = _recursion_sides()
+    assert len(sides) == 6
+    pairs = [*sides, *((a, _toggled(b)) for a, b in sides)]
+    # a mixed-size pair: the smaller factor of the left cross product has
+    # _GF2_MUL_TERMS terms or more, that of the right one fewer
+    parts = sorted(_tower_parts(), key=lambda f: f.support_size)
+    big, mid, small = parts[-1], parts[0], sides[0][0].den
+    mixed = (RatFunc(big, small), RatFunc(big * mid, small * mid))
+    assert mixed[0].den.support_size < 32 <= min(mixed[0].num.support_size, mixed[1].den.support_size)
+    pairs += [mixed, (mixed[0], _toggled(mixed[1]))]
+    zero = RatFunc(Poly.zero(R2))
+    pairs += [(zero, zero), (zero, sides[0][0]), (sides[0][1], zero), (zero, RatFunc(Poly.zero(R2), V2 + U2))]
+    # the shift must cover the right cross product too, or u + 1 and v + 1
+    # pack alike
+    pairs.append((RatFunc(U2 + 1), RatFunc(V2 + 1)))
+    for a, b in pairs:
+        want = a.num * b.den == b.num * a.den
+        assert (a == b) is want and (b == a) is want
+    assert [a == b for a, b in pairs] == [True] * 6 + [False] * 6 + [True, False, True, False, False, True, False]
+    assert zero == 0 and not sides[0][0] == 0
+
+
+def test_packed_equality_budget_names_the_poly_product_sizes():
+    # under a budget, == raises with the size the Poly products would name,
+    # the left one first: below both sizes, and between them either way
+    a, b = _recursion_sides()[-1]
+    b = _toggled(b)
+    left, right = (a.num * b.den).support_size, (b.num * a.den).support_size
+    assert left != right
+    for limit, first, second in (
+        (min(left, right) - 1, left, right),
+        ((left + right) // 2, max(left, right), max(left, right)),
+    ):
+        with support_limit(limit):
+            for x, y, size in ((a, b, first), (b, a, second)):
+                with pytest.raises(BudgetExceededError) as packed:
+                    x == y
+                with pytest.raises(BudgetExceededError) as oracle:
+                    x.num * y.den == y.num * x.den
+                assert packed.value.size == oracle.value.size == size
+                assert packed.value.limit == limit
+
+
+def test_ratfunc_equality_routes_by_characteristic(monkeypatch):
+    # at p = 2 the equality builds two _xor_product sets and no Poly
+    # product; at p = 3 it still multiplies
+    from valcert import polys
+
+    f2 = RatFunc(U2 * V2 + 1, V2**3 + U2)
+    g2 = RatFunc((U2 * V2 + 1) * (V2 + 1), (V2**3 + U2) * (V2 + 1))
+    f3 = RatFunc(U3 * V3 + 1, V3**3 + U3)
+    g3 = RatFunc(2 * U3 * V3 + 2, 2 * V3**3 + 2 * U3)
+    routed = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda *args: routed.append("Poly.__mul__") or mul(*args))
+    for name in ("_mul_gf2", "_xor_product"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *args, _k=kernel, _n=name: routed.append(_n) or _k(*args))
+    assert f2 == g2
+    assert routed == ["_xor_product", "_xor_product"]
+    routed.clear()
+    assert f3 == g3
+    assert routed == ["Poly.__mul__", "Poly.__mul__"]
+
+
 @settings(max_examples=60)
 @given(poly_strategy(R2), poly_strategy(R2), poly_strategy(R2))
 def test_ring_laws(f, g, h):
