@@ -147,16 +147,20 @@ def build_approximants(tower: list[TowerLevel], k_max: int, cfg: EmbeddingConfig
     return out
 
 
+def _frobenius_gap(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
+    # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
+    # characteristic p, and g - x expands at 1/p of the depth
+    x = RatFunc(Poly.var(ring_xy(cfg.p), "x"))
+    return cfg.p * value(embed_uv(g, cfg) - x, seq)
+
+
 def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:
     """Gap value of h_k^p - x^p against the ladder closed form; tail above omega."""
     p = cfg.p
     seq = q_sequence(p)
 
     def run():
-        host = ring_xy(p)
-        x = RatFunc(Poly.var(host, "x"))
-        # h^p - x^p = (h - x)^p in characteristic p
-        got = p * value(embed_uv(appr.element, cfg) - x, seq)
+        got = _frobenius_gap(appr.element, cfg, seq)
         expect = gap_value(p, appr.k)
         tail_val = value(appr.tail, seq)
         om = omega(p)
@@ -185,21 +189,14 @@ def gap_bound_sweep(
     bound = gap_value(p, k)
 
     def run():
-        x = RatFunc(Poly.var(ring_xy(p), "x"))
-
-        def gap_of(g: RatFunc) -> Fraction:
-            # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
-            # characteristic p, and g - x expands at 1/p of the depth
-            return p * value(embed_uv(g, cfg) - x, host_seq)
-
-        attained = gap_of(appr.element)
+        attained = _frobenius_gap(appr.element, cfg, host_seq)
         if attained != bound:
             return f"attained {bound}", f"attained {attained}", False
         rng = random.Random(f"{seed}:gapbound:k={k}")
         over, first = 0, ""
         for n in range(samples):
             g = random_level_element(rng, level, i_cap=k + 3)
-            if gap_of(g) > bound:
+            if _frobenius_gap(g, cfg, host_seq) > bound:
                 over += 1
                 first = first or f"; {_first_failure(n, g=g)}"
         ok = over == 0

@@ -63,13 +63,13 @@ RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
 
 @dataclass
 class RunConfig:
-    p: int = 2
-    c: int | None = None  # default p - 1
-    k_max: int = 2
-    i_max: int = 4
-    samples: int = 100
-    seed: int = 0
-    budget: int = 2_000_000
+    p: int
+    c: int | None  # None means p - 1
+    k_max: int
+    i_max: int
+    samples: int
+    seed: int
+    budget: int
 
     def validate(self) -> None:
         if not is_prime(self.p) or self.p > 7:

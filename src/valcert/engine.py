@@ -51,7 +51,7 @@ from itertools import compress
 from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets
+from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets, _key_data
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -207,12 +207,6 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
     if count != len(keys):
         raise _tie_error(f, seq)
     return Fraction(min(keys), den)
-
-
-def _key_data(key: Poly) -> tuple[int, list[tuple[tuple[int, int], int]]]:
-    # a monic key as (its y-degree, its other terms as ((b1, b2), c))
-    deg = key.deg2()
-    return deg, [(e, c) for e, c in key._t.items() if e[1] != deg]
 
 
 def _stream_buckets(levels: dict, seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:

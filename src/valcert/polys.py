@@ -249,25 +249,20 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product of two polynomials.
+        """Product of two polynomials, by the dict loop (_mul_dict) at every p.
 
-        Over F_2, when both factors have _GF2_MUL_TERMS terms or more, it
-        runs on packed exponents (_mul_gf2, which orders _xor_product's
-        set).  Otherwise, and at every odd p, it runs the dict loop
-        (_mul_dict), which is the packed kernel's reference in the tests.
-        Both leave the terms in the same order.
+        The smaller factor's terms run in the outer loop.  expand() lists
+        the terms of one y-degree in the order this leaves them, so the
+        swap below is part of its output.
         """
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        p = self.ring.p
         if len(self._t) > len(g._t):
             big, small = self._t, g._t
         else:
             big, small = g._t, self._t
-        if p == 2 and len(small) >= _GF2_MUL_TERMS:
-            return Poly._make(self.ring, _mul_gf2(big, small))
-        return Poly._make(self.ring, _mul_dict(big, small, p))
+        return Poly._make(self.ring, _mul_dict(big, small, self.ring.p))
 
     __rmul__ = __mul__
 
@@ -325,8 +320,7 @@ class Poly:
         lead = [(e1, c) for (e1, e2), c in g._t.items() if e2 == dg]
         if lead != [(0, 1)]:
             raise NonMonicDivisorError(f"divisor not monic in {g.ring.vars[1]}: {g}")
-        low = [(e, c) for e, c in g._t.items() if e[1] != dg]
-        q, r = _divmod_buckets(_bucket(self._t), dg, low, self.ring.p)
+        q, r = _divmod_buckets(_bucket(self._t), *_key_data(g), self.ring.p)
         return Poly._make(self.ring, _unbucket(q)), Poly._make(self.ring, _unbucket(r))
 
     # -- comparison and rendering -------------------------------------------
@@ -363,17 +357,6 @@ class Poly:
 
 # -- kernels on raw term dicts ------------------------------------------------
 
-# Fewest terms of the smaller factor that send an F_2 product to _mul_gf2.
-# Timed on the benchmark's F_2 products, the packed kernel took 0.7 of the
-# dict loop's time on the tower's products with 48 to 63 terms in the
-# smaller factor, which carry most of its multiplication time, and about as
-# long on those with 64 to 126; on the ladder's and oracle's products,
-# nearly all with one to three terms in the smaller factor, it was 2.7 to 4
-# times slower.  RatFunc.__eq__ is not gated on it: the threshold pays for
-# _mul_gf2's ordering pass, which the equality's _xor_product sets skip.
-_GF2_MUL_TERMS = 32
-
-
 def _mul_dict(big: dict, small: dict, p: int) -> dict:
     # the product of two term dicts over F_p, one small term at a time
     t: dict = {}
@@ -389,11 +372,13 @@ def _mul_dict(big: dict, small: dict, p: int) -> dict:
 
 
 def _xor_product(big: dict, small: dict, s: int) -> set:
-    # The product over F_2 as a set of packed exponents: each pair (e1, e2)
-    # becomes e1 << s | e2, with s wide enough for any e2 sum, so adding the
-    # packed ints adds both exponents.  Every coefficient is 1 and addition
-    # is XOR, so each small term XORs its shifted copy of big into one set,
-    # which holds one partial sum at a time, never the list of all products.
+    # The product over F_2 as a set of packed exponents, for RatFunc.__eq__,
+    # which compares two of them and needs no term order: each pair
+    # (e1, e2) becomes e1 << s | e2, with s wide enough for any e2 sum, so
+    # adding the packed ints adds both exponents.  Every coefficient is 1
+    # and addition is XOR, so each small term XORs its shifted copy of big
+    # into one set, which holds one partial sum at a time, never the list
+    # of all products.
     keys = [e1 << s | e2 for e1, e2 in big]
     acc: set = set()
     for a1, a2 in small:
@@ -401,27 +386,10 @@ def _xor_product(big: dict, small: dict, s: int) -> set:
     return acc
 
 
-def _mul_gf2(big: dict, small: dict) -> dict:
-    # _xor_product as a term dict, in the order _mul_dict leaves the terms:
-    # by the last (small, big) pair that produced each one, because expand()
-    # lists the terms of one y-degree in dict order.  Walking the small
-    # terms backwards, a term's first hit is its last.
-    s = (max(e2 for _, e2 in big) + max(e2 for _, e2 in small)).bit_length()
-    acc = _xor_product(big, small, s)
-    keys = [e1 << s | e2 for e1, e2 in big]
-    where = dict(zip(keys, range(len(keys))))
-    rows = []
-    for a1, a2 in reversed(small):
-        if not acc:
-            break
-        shift = a1 << s | a2
-        hit = acc.intersection(map(shift.__add__, keys))
-        if hit:
-            acc -= hit
-            at = sorted(map(where.__getitem__, map((-shift).__add__, hit)))
-            rows.append(map(shift.__add__, map(keys.__getitem__, at)))
-    mask = (1 << s) - 1
-    return {(k >> s, k & mask): 1 for row in reversed(rows) for k in row}
+def _key_data(key: Poly) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    # a monic key as (its y-degree, its other terms as ((b1, b2), c))
+    deg = key.deg2()
+    return deg, [(e, c) for e, c in key._t.items() if e[1] != deg]
 
 
 def _bucket(t: dict) -> dict[int, dict[int, int]]:
@@ -595,9 +563,9 @@ class RatFunc:
         if self.ring.p != 2:
             return self.num * g.den == g.num * self.den
         # over F_2 the two cross products are compared as packed sets, so
-        # neither is built as a Poly or put in _mul_dict's order; one shift
-        # serves both, and each is budget-checked as its Poly would be; a
-        # zero numerator's deg2 of -1 only narrows s for its empty set
+        # neither is built as a Poly; one shift serves both, and each is
+        # budget-checked as its Poly would be; a zero numerator's deg2 of
+        # -1 only narrows s for its empty set
         s = max(self.num.deg2() + g.den.deg2(), g.num.deg2() + self.den.deg2()).bit_length()
 
         def product(a: dict, b: dict) -> set:

@@ -139,9 +139,9 @@ def test_divmod_by_key_polynomials_matches_sympy():
     # which becomes the remainder, and leaves no empty row.  At p = 2 the
     # row kernel value() runs on dense inputs must give the same quotient
     # and remainder, here on the host keys S_2..S_7.
-    from valcert.engine import _divmod_rows, _key_data
+    from valcert.engine import _divmod_rows
     from valcert.keyseq import p_sequence, q_sequence
-    from valcert.polys import _bucket, _divmod_buckets, _unbucket
+    from valcert.polys import _bucket, _divmod_buckets, _key_data, _unbucket
 
     for p in (2, 3):
         for seq in (p_sequence(p), q_sequence(p)):
@@ -180,11 +180,11 @@ def _tower_parts() -> list[Poly]:
 
 
 def test_gf2_product_matches_dict_loop_and_sympy():
-    # the packed F_2 product against the dict loop, term order included,
-    # since expand() lists terms in dict order, and against sympy: on the
-    # sparse tower operands, and on dense ones whose products cancel so
-    # often that terms leave and re-enter the dict loop's result
-    from valcert.polys import _mul_dict, _mul_gf2
+    # _xor_product, the packed F_2 product RatFunc.__eq__ compares, unpacked
+    # against the dict loop's support and against sympy: on the sparse
+    # tower operands, and on dense ones whose products cancel so often that
+    # terms leave and re-enter the dict loop's result
+    from valcert.polys import _mul_dict, _xor_product
 
     parts = _tower_parts()
     assert len(parts) >= 4 and max(f.support_size for f in parts) > 300
@@ -195,34 +195,11 @@ def test_gf2_product_matches_dict_loop_and_sympy():
         pairs.append((f, g))
     for f, g in pairs:
         big, small = (f._t, g._t) if len(f._t) > len(g._t) else (g._t, f._t)
-        packed = _mul_gf2(big, small)
-        assert list(packed.items()) == list(_mul_dict(big, small, 2).items())
-        assert (f * g)._t == packed
-        assert _sympy(f * g) == _sympy(f) * _sympy(g)
-
-
-def test_mul_routes_by_characteristic_and_size(monkeypatch):
-    # F_2 products whose smaller factor has _GF2_MUL_TERMS terms or more
-    # take the packed kernel; the rest, and every odd p, the dict loop
-    from valcert import polys
-
-    routed = []
-    for name in ("_mul_gf2", "_mul_dict"):
-        kernel = getattr(polys, name)
-        monkeypatch.setattr(polys, name, lambda *args, _k=kernel, _n=name: routed.append(_n) or _k(*args))
-    n = polys._GF2_MUL_TERMS
-
-    def line(ring, terms):
-        return Poly(ring, {(e, 1): 1 for e in range(terms)})
-
-    for ring, a, b, want in (
-        (R2, n, n, "_mul_gf2"),
-        (R2, n - 1, 4 * n, "_mul_dict"),
-        (R3, 2 * n, 2 * n, "_mul_dict"),
-    ):
-        routed.clear()
-        line(ring, a) * line(ring, b)
-        assert routed == [want]
+        s = (f.deg2() + g.deg2()).bit_length()
+        mask = (1 << s) - 1
+        packed = {(k >> s, k & mask) for k in _xor_product(big, small, s)}
+        assert packed == set(_mul_dict(big, small, 2))
+        assert _sympy(Poly(f.ring, dict.fromkeys(packed, 1))) == _sympy(f) * _sympy(g)
 
 
 def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
@@ -260,8 +237,8 @@ def test_packed_equality_matches_poly_products():
     sides = _recursion_sides()
     assert len(sides) == 6
     pairs = [*sides, *((a, _toggled(b)) for a, b in sides)]
-    # a mixed-size pair: the smaller factor of the left cross product has
-    # _GF2_MUL_TERMS terms or more, that of the right one fewer
+    # a mixed-size pair: the left cross product multiplies two factors of
+    # 32 terms or more, the right one a large factor by one of fewer
     parts = sorted(_tower_parts(), key=lambda f: f.support_size)
     big, mid, small = parts[-1], parts[0], sides[0][0].den
     mixed = (RatFunc(big, small), RatFunc(big * mid, small * mid))
@@ -312,9 +289,8 @@ def test_ratfunc_equality_routes_by_characteristic(monkeypatch):
     routed = []
     mul = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__", lambda *args: routed.append("Poly.__mul__") or mul(*args))
-    for name in ("_mul_gf2", "_xor_product"):
-        kernel = getattr(polys, name)
-        monkeypatch.setattr(polys, name, lambda *args, _k=kernel, _n=name: routed.append(_n) or _k(*args))
+    xor = polys._xor_product
+    monkeypatch.setattr(polys, "_xor_product", lambda *args: routed.append("_xor_product") or xor(*args))
     assert f2 == g2
     assert routed == ["_xor_product", "_xor_product"]
     routed.clear()
