@@ -233,7 +233,7 @@ def ceiling_family(
 
 
 def ceiling_check(
-    f: RatFunc,
+    f: Poly | RatFunc,
     cfg: EmbeddingConfig,
     label: str,
     host_seq: GenSeq | None = None,

@@ -11,8 +11,9 @@ Subcommands:
     selftest   the full acceptance suite
 
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
-with a warning in the report), 1 any certificate failed, 2 usage, parse or
-configuration error (a non-integer VALCERT_SEED included).
+with a warning in the report), 1 any certificate failed, 2 malformed input
+(a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
+--k, expand of zero, an --out that cannot be opened), named in an "error:" line.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class RunConfig:
         }
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="valcert",
@@ -135,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_as = sub.add_parser("ascheck", help="extension certificates")
     p_as.add_argument("what", choices=("t1", "t2", "report"))
-    p_as.add_argument("--k", type=int, default=None, help="ladder level for t1")
+    p_as.add_argument("--k", type=nonnegative_int, default=None, help="ladder level for t1")
     p_as.add_argument("--f", default=None, help="base-field expression for t2 (on (u,v))")
     p_as.add_argument("--samples", type=int, default=S)
     p_as.add_argument("--seed", type=int, default=S)
@@ -177,6 +185,8 @@ def cmd_expand(cfg: RunConfig, args, report: Report) -> str | None:
     f = parse_expr(args.expr, ring)
     if isinstance(f, RatFunc):
         raise ParseError("expand takes a polynomial, not a fraction", args.expr.find("/"))
+    if f.is_zero():
+        raise ParseError("expand takes a nonzero polynomial", 0)
     seq = p_sequence(cfg.p) if args.ring == "uv" else q_sequence(cfg.p)
     exp = expand(f, seq)
     lines = [f"{t.render():<32} value {exp.term_value(t)}" for t in exp.terms]
@@ -217,10 +227,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     if args.what == "t2":
         _, apprs = _ladder(cfg, min(cfg.k_max, 1))
         if args.f is not None:
-            f = parse_expr(args.f, ring_uv(cfg.p))
-            if not isinstance(f, RatFunc):
-                f = RatFunc(f)
-            _, cert = ceiling_check(f, cfg.embedding(), args.f)
+            _, cert = ceiling_check(parse_expr(args.f, ring_uv(cfg.p)), cfg.embedding(), args.f)
             report.certificates.append(cert)
             return None
         half = cfg.samples // 2
@@ -244,15 +251,13 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
 
 
 def cmd_fuzz(cfg: RunConfig, args, report: Report) -> str | None:
-    if args.what == "mult":
-        for seq in (p_sequence(cfg.p), q_sequence(cfg.p)):
-            report.certificates.append(multiplicativity_sweep(seq, cfg.samples, cfg.seed))
-    elif args.what == "ultra":
-        for seq in (p_sequence(cfg.p), q_sequence(cfg.p)):
-            report.certificates.append(ultrametric_sweep(seq, cfg.samples, cfg.seed))
-    else:
+    if args.what == "cross":
         for c in (cfg.c, 2 * cfg.c):
             report.certificates.append(restriction_sweep(cfg.p, c, cfg.samples, cfg.seed))
+        return None
+    sweep = multiplicativity_sweep if args.what == "mult" else ultrametric_sweep
+    for seq in (p_sequence(cfg.p), q_sequence(cfg.p)):
+        report.certificates.append(sweep(seq, cfg.samples, cfg.seed))
     return None
 
 
@@ -308,7 +313,12 @@ def main(argv=None) -> int:
             Certificate(args.command, cfg.echo(), "within budget", str(e), "budget-exceeded", elapsed)
         )
         text = None
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+    try:
+        sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    with sink as out:
         if text is not None:
             out.write(text)
         if report.certificates:

@@ -22,23 +22,25 @@ numerator is the tie.  ``expand()`` builds the explicit ``Expansion`` for the
 ``valcert expand`` listing, for the tie diagnostics, and as the test oracle
 for ``value()``.
 
-At p = 2 ``value()`` runs the recursion on packed rows: one Python int per
-second-variable degree e2, with bit e1 set for each term x^e1 * y^e2 (every
-coefficient is 1).  Over F_2 subtraction is XOR and multiplying by x^b1 is a
-left shift, so dividing by a key costs one shift-and-XOR per row and per
-non-leading key term, and the base-S_1 digits are the rows themselves.  The
-rows spend a bit on every exponent up to each row's highest and a slot on
-every degree up to the top one, so an input is packed only when it needs a
-division (y-degree at least p^2) and its bits plus slots come to at most
+``value()`` holds one copy of that recursion, ``_stream``, which runs on
+either of two term layouts, each a division kernel with a size and a leaf.
+At p = 2 an input is packed into rows: one Python int per second-variable
+degree e2, with bit e1 set for each term x^e1 * y^e2 (every coefficient is
+1).  Over F_2 subtraction is XOR and multiplying by x^b1 is a left shift,
+so dividing by a key costs one shift-and-XOR per row and per non-leading
+key term, and the base-S_1 digits are the rows themselves.  The rows spend
+a bit on every exponent up to each row's highest and a slot on every degree
+up to the top one, so an input is packed only when it needs a division
+(y-degree at least p^2) and its bits plus slots come to at most
 ``_ROW_BITS`` per term.
 
 Every other input that needs a division, such as the tower's sparse keys
-and products with exponents near 2^20 and every input at odd p, runs the
-recursion on its terms bucketed once as {e2: {e1: c}}.  ``polys._divmod_buckets``, the one
-dict division kernel, which ``Poly.__divmod__`` wraps, divides the buckets
-in place: its quotient becomes the next dividend and its remainder is the
-digit, so no Poly is built per digit.  The tests check that kernel against
-sympy, and the row kernel against it.
+and products with exponents near 2^20 and every input at odd p, is bucketed
+once as {e2: {e1: c}} for ``polys._divmod_buckets``, the one dict division
+kernel, which ``Poly.__divmod__`` wraps.  It divides the buckets in place:
+its quotient becomes the next dividend and its remainder is the digit, so
+no Poly is built per digit.  The tests check that kernel against sympy, and
+the row kernel against it.
 """
 
 from __future__ import annotations
@@ -200,45 +202,53 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
     else:
         keyed = {n: _key_data(seq.poly(n)) for n in range(2, top + 1)}
         rows = _pack_rows(f, d2) if p == 2 else None
-        if rows is None:
-            count = _stream_buckets(_bucket(f._t), seq, keyed, coefs, 0, keys)
-        else:
-            count = _stream_rows(rows, seq, keyed, coefs, 0, keys)
+        terms, kernel = (_bucket(f._t), _BUCKETS) if rows is None else (rows, _ROWS)
+        count = _stream(terms, kernel, seq, keyed, coefs, 0, keys)
     if count != len(keys):
         raise _tie_error(f, seq)
     return Fraction(min(keys), den)
 
 
-def _stream_buckets(levels: dict, seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
-    # The digit recursion of _expand_into on bucketed terms {e2: {e1: c}},
-    # carrying the partial term value as the integer acc; adds each term's
-    # key to keys and returns the number of terms, so a shortfall in
-    # len(keys) reveals a tie.  Each division consumes its dividend, and
-    # the budget checks its quotient, then its remainder, as
-    # Poly.__divmod__ does.
-    d2 = max(levels)
+def _stream(terms, kernel: tuple, seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
+    # The digit recursion of _expand_into on one term layout, carrying the
+    # partial term value as the integer acc; adds each term's key to keys
+    # and returns the number of terms, so a shortfall in len(keys) reveals
+    # a tie.  Each division consumes its dividend, and the budget checks
+    # its quotient, then its remainder, as Poly.__divmod__ does.
+    divide, top, size, leaf = kernel
+    d2 = top(terms)
     p2 = seq.p * seq.p
     if d2 < p2:
-        m = coefs[0]
-        step = coefs[1] if d2 > 0 else 0
-        keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
-        return sum(map(len, levels.values()))
+        leaf(terms, coefs[0], coefs[1], acc, keys)
+        return size(terms)
     n = seq.index_for_degree(d2)
     deg, low = keyed[n]
     step = coefs[n]
     count = 0
-    rest = levels
+    rest = terms
     j = 0
     while rest:
-        rest, digit = _divmod_buckets(rest, deg, low, seq.p)
-        _check_budget(sum(map(len, rest.values())))
-        _check_budget(sum(map(len, digit.values())))
+        rest, digit = divide(rest, deg, low, seq.p)
+        _check_budget(size(rest))
+        _check_budget(size(digit))
         if digit:
             if j >= p2:
                 raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-            count += _stream_buckets(digit, seq, keyed, coefs, acc + j * step, keys)
+            count += _stream(digit, kernel, seq, keyed, coefs, acc + j * step, keys)
         j += 1
     return count
+
+
+def _bucket_leaf(levels: dict, m: int, step: int, acc: int, keys: set) -> None:
+    # adds the key acc + e2*step + m*e1 for each term x^e1 * y^e2
+    keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
+
+
+# A term layout for _stream is (divide, top, size, leaf): divide takes
+# _divmod_buckets's arguments, top gives the y-degree, size the number of
+# terms, and leaf adds the keys of a digit of y-degree below p^2.
+# Terms bucketed as {e2: {e1: c}}:
+_BUCKETS = (_divmod_buckets, max, lambda levels: sum(map(len, levels.values())), _bucket_leaf)
 
 
 # Sparsest input packed into rows, in row bits plus row slots per term.
@@ -263,15 +273,13 @@ def _pack_rows(f: Poly, d2: int) -> list[int] | None:
     return rows
 
 
-def _divmod_rows(rows: list[int], deg: int, low: list) -> tuple[list[int], list[int]]:
-    """_divmod_buckets over F_2 on packed rows.
+def _divmod_rows(rows: list[int], deg: int, low: list, p: int) -> tuple[list[int], list[int]]:
+    """_divmod_buckets over F_2 on packed rows; p, always 2, keeps its arguments.
 
     Divides by the key y^deg + sum x^b1 * y^b2 over ((b1, b2), 1) in low;
     rows and both results carry no zero top row.
     """
     top = len(rows) - 1
-    if top < deg:
-        return [], rows
     r = list(rows)
     q = [0] * (top - deg + 1)
     for d in range(top, deg - 1, -1):
@@ -287,37 +295,16 @@ def _divmod_rows(rows: list[int], deg: int, low: list) -> tuple[list[int], list[
     return q, r
 
 
-def _stream_rows(rows: list[int], seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
-    # _stream_buckets on packed rows at p = 2: the same digits, and the same
-    # budget checks on each quotient and remainder, in the same order
-    d2 = len(rows) - 1
-    if d2 < 4:
-        m = coefs[0]
-        step = coefs[1] if d2 > 0 else 0
-        return sum(_stream_row(row, m, acc + e2 * step, keys) for e2, row in enumerate(rows) if row)
-    n = seq.index_for_degree(d2)
-    deg, low = keyed[n]
-    step = coefs[n]
-    count = 0
-    rest = rows
-    j = 0
-    while rest:
-        rest, digit = _divmod_rows(rest, deg, low)
-        _check_budget(sum(map(int.bit_count, rest)))
-        _check_budget(sum(map(int.bit_count, digit)))
-        if digit:
-            if j >= 4:
-                raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-            count += _stream_rows(digit, seq, keyed, coefs, acc + j * step, keys)
-        j += 1
-    return count
+def _row_leaf(rows: list[int], m: int, step: int, acc: int, keys: set) -> None:
+    # adds the key acc + e2*step + m*e1 for each set bit e1 of each row e2
+    for e2, row in enumerate(rows):
+        bits = bin(row)[:1:-1].encode().translate(_BIT_BYTES)
+        start = acc + e2 * step
+        keys.update(compress(range(start, start + m * len(bits), m), bits))
 
 
-def _stream_row(row: int, m: int, acc: int, keys: set) -> int:
-    # adds the key acc + m*e1 for each set bit e1 of row
-    bits = bin(row)[:1:-1].encode().translate(_BIT_BYTES)
-    keys.update(compress(range(acc, acc + m * len(bits), m), bits))
-    return row.bit_count()
+# Packed F_2 rows, one int per y-degree:
+_ROWS = (_divmod_rows, lambda rows: len(rows) - 1, lambda rows: sum(map(int.bit_count, rows)), _row_leaf)
 
 
 def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:

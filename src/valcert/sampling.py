@@ -51,8 +51,9 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     u_k^m * prod K_(k,i)^(a_i) with m <= 2 and every a_i < p^2, realized
     over the ambient (u,v) field.  Each summand's total key weight
     sum a_i * p^(2i) is capped at twice the weight of the single top-index
-    key, which keeps degrees at a level the exact engine expands in well
-    under a second while still reaching the extremal single-key monomials.
+    key, which still reaches the extremal single-key monomials.  The cap
+    bounds key weight only, not the embedded size or the time to expand
+    it: at p = 3, level 1, some draws take tens of seconds to minutes.
     """
     p = level.p
     i_cap = min(i_cap, max(level.keys))

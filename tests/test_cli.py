@@ -74,6 +74,23 @@ def test_negative_samples_exit_2(capsys):
     assert code == 0
 
 
+def test_malformed_input_exit_2(capsys, tmp_path):
+    # each used to end in a traceback and exit 1, the code of a failed
+    # certificate
+    with pytest.raises(SystemExit) as info:
+        main(["ascheck", "t1", "--k", "-1"])
+    assert info.value.code == 2
+    assert "error: argument --k: must be >= 0" in capsys.readouterr().err
+    for expr in ("0", "u-u"):
+        code, out, err = run_cli(["expand", expr], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: expand takes a nonzero polynomial")
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(["--out", str(missing), "value", "u"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -200,20 +200,27 @@ def test_corrupted_value_table_aborts_loudly():
 
 
 def test_packed_value_budget_names_the_dict_size(monkeypatch):
-    # the row kernel checks each quotient and remainder against the budget
-    # in the order the bucketed dict path does, so both paths name one size
+    # the rows and the buckets run one recursion, which checks each
+    # quotient and remainder against the budget, so both layouts name one
+    # size
     seq = q_sequence(2)
     f = (X + Y + 1) ** 9 * (Y**5 + X**3 * Y + X)
     assert packed(f)
-    sizes = []
-    for pack in (engine._pack_rows, lambda f, d2: None):
+    stream = engine._stream
+    sizes, kernels = [], set()
+
+    def spied(terms, kernel, *args):
+        kernels.add(kernel)
+        return stream(terms, kernel, *args)
+
+    monkeypatch.setattr(engine, "_stream", spied)
+    for pack, kernel in ((engine._pack_rows, engine._ROWS), (lambda f, d2: None, engine._BUCKETS)):
         monkeypatch.setattr(engine, "_pack_rows", pack)
+        kernels.clear()
         with support_limit(8), pytest.raises(BudgetExceededError) as info:
             value(f, seq)
         sizes.append(info.value.size)
-        raised_in = {entry.name for entry in info.traceback}
-        assert ("_stream_rows" in raised_in) == (len(sizes) == 1)
-        assert ("_stream_buckets" in raised_in) == (len(sizes) == 2)
+        assert kernels == {kernel}
     assert sizes[0] == sizes[1] > 8
 
 
@@ -225,18 +232,19 @@ def test_value_routes_dict_inputs_through_buckets(monkeypatch):
         raise AssertionError("value() divided a Poly")
 
     calls = []
-    stream = engine._stream_buckets
+    stream = engine._stream
 
-    def counted(levels, *args):
-        calls.append(max(levels))
-        return stream(levels, *args)
+    def counted(terms, kernel, *args):
+        if kernel is engine._BUCKETS:
+            calls.append(max(terms))
+        return stream(terms, kernel, *args)
 
     key = build_tower(2, 4, 4)[4].keys[2].num
     p3 = q_sequence(3)
     f3 = (Poly.var(p3.ring, "x") + Poly.var(p3.ring, "y") + 1) ** 10
     want = [value(key, p_sequence(2)), value(f3, p3)]
     monkeypatch.setattr(Poly, "__divmod__", no_divmod)
-    monkeypatch.setattr(engine, "_stream_buckets", counted)
+    monkeypatch.setattr(engine, "_stream", counted)
     for f, seq, routed in (
         (key, p_sequence(2), True),
         (f3, p3, True),
