@@ -14,11 +14,14 @@ Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
 --k, expand of zero, an --out that cannot be opened), named in an "error:" line.
+An --out whose directory is missing or not writable, or that names a
+directory, exits 2 before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import random
 import sys
@@ -280,6 +283,20 @@ COMMANDS = {
 }
 
 
+def _out_error(path: str) -> OSError | None:
+    # why --out cannot be written, found before the command runs and
+    # without opening the file, which would truncate it even when the
+    # command then fails to parse its input
+    if os.path.isdir(path):
+        return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        return FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(parent, os.W_OK):
+        return PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -296,6 +313,10 @@ def main(argv=None) -> int:
         cfg.validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    unwritable = _out_error(args.out) if args.out else None
+    if unwritable is not None:
+        print(f"error: {unwritable}", file=sys.stderr)
         return 2
     report = Report(tool="valcert", version=__version__, config=cfg.echo())
     t0 = time.perf_counter()

@@ -22,13 +22,23 @@ numerator is the tie.  ``expand()`` builds the explicit ``Expansion`` for the
 ``valcert expand`` listing, for the tie diagnostics, and as the test oracle
 for ``value()``.
 
-``value()`` holds one copy of that recursion, ``_stream``, which runs on
-either of two term layouts, each a division kernel with a size and a leaf.
-At p = 2 an input is packed into rows: one Python int per second-variable
-degree e2, with bit e1 set for each term x^e1 * y^e2 (every coefficient is
-1).  Over F_2 subtraction is XOR and multiplying by x^b1 is a left shift,
-so dividing by a key costs one shift-and-XOR per row and per non-leading
-key term, and the base-S_1 digits are the rows themselves.  The rows spend
+``value()`` holds one copy of that recursion, ``_stream``, which peels off
+each base-S_n digit j = a + p*b < p^2 in two radix stages: it divides by
+S_n^p for the digits D_b of base S_n^p, then each D_b by S_n for its p
+digits a, as in divide-and-conquer radix conversion.  That takes about p
+passes over the dividend where one division by S_n per digit takes about
+p^2/2.  S_n^p costs nothing to build: in characteristic p the Frobenius is
+additive and fixes every coefficient in F_p, so S_n^p is S_n with every
+exponent multiplied by p.  ``expand()`` keeps the one-digit-at-a-time
+division, so the tests compare the two.
+
+``_stream`` runs on either of two term layouts, each a division kernel with
+a size and a leaf.  At p = 2 an input is packed into rows: one Python int
+per second-variable degree e2, with bit e1 set for each term x^e1 * y^e2
+(every coefficient is 1).  Over F_2 subtraction is XOR and multiplying by
+x^b1 is a left shift, so dividing by a key, S_n or S_n^p alike, costs one
+shift-and-XOR per row and per non-leading key term, and the base-S_1
+digits are the rows themselves.  The rows spend
 a bit on every exponent up to each row's highest and a slot on every degree
 up to the top one, so an input is packed only when it needs a division
 (y-degree at least p^2) and its bits plus slots come to at most
@@ -200,7 +210,11 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
         keys.update([e2 * step + coefs[0] * e1 for e1, e2 in f._t])
         count = len(f._t)
     else:
-        keyed = {n: _key_data(seq.poly(n)) for n in range(2, top + 1)}
+        keyed = {}
+        for n in range(2, top + 1):
+            deg, low = _key_data(seq.poly(n))
+            # S_n^p is S_n with every exponent times p: c^p = c on F_p
+            keyed[n] = deg, low, deg * p, [((p * b1, p * b2), c) for (b1, b2), c in low]
         rows = _pack_rows(f, d2) if p == 2 else None
         terms, kernel = (_bucket(f._t), _BUCKETS) if rows is None else (rows, _ROWS)
         count = _stream(terms, kernel, seq, keyed, coefs, 0, keys)
@@ -213,30 +227,44 @@ def _stream(terms, kernel: tuple, seq: GenSeq, keyed: dict, coefs: list[int], ac
     # The digit recursion of _expand_into on one term layout, carrying the
     # partial term value as the integer acc; adds each term's key to keys
     # and returns the number of terms, so a shortfall in len(keys) reveals
-    # a tie.  Each division consumes its dividend, and the budget checks
-    # its quotient, then its remainder, as Poly.__divmod__ does.
-    divide, top, size, leaf = kernel
+    # a tie.  The base-S_n digit j = a + p*b is peeled off in two radix
+    # stages: the digits D_b of base S_n^p, then the p digits a of each D_b
+    # in base S_n.
+    _, top, size, leaf = kernel
+    p = seq.p
+    p2 = p * p
     d2 = top(terms)
-    p2 = seq.p * seq.p
     if d2 < p2:
         leaf(terms, coefs[0], coefs[1], acc, keys)
         return size(terms)
     n = seq.index_for_degree(d2)
-    deg, low = keyed[n]
+    deg, low, pdeg, plow = keyed[n]
     step = coefs[n]
     count = 0
-    rest = terms
-    j = 0
-    while rest:
-        rest, digit = divide(rest, deg, low, seq.p)
-        _check_budget(size(rest))
-        _check_budget(size(digit))
-        if digit:
-            if j >= p2:
-                raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-            count += _stream(digit, kernel, seq, keyed, coefs, acc + j * step, keys)
-        j += 1
+    for b, outer in enumerate(_digits(terms, kernel, pdeg, plow, p)):
+        if outer:
+            for a, digit in enumerate(_digits(outer, kernel, deg, low, p)):
+                if digit:
+                    j = a + p * b
+                    if j >= p2:
+                        raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
+                    count += _stream(digit, kernel, seq, keyed, coefs, acc + j * step, keys)
     return count
+
+
+def _digits(terms, kernel: tuple, deg: int, low: list, p: int):
+    # The digits of nonzero terms in base y^deg + low, lowest first, some
+    # of them empty: the remainder of each division, then the last
+    # quotient, whose y-degree is below deg, without a division that would
+    # only copy it.  Each division consumes its dividend, and the budget
+    # checks its quotient, then its remainder, as Poly.__divmod__ does.
+    divide, top, size, _ = kernel
+    while top(terms) >= deg:
+        terms, digit = divide(terms, deg, low, p)
+        _check_budget(size(terms))
+        _check_budget(size(digit))
+        yield digit
+    yield terms
 
 
 def _bucket_leaf(levels: dict, m: int, step: int, acc: int, keys: set) -> None:

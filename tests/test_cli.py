@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from valcert import cli
 from valcert.certificates import Certificate, Report
 from valcert.cli import main
 
@@ -89,6 +90,25 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     code, out, err = run_cli(["--out", str(missing), "value", "u"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp_path):
+    # a missing directory or a directory as --out used to surface only
+    # after the whole command had run; a file that exists is never opened
+    # before the run, so a parse error leaves it as it was
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "selftest", never)
+    for path, reason in ((tmp_path / "no-such-dir" / "r.json", "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(["--out", str(path), "selftest"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and reason in err and str(path) in err
+    kept = tmp_path / "r.json"
+    kept.write_text("earlier report\n")
+    code, _, err = run_cli(["--out", str(kept), "value", "u+"], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert kept.read_text() == "earlier report\n"
 
 
 def test_usage_error_exit_2():

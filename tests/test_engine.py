@@ -29,6 +29,7 @@ R2 = ring_uv(2)
 U, V = Poly.var(R2, "u"), Poly.var(R2, "v")
 X, Y = Poly.var(ring_xy(2), "x"), Poly.var(ring_xy(2), "y")
 LEVEL1 = build_tower(2, 1, 3)[1]
+TOWER_POLYS = [g for level in build_tower(2, 4, 4) for key in level.keys.values() for g in (key.num, key.den)]
 
 
 def packed(f):
@@ -107,9 +108,9 @@ def test_reconstruction(seed):
     assert all(a < 4 for t in e.terms for a in t.a)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=210, deadline=None)
 @given(
-    st.sampled_from(["uv", "xy", "level", "sparse"]),
+    st.sampled_from(["uv", "xy", "level", "sparse", "tower", "frob", "monomial"]),
     st.sampled_from([2, 3]),
     st.integers(min_value=0, max_value=2**30),
 )
@@ -117,7 +118,11 @@ def test_value_is_min_over_expansion(source, p, seed):
     # the streamed integer keys against the explicit expansion, whose
     # reconstruction test_reconstruction checks independently.  "level"
     # draws dense p = 2 host polynomials that take the row kernel; "sparse"
-    # spreads x-exponents past its gate, onto the bucketed dict path.
+    # spreads x-exponents past its gate, onto the bucketed dict path.  The
+    # last three reach the radix split's empty digits: products of tower keys
+    # reach zero base-S_n digits inside a nonzero D_b, and p^t-th powers of
+    # a multiple of S_0, S_1 or S_2, bare or times a monomial, reach zero
+    # digits D_b of base S_n^p.
     rng = random.Random(seed)
     if source == "level":
         seq = q_sequence(2)
@@ -129,6 +134,16 @@ def test_value_is_min_over_expansion(source, p, seed):
         f = rnd_poly(rng, seq.ring, max_deg=19, max_terms=6)
         f = Poly(seq.ring, {((e1 + 1) << 12, e2): c for (e1, e2), c in f.terms()}) + Y**4
         assert not packed(f)
+        inputs = [f]
+    elif source == "tower":
+        seq = p_sequence(2)
+        inputs = [rng.choice(TOWER_POLYS) * rng.choice(TOWER_POLYS)]
+    elif source in ("frob", "monomial"):
+        seq = q_sequence(p)
+        g = rnd_poly(rng, seq.ring, max_deg=p + 2) * seq.poly(rng.randint(0, 2))
+        f = g.frob(rng.randint(1, 5 - p))
+        if source == "monomial":
+            f = Poly.monomial(seq.ring, 1, rng.randint(0, p**3), rng.randint(0, p**3)) * f
         inputs = [f]
     else:
         seq = p_sequence(p) if source == "uv" else q_sequence(p)
@@ -199,6 +214,11 @@ def test_corrupted_value_table_aborts_loudly():
         assert "expansion" in message  # diagnostic dump present
 
 
+# value() packs rows with _pack_rows at p = 2; patched to pack nothing, it
+# takes the buckets
+BOTH_LAYOUTS = ((engine._pack_rows, engine._ROWS), (lambda f, d2: None, engine._BUCKETS))
+
+
 def test_packed_value_budget_names_the_dict_size(monkeypatch):
     # the rows and the buckets run one recursion, which checks each
     # quotient and remainder against the budget, so both layouts name one
@@ -214,7 +234,7 @@ def test_packed_value_budget_names_the_dict_size(monkeypatch):
         return stream(terms, kernel, *args)
 
     monkeypatch.setattr(engine, "_stream", spied)
-    for pack, kernel in ((engine._pack_rows, engine._ROWS), (lambda f, d2: None, engine._BUCKETS)):
+    for pack, kernel in BOTH_LAYOUTS:
         monkeypatch.setattr(engine, "_pack_rows", pack)
         kernels.clear()
         with support_limit(8), pytest.raises(BudgetExceededError) as info:
@@ -222,6 +242,41 @@ def test_packed_value_budget_names_the_dict_size(monkeypatch):
         sizes.append(info.value.size)
         assert kernels == {kernel}
     assert sizes[0] == sizes[1] > 8
+
+
+def test_value_budget_checks_both_radix_stages(monkeypatch):
+    # value() first divides f by S_3^2, then that remainder D_0 by S_3, and
+    # checks each quotient, then each remainder.  On this input the four
+    # sizes rise, so each limit below reaches one more check, and both
+    # layouts must name the size Poly.__divmod__ gives for that division.
+    seq = q_sequence(2)
+    f = Y**32 + Y**31 * (X + X**3 + X**6)
+    assert packed(f) and seq.index_for_degree(f.deg2()) == 3
+    key = seq.poly(3)
+    q1, d0 = divmod(f, key**2)
+    q2, r2 = divmod(d0, key)
+    sizes = [len(g.terms()) for g in (q1, d0, q2, r2)]
+    assert sizes == sorted(set(sizes))
+    for pack, kernel in BOTH_LAYOUTS:
+        monkeypatch.setattr(engine, "_pack_rows", pack)
+        for limit, want in zip([0] + sizes, sizes):
+            with support_limit(limit), pytest.raises(BudgetExceededError) as info:
+                value(f, seq)
+            assert info.value.size == want, (kernel[0].__name__, limit)
+
+
+def test_key_index_one_too_low_raises_on_the_digit_exponent(monkeypatch):
+    # a sequence that answers S_2 where S_3 is due writes y^(p^4) as
+    # S_2^(p^2) + x^(p^2): its digit exponent p^2 is no standard exponent,
+    # and both layouts must stop at that first out-of-range digit
+    assert packed(Y**16)
+    for p, pack in ((2, engine._pack_rows), (2, lambda f, d2: None), (3, engine._pack_rows)):
+        monkeypatch.setattr(engine, "_pack_rows", pack)  # p = 3 never packs
+        seq = GenSeq(ring_xy(p), Fraction(1, p), "xy")
+        index = seq.index_for_degree
+        monkeypatch.setattr(seq, "index_for_degree", lambda d2, index=index: index(d2) - 1)
+        with pytest.raises(AssertionError, match=rf"^digit exponent {p * p} >= p\^2 in base-S2 "):
+            value(Poly.var(seq.ring, "y") ** p**4, seq)
 
 
 def test_value_routes_dict_inputs_through_buckets(monkeypatch):
