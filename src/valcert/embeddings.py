@@ -9,11 +9,17 @@ extension is presented on coordinates (x,v) and embeds through the same
 image of v.  One engine on (x,y) then computes all three valuations: the
 host value, its restriction to the intermediate field, and its restriction
 to the base field.
+
+The images are built once per config and shared, as read-only mappings, by
+every embedding; ``polys.substitute`` shares the powers of them it builds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .polys import Poly, RatFunc, Ring, ring_xy, substitute
 from .values import is_prime
@@ -51,16 +57,18 @@ def _u_image(cfg: EmbeddingConfig, host: Ring) -> RatFunc:
     return RatFunc(Poly(host, {(p, 0): 1}), Poly(host, {(0, 0): 1, (p - 1, 0): -1}))
 
 
-def uv_images(cfg: EmbeddingConfig) -> dict[str, RatFunc]:
-    """Images of u and v in the host ring (x,y)."""
+@cache
+def uv_images(cfg: EmbeddingConfig) -> Mapping[str, RatFunc]:
+    """Images of u and v in the host ring (x,y), built once per config."""
     host = ring_xy(cfg.p)
-    return {"u": _u_image(cfg, host), "v": _v_image(cfg, host)}
+    return MappingProxyType({"u": _u_image(cfg, host), "v": _v_image(cfg, host)})
 
 
-def xv_images(cfg: EmbeddingConfig) -> dict[str, RatFunc]:
-    """Images of x and v in the host ring (x,y)."""
+@cache
+def xv_images(cfg: EmbeddingConfig) -> Mapping[str, RatFunc]:
+    """Images of x and v in the host ring (x,y), built once per config."""
     host = ring_xy(cfg.p)
-    return {"x": RatFunc(Poly.var(host, "x")), "v": _v_image(cfg, host)}
+    return MappingProxyType({"x": RatFunc(Poly.var(host, "x")), "v": _v_image(cfg, host)})
 
 
 def embed_uv(f: Poly | RatFunc, cfg: EmbeddingConfig) -> RatFunc:

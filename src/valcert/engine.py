@@ -29,8 +29,10 @@ digits a, as in divide-and-conquer radix conversion.  That takes about p
 passes over the dividend where one division by S_n per digit takes about
 p^2/2.  S_n^p costs nothing to build: in characteristic p the Frobenius is
 additive and fixes every coefficient in F_p, so S_n^p is S_n with every
-exponent multiplied by p.  ``expand()`` keeps the one-digit-at-a-time
-division, so the tests compare the two.
+exponent multiplied by p.  ``GenSeq.key_data`` builds the division data
+of S_n and S_n^p once per sequence and index, beside its value table.
+``expand()`` keeps the one-digit-at-a-time division, so the tests compare
+the two.
 
 ``_stream`` runs on either of two term layouts, each a division kernel with
 a size and a leaf.  At p = 2 an input is packed into rows: one Python int
@@ -63,7 +65,7 @@ from itertools import compress
 from .certificates import Certificate, check
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets, _key_data
+from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -210,20 +212,15 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
         keys.update([e2 * step + coefs[0] * e1 for e1, e2 in f._t])
         count = len(f._t)
     else:
-        keyed = {}
-        for n in range(2, top + 1):
-            deg, low = _key_data(seq.poly(n))
-            # S_n^p is S_n with every exponent times p: c^p = c on F_p
-            keyed[n] = deg, low, deg * p, [((p * b1, p * b2), c) for (b1, b2), c in low]
         rows = _pack_rows(f, d2) if p == 2 else None
         terms, kernel = (_bucket(f._t), _BUCKETS) if rows is None else (rows, _ROWS)
-        count = _stream(terms, kernel, seq, keyed, coefs, 0, keys)
+        count = _stream(terms, kernel, seq, coefs, 0, keys)
     if count != len(keys):
         raise _tie_error(f, seq)
     return Fraction(min(keys), den)
 
 
-def _stream(terms, kernel: tuple, seq: GenSeq, keyed: dict, coefs: list[int], acc: int, keys: set) -> int:
+def _stream(terms, kernel: tuple, seq: GenSeq, coefs: list[int], acc: int, keys: set) -> int:
     # The digit recursion of _expand_into on one term layout, carrying the
     # partial term value as the integer acc; adds each term's key to keys
     # and returns the number of terms, so a shortfall in len(keys) reveals
@@ -238,7 +235,7 @@ def _stream(terms, kernel: tuple, seq: GenSeq, keyed: dict, coefs: list[int], ac
         leaf(terms, coefs[0], coefs[1], acc, keys)
         return size(terms)
     n = seq.index_for_degree(d2)
-    deg, low, pdeg, plow = keyed[n]
+    deg, low, pdeg, plow = seq.key_data(n)
     step = coefs[n]
     count = 0
     for b, outer in enumerate(_digits(terms, kernel, pdeg, plow, p)):
@@ -248,7 +245,7 @@ def _stream(terms, kernel: tuple, seq: GenSeq, keyed: dict, coefs: list[int], ac
                     j = a + p * b
                     if j >= p2:
                         raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-                    count += _stream(digit, kernel, seq, keyed, coefs, acc + j * step, keys)
+                    count += _stream(digit, kernel, seq, coefs, acc + j * step, keys)
     return count
 
 

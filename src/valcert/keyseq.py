@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .polys import Poly, Ring, ring_uv, ring_xy
+from .polys import Poly, Ring, _key_data, ring_uv, ring_xy
 
 __all__ = ["GenSeq", "p_sequence", "q_sequence"]
 
@@ -39,6 +39,7 @@ class GenSeq:
         self.name = name
         self._polys: list[Poly] = [Poly.var(ring, ring.vars[0]), Poly.var(ring, ring.vars[1])]
         self._values: dict[int, Fraction] = {}
+        self._keys: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:
@@ -77,6 +78,20 @@ class GenSeq:
                 series = (p ** (4 * i) - 1) // (p**4 - 1)
                 got = self.scale * Fraction(series, p ** (2 * i))
             self._values[i] = got
+        return got
+
+    def key_data(self, n: int) -> tuple[int, list, int, list]:
+        """The division data of S_n and of S_n^p, built once per index.
+
+        (deg, low) is polys._key_data of S_n; the pair after it is the same
+        for S_n^p, which is S_n with every exponent times p, since c^p = c
+        on F_p and the Frobenius is additive.
+        """
+        got = self._keys.get(n)
+        if got is None:
+            p = self.p
+            deg, low = _key_data(self.poly(n))
+            got = self._keys[n] = deg, low, deg * p, [((p * b1, p * b2), c) for (b1, b2), c in low]
         return got
 
     def index_for_degree(self, d2: int) -> int:

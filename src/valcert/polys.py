@@ -14,7 +14,9 @@ computed on numerator and denominator separately.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from contextlib import contextmanager
+from functools import lru_cache
 
 from .values import is_prime
 
@@ -51,6 +53,8 @@ class BudgetExceededError(RuntimeError):
 
 
 _LIMIT: int | None = None
+# while _power builds, the list every _check_budget size is appended to
+_RECORD: list[int] | None = None
 
 
 @contextmanager
@@ -70,6 +74,8 @@ def support_limit(max_terms: int | None):
 
 
 def _check_budget(size: int) -> None:
+    if _RECORD is not None:
+        _RECORD.append(size)
     if _LIMIT is not None and size > _LIMIT:
         raise BudgetExceededError(size, _LIMIT)
 
@@ -586,12 +592,42 @@ class RatFunc:
         return f"RatFunc({self.ring}, {self})"
 
 
-def substitute(f: Poly | RatFunc, images: dict[str, RatFunc]) -> RatFunc:
+# the term dict of the polynomial 1; substitute compares with it, since
+# base == 1 would build a Poly and check its size against the budget
+_ONE = {(0, 0): 1}
+
+
+# Each entry holds one power of one image polynomial.  The set-up and one
+# round of a benchmark workload build 57 (oracle-mix) to 317
+# (ladder-sweep-p2-l1) distinct powers, of 139 to 4,151 terms in all.  The
+# embeddings' images have at most two terms, so an e-th power has at most
+# e + 1: with the exponents up to 729 of those inputs, 512 entries hold at
+# worst about 3.7 * 10^5 terms.  Other images are bounded only by the
+# budget each build ran under.
+@lru_cache(maxsize=512)
+def _power(base: Poly, e: int) -> tuple[Poly, tuple[int, ...]]:
+    """base**e, and the sizes its build passed to _check_budget, in order."""
+    global _RECORD
+    outer, _RECORD = _RECORD, []
+    try:
+        return base**e, tuple(_RECORD)
+    finally:
+        _RECORD = outer
+
+
+def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     """Apply the ring homomorphism sending each variable to its image.
 
     Both variables of f's ring must be mapped, to rational functions over a
     common target ring.  The result is exact; a zero denominator cannot
     arise because the image denominators are nonzero polynomials.
+
+    Powers of the images come from _power, a memo shared by every call.
+    A hit replays the budget checks of the power's build in order, so a
+    budget overflow names the size a fresh build would name, whatever ran
+    before.  A factor of one (exponent 0, or an image denominator of one)
+    is skipped: its product has the size of the part it multiplies, which
+    was checked already.
     """
     if isinstance(f, RatFunc):
         num = substitute(f.num, images)
@@ -610,19 +646,20 @@ def substitute(f: Poly | RatFunc, images: dict[str, RatFunc]) -> RatFunc:
         return RatFunc(Poly.zero(target))
     max1 = f.deg1()
     max2 = f.deg2()
-    cache: dict[tuple[int, int], Poly] = {}
 
-    def power(which: int, base: Poly, e: int) -> Poly:
-        key = (which, e)
-        if key not in cache:
-            cache[key] = base**e
-        return cache[key]
+    def times(part: Poly, base: Poly, e: int) -> Poly:
+        if e == 0 or base._t == _ONE:
+            return part
+        pw, sizes = _power(base, e)
+        for size in sizes:
+            _check_budget(size)
+        return part * pw
 
     num = Poly.zero(target)
     for (e1, e2), c in f._t.items():
         part = Poly.const(target, c)
-        part = part * power(0, img1.num, e1) * power(1, img1.den, max1 - e1)
-        part = part * power(2, img2.num, e2) * power(3, img2.den, max2 - e2)
+        part = times(times(part, img1.num, e1), img1.den, max1 - e1)
+        part = times(times(part, img2.num, e2), img2.den, max2 - e2)
         num = num + part
-    den = power(1, img1.den, max1) * power(3, img2.den, max2)
+    den = times(times(Poly.one(target), img1.den, max1), img2.den, max2)
     return RatFunc(num, den)

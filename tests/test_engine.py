@@ -199,6 +199,34 @@ def test_distinct_values_exhaustive_small():
     assert len(seen) == 17 * 4 * 4 * 4
 
 
+def test_value_builds_each_key_data_once(monkeypatch):
+    # a fresh sequence builds the division data of S_n, with S_n^p's, on the
+    # first value() that divides by it; later calls reuse it and agree.
+    # keyseq calls polys._key_data by the name it imported
+    from valcert import keyseq
+
+    built = []
+    key_data = keyseq._key_data
+
+    def spied(key):
+        built.append(key)
+        return key_data(key)
+
+    monkeypatch.setattr(keyseq, "_key_data", spied)
+    x3, y3 = Poly.var(ring_xy(3), "x"), Poly.var(ring_xy(3), "y")
+    for f, shared in (
+        ((U + V + 1) ** 20, p_sequence(2)),
+        (TOWER_POLYS[-1], p_sequence(2)),
+        ((x3 + y3 + 1) ** 10 * (y3**9 + x3), q_sequence(3)),
+    ):
+        seq = GenSeq(shared.ring, shared.scale, shared.name)
+        want = value(f, shared)
+        built.clear()
+        assert [value(f, seq) for _ in range(3)] == [want] * 3
+        # a sparse input reaches only some of S_2..S_top
+        assert len(set(built)) == len(built) and seq.poly(seq.index_for_degree(f.deg2())) in built
+
+
 def test_corrupted_value_table_aborts_loudly():
     # U + V takes the dict path, (X + Y)^5 the row kernel; each corrupts a
     # private sequence, since the shared ones serve every later test

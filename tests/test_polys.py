@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valcert.embeddings import EmbeddingConfig, uv_images, xv_images
 from valcert.polys import (
     BudgetExceededError,
     NonMonicDivisorError,
     Poly,
     RatFunc,
     RingMismatchError,
+    _power,
+    _same_ring,
     ring_uv,
+    ring_xv,
     ring_xy,
     substitute,
     support_limit,
@@ -387,8 +391,6 @@ def test_substitute_homomorphism(f, g):
 def _images(p: int) -> list[dict]:
     # the (u,v) -> (x,y) embedding's images, and images with both
     # denominators nontrivial (in x alone, which keeps sympy's gcd fast)
-    from valcert.embeddings import EmbeddingConfig, uv_images
-
     host = ring_xy(p)
     x, y = Poly.var(host, "x"), Poly.var(host, "y")
     one = Poly.one(host)
@@ -421,6 +423,120 @@ def test_substitute_matches_sympy(p, which, data):
     for (e1, e2), c in f.terms():
         want += c * u**e1 * v**e2
     assert conv(got.num) * want.denom == want.numer * conv(got.den)
+
+
+def _substitute_per_call(f, images):
+    # substitute as it was before the power memo: every call builds its own
+    # powers, in a cache of that call alone; the oracle of the tests below
+    if isinstance(f, RatFunc):
+        num = _substitute_per_call(f.num, images)
+        den = _substitute_per_call(f.den, images)
+        return num / den
+    v1, v2 = f.ring.vars
+    img1, img2 = images[v1], images[v2]
+    _same_ring(img1, img2)
+    target = img1.ring
+    if f.is_zero():
+        return RatFunc(Poly.zero(target))
+    max1 = f.deg1()
+    max2 = f.deg2()
+    cache = {}
+
+    def power(which, base, e):
+        key = (which, e)
+        if key not in cache:
+            cache[key] = base**e
+        return cache[key]
+
+    num = Poly.zero(target)
+    for (e1, e2), c in f._t.items():
+        part = Poly.const(target, c)
+        part = part * power(0, img1.num, e1) * power(1, img1.den, max1 - e1)
+        part = part * power(2, img2.num, e2) * power(3, img2.den, max2 - e2)
+        num = num + part
+    den = power(1, img1.den, max1) * power(3, img2.den, max2)
+    return RatFunc(num, den)
+
+
+def _image_sets(p: int) -> list[tuple]:
+    # (source ring, images): u's image has a monomial numerator and v's a
+    # denominator of one; the last set has two nontrivial denominators
+    cfg = EmbeddingConfig.default(p)
+    return [(ring_uv(p), uv_images(cfg)), (ring_xv(p), xv_images(cfg)), (ring_uv(p), _images(p)[1])]
+
+
+def _same_terms(got: Poly, want: Poly) -> bool:
+    # equal term dicts, listed in the same order
+    return list(got._t.items()) == list(want._t.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=2), st.booleans(), st.data())
+def test_substitute_matches_the_per_call_powers(p, which, fraction, data):
+    # the memo changes no term: numerator and denominator come out as the
+    # per-call build gives them, from a cold memo and from a warm one
+    ring, images = _image_sets(p)[which]
+    f = data.draw(poly_strategy(ring, max_deg=6, max_terms=4))
+    if fraction:
+        den = data.draw(poly_strategy(ring, max_deg=4, max_terms=3))
+        f = RatFunc(f, den) if den else RatFunc(f)
+    want = _substitute_per_call(f, images)
+    _power.cache_clear()
+    for _ in ("cold", "warm"):
+        got = substitute(f, images)
+        assert got.num == want.num and got.den == want.den
+        assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den)
+
+
+def test_embedding_images_are_read_only():
+    cfg = EmbeddingConfig.default(2)
+    host = ring_xy(2)
+    for images in (uv_images(cfg), xv_images(cfg)):
+        with pytest.raises(TypeError):
+            images["v"] = RatFunc(Poly.var(host, "y"))
+    assert uv_images(cfg) is uv_images(EmbeddingConfig.default(2))
+
+
+def _overflow(f, images, limit):
+    # the size a budget overflow names, or None when substitute finishes
+    with support_limit(limit):
+        try:
+            substitute(f, images)
+        except BudgetExceededError as err:
+            return err.size
+    return None
+
+
+def test_substitute_budget_does_not_depend_on_the_memo():
+    # a memo hit replays the budget checks of its power's build, so at every
+    # limit a cold and a warm memo both finish or name the same size.  Over
+    # F_2, (1 + x)^7, the denominator of u^7's image, checks the sizes 2, 4
+    # and 8 as it builds: at limit 3 both name 4, not the final 8.
+    rng = random.Random(13)
+    cases = [(uv_images(EmbeddingConfig.default(2)), U2**7)]
+    for p in (2, 3):
+        for ring, images in _image_sets(p):
+            x, y = (Poly.var(ring, name) for name in ring.vars)
+            for _ in range(3):
+                f = Poly(ring, {(rng.randrange(5), rng.randrange(4)): rng.randrange(1, p) for _ in range(3)})
+                cases.append((images, f))
+            cases.append((images, RatFunc(y**3, x**2 + 1)))
+    for images, f in cases:
+        named = []
+        limit = 1
+        while True:
+            _power.cache_clear()
+            cold = _overflow(f, images, limit)
+            substitute(f, images)
+            warm = _overflow(f, images, limit)
+            assert cold == warm, (str(f), limit)
+            if cold is None:
+                break
+            named.append(cold)
+            limit += 1
+        assert _overflow(f, images, limit + 1) is None
+        if f is cases[0][1]:
+            assert named == [2, 4, 4, 8, 8, 8, 8]
 
 
 def test_support_budget():
