@@ -28,11 +28,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import Certificate, check
-from .embeddings import EmbeddingConfig, embed, embed_uv
-from .engine import _first_failure, value
+from .certificates import Certificate, check, failures
+from .embeddings import EmbeddingConfig, embed, embed_uv, xv_images
+from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, ring_uv, ring_xy
+from .polys import Poly, RatFunc, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel
 from .values import INFINITY, omega
@@ -77,8 +77,7 @@ def gap_element_certificates(cfg: EmbeddingConfig) -> list[Certificate]:
     """Exact facts about h = x^p - u, and the two rational inequalities."""
     p = cfg.p
     seq = q_sequence(p)
-    host = ring_xy(p)
-    x = RatFunc(Poly.var(host, "x"))
+    x = xv_images(cfg)["x"]
     u_img = embed_uv(Poly.var(ring_uv(p), "u"), cfg)
     gap = x**p - u_img
     om = omega(p)
@@ -131,18 +130,15 @@ def build_approximants(tower: list[TowerLevel], k_max: int, cfg: EmbeddingConfig
     if len(tower) <= k_max:
         raise ValueError(f"tower has {len(tower)} levels, need {k_max + 1}")
     p = cfg.p
-    host = ring_xy(p)
-    x = RatFunc(Poly.var(host, "x"))
-    xp = x**p
+    xp = xv_images(cfg)["x"] ** p
     out = []
     h = tower[0].keys[1] ** p
     for k in range(k_max + 1):
+        sign = 1 if k % 2 == 0 else -1
         if k > 0:
-            sign = 1 if k % 2 == 0 else -1
             h = h + sign * tower[k].keys[k + 1] ** p
-        sign_k = 1 if k % 2 == 0 else -1
         lead = tower[k].keys[k + 2]
-        tail = embed_uv(h, cfg) ** p - xp - sign_k * embed_uv(lead, cfg)
+        tail = embed_uv(h, cfg) ** p - xp - sign * embed_uv(lead, cfg)
         out.append(Approximant(k=k, element=h, tail=tail))
     return out
 
@@ -150,8 +146,12 @@ def build_approximants(tower: list[TowerLevel], k_max: int, cfg: EmbeddingConfig
 def _frobenius_gap(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
     # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
     # characteristic p, and g - x expands at 1/p of the depth
-    x = RatFunc(Poly.var(ring_xy(cfg.p), "x"))
-    return cfg.p * value(embed_uv(g, cfg) - x, seq)
+    return cfg.p * value(embed_uv(g, cfg) - xv_images(cfg)["x"], seq)
+
+
+def _ceiling_value(f: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
+    # v(1/x - f) for a base-field element f, the value the ceiling bounds
+    return value(1 / xv_images(cfg)["x"] - embed_uv(f, cfg), seq)
 
 
 def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:
@@ -193,17 +193,15 @@ def gap_bound_sweep(
         if attained != bound:
             return f"attained {bound}", f"attained {attained}", False
         rng = random.Random(f"{seed}:gapbound:k={k}")
-        over, first = 0, ""
-        for n in range(samples):
-            g = random_level_element(rng, level, i_cap=k + 3)
-            if _frobenius_gap(g, cfg, host_seq) > bound:
-                over += 1
-                first = first or f"; {_first_failure(n, g=g)}"
-        ok = over == 0
+        over, first = failures(
+            samples,
+            lambda: {"g": random_level_element(rng, level, i_cap=k + 3)},
+            lambda g: _frobenius_gap(g, cfg, host_seq) > bound,
+        )
         return (
             f"{samples} samples <= {bound}; attained by approximant",
-            f"{samples - over} samples <= bound; attained {attained}{first}",
-            ok,
+            f"{samples - over} samples <= bound; attained {attained}" + (f"; {first}" if over else ""),
+            over == 0,
         )
 
     params = {"p": p, "c": cfg.c, "k": k, "samples": samples, "seed": seed}
@@ -251,8 +249,7 @@ def ceiling_check(
 
     def run():
         nonlocal got
-        x = RatFunc(Poly.var(ring_xy(p), "x"))
-        got = value(1 / x - embed_uv(f, cfg), host_seq)
+        got = _ceiling_value(f, cfg, host_seq)
         ok = got < bound and bound < crit
         return f"< {bound} < {crit}", str(got), ok
 
@@ -313,10 +310,9 @@ def dependence_report(
         nonlocal evidence
         rng = random.Random(f"{seed}:dependence")
         family = ceiling_family(rng, p_sequence(p), approximants, samples, samples)
-        inv_x = 1 / RatFunc(Poly.var(ring_xy(p), "x"))
         entries = []
         for label, f in family:
-            got = value(inv_x - embed_uv(f, cfg), seq)
+            got = _ceiling_value(f, cfg, seq)
             entries.append(EvidenceEntry(label, got, got < bound, got < crit))
         ok = all(e.below_criterion for e in entries)
         verdict = "dependent-consistent" if ok else "criterion-violated"

@@ -1,4 +1,9 @@
-"""Machine-checked certificate records and report rendering."""
+"""Machine-checked certificate records, sampled sweeps and report rendering.
+
+``check`` runs one exact check as a timed certificate, and ``failures``
+runs the sampled sweep inside one: it counts the samples that fail and names
+the first in a form the command line can replay.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .polys import BudgetExceededError
 
-__all__ = ["Certificate", "Report", "check", "PASS", "FAIL", "BUDGET"]
+__all__ = ["Certificate", "Report", "check", "failures", "PASS", "FAIL", "BUDGET"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -69,6 +74,30 @@ def check(id_: str, params: dict, fn) -> Certificate:
         expected, actual, status = "within budget", str(e), BUDGET
     elapsed = time.perf_counter() - t0
     return Certificate(id=id_, params=params, expected=expected, actual=actual, status=status, elapsed=elapsed)
+
+
+def failures(samples: int, draw, fails) -> tuple[int, str]:
+    """Run ``samples`` draws; return how many failed and the first failure.
+
+    ``draw()`` returns one sample as a dict of named elements, and
+    ``fails(**sample)`` says whether it breaks the checked property.  The
+    first failure is "" when none failed, else its index and elements,
+    which parse_expr reads back, so that `valcert value` or
+    `ascheck t2 --f` can replay it.
+    """
+    count, first = 0, ""
+    for n in range(samples):
+        sample = draw()
+        if fails(**sample):
+            count += 1
+            if not first:
+                shown = ", ".join(f"{name} = {_clip(str(x))}" for name, x in sample.items())
+                first = f"first failure: sample {n}, {shown}"
+    return count, first
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= 400 else text[:400] + " ..."
 
 
 @dataclass

@@ -14,8 +14,9 @@ Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
 --k, expand of zero, an --out that cannot be opened), named in an "error:" line.
-An --out whose directory is missing or not writable, or that names a
-directory, exits 2 before the command runs.
+An --out whose directory is missing, that names a directory, or that cannot
+be written (an existing file that is read-only, or a new file in a read-only
+directory) exits 2 before the command runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .acceptance import run_all
@@ -69,8 +70,8 @@ RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
 class RunConfig:
     p: int
     c: int | None  # None means p - 1
-    k_max: int
-    i_max: int
+    kmax: int
+    imax: int
     samples: int
     seed: int
     budget: int
@@ -82,9 +83,9 @@ class RunConfig:
             self.c = self.p - 1
         if self.c < 1 or self.c % (self.p - 1) != 0:
             raise ValueError(f"c must be a positive multiple of p-1, got {self.c}")
-        if self.k_max < 0:
+        if self.kmax < 0:
             raise ValueError("kmax must be >= 0")
-        if self.i_max < 2:
+        if self.imax < 2:
             raise ValueError("imax must be >= 2")
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
@@ -95,15 +96,9 @@ class RunConfig:
         return EmbeddingConfig(self.p, self.c)
 
     def echo(self) -> dict:
-        return {
-            "p": self.p,
-            "c": self.c,
-            "kmax": self.k_max,
-            "imax": self.i_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        # the fields, in order, are the report's config keys, which the
+        # structured digests pin
+        return asdict(self)
 
 
 def nonnegative_int(text: str) -> int:
@@ -198,28 +193,28 @@ def cmd_expand(cfg: RunConfig, args, report: Report) -> str | None:
 
 def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
     seq = p_sequence(cfg.p)
-    levels = build_tower(cfg.p, cfg.k_max, cfg.i_max)
+    levels = build_tower(cfg.p, cfg.kmax, cfg.imax)
     extra = []
     for level in levels:
         report.certificates.append(verify_unit_descent(level, seq))
-        for i in range(cfg.i_max + 1):
+        for i in range(cfg.imax + 1):
             report.certificates.append(verify_value_formula(level, i, seq))
             if args.dump_values:
                 extra.append(f"k={level.k} i={i} value {value(level.keys[i], seq)}")
-        for i in range(2, cfg.i_max + 1):
+        for i in range(2, cfg.imax + 1):
             report.certificates.append(verify_twisted_recursion(level, i, seq))
             report.certificates.append(verify_drift_recursion(level, i, seq))
     return "\n".join(extra) + "\n" if extra else None
 
 
 def _ladder(cfg: RunConfig, k_max: int):
-    tower = build_tower(cfg.p, k_max, max(cfg.i_max, k_max + 2))
+    tower = build_tower(cfg.p, k_max, max(cfg.imax, k_max + 2))
     return tower, build_approximants(tower, k_max, cfg.embedding())
 
 
 def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     if args.what == "t1":
-        k = cfg.k_max if args.k is None else args.k
+        k = cfg.kmax if args.k is None else args.k
         report.extend(gap_element_certificates(cfg.embedding()))
         tower, apprs = _ladder(cfg, k)
         for appr in apprs:
@@ -228,7 +223,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             report.certificates.append(gap_bound_sweep(tower[k], apprs[k], cfg.embedding(), cfg.samples, cfg.seed))
         return None
     if args.what == "t2":
-        _, apprs = _ladder(cfg, min(cfg.k_max, 1))
+        _, apprs = _ladder(cfg, min(cfg.kmax, 1))
         if args.f is not None:
             _, cert = ceiling_check(parse_expr(args.f, ring_uv(cfg.p)), cfg.embedding(), args.f)
             report.certificates.append(cert)
@@ -241,7 +236,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             report.certificates.append(cert)
         return None
     # report
-    _, apprs = _ladder(cfg, cfg.k_max)
+    _, apprs = _ladder(cfg, cfg.kmax)
     evidence, cert = dependence_report(cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed)
     report.certificates.append(cert)
     if evidence is None:
@@ -266,7 +261,7 @@ def cmd_fuzz(cfg: RunConfig, args, report: Report) -> str | None:
 
 def cmd_selftest(cfg: RunConfig, args, report: Report) -> str | None:
     lines = []
-    for n, description, certs in run_all(seed=cfg.seed, k_max=cfg.k_max):
+    for n, description, certs in run_all(seed=cfg.seed, k_max=cfg.kmax):
         report.extend(certs)
         ok = all(c.passed for c in certs)
         lines.append(f"criterion {n:>2} {'PASS' if ok else 'FAIL'}  {description} ({len(certs)} certificates)")
@@ -292,7 +287,9 @@ def _out_error(path: str) -> OSError | None:
     parent = os.path.dirname(path) or os.curdir
     if not os.path.isdir(parent):
         return FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if not os.access(parent, os.W_OK):
+    # an existing file is written in place, so its own mode decides; only
+    # a file still to be created needs a writable directory
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         return PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     return None
 
@@ -304,8 +301,8 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             p=args.p,
             c=args.c,
-            k_max=args.kmax,
-            i_max=args.imax,
+            kmax=args.kmax,
+            imax=args.imax,
             samples=args.samples,
             seed=_resolve_seed(args),
             budget=args.budget,

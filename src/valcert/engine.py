@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .certificates import Certificate, check
+from .certificates import Certificate, _clip, check, failures
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets
@@ -351,17 +351,6 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
     raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
-def _clip(text: str) -> str:
-    return text if len(text) <= 400 else text[:400] + " ..."
-
-
-def _first_failure(n: int, **named) -> str:
-    # the index and rendering of a failing sample, which parse_expr reads
-    # back, so that `valcert value` or `ascheck t2 --f` can replay it
-    shown = ", ".join(f"{name} = {_clip(str(x))}" for name, x in named.items())
-    return f"first failure: sample {n}, {shown}"
-
-
 def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
@@ -386,13 +375,11 @@ def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 
     def run():
         rng = random.Random(f"{seed}:mult:{seq.name}")
-        bad, first = 0, ""
-        for n in range(samples):
-            f = random_poly(rng, seq.ring, 8, 5)
-            g = random_poly(rng, seq.ring, 8, 5)
-            if value(f * g, seq) != value(f, seq) + value(g, seq):
-                bad += 1
-                first = first or _first_failure(n, f=f, g=g)
+        bad, first = failures(
+            samples,
+            lambda: {"f": random_poly(rng, seq.ring, 8, 5), "g": random_poly(rng, seq.ring, 8, 5)},
+            lambda f, g: value(f * g, seq) != value(f, seq) + value(g, seq),
+        )
         want = f"{samples} products split"
         return want, f"{samples - bad} split; {first}" if bad else want, bad == 0
 
@@ -406,19 +393,18 @@ def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
     """value(f+g) >= min of values, with equality whenever the values differ."""
 
+    def fails(f: Poly, g: Poly) -> bool:
+        s = f + g
+        vf, vg = value(f, seq), value(g, seq)
+        lo = vf if vf <= vg else vg
+        vs = value(s, seq)
+        return vs < lo or (vf != vg and vs != lo)
+
     def run():
         rng = random.Random(f"{seed}:ultra:{seq.name}")
-        bad, first = 0, ""
-        for n in range(samples):
-            f = random_poly(rng, seq.ring, 8, 5)
-            g = random_poly(rng, seq.ring, 8, 5)
-            s = f + g
-            vf, vg = value(f, seq), value(g, seq)
-            lo = vf if vf <= vg else vg
-            vs = value(s, seq)
-            if vs < lo or (vf != vg and vs != lo):
-                bad += 1
-                first = first or _first_failure(n, f=f, g=g)
+        bad, first = failures(
+            samples, lambda: {"f": random_poly(rng, seq.ring, 8, 5), "g": random_poly(rng, seq.ring, 8, 5)}, fails
+        )
         want = f"{samples} sums dominated"
         return want, f"{samples - bad} dominated; {first}" if bad else want, bad == 0
 
@@ -436,12 +422,11 @@ def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
         rng = random.Random(f"{seed}:cross:{c}")
         seq, host = p_sequence(p), q_sequence(p)
         cfg = EmbeddingConfig(p, c)
-        bad, first = 0, ""
-        for n in range(samples):
-            f = random_ratfunc(rng, seq.ring)
-            if value(f, seq) != value(embed_uv(f, cfg), host):
-                bad += 1
-                first = first or _first_failure(n, f=f)
+        bad, first = failures(
+            samples,
+            lambda: {"f": random_ratfunc(rng, seq.ring)},
+            lambda f: value(f, seq) != value(embed_uv(f, cfg), host),
+        )
         want = f"{samples} restrictions agree"
         return want, f"{samples - bad} agree; {first}" if bad else want, bad == 0
 

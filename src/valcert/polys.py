@@ -53,8 +53,6 @@ class BudgetExceededError(RuntimeError):
 
 
 _LIMIT: int | None = None
-# while _power builds, the list every _check_budget size is appended to
-_RECORD: list[int] | None = None
 
 
 @contextmanager
@@ -74,8 +72,6 @@ def support_limit(max_terms: int | None):
 
 
 def _check_budget(size: int) -> None:
-    if _RECORD is not None:
-        _RECORD.append(size)
     if _LIMIT is not None and size > _LIMIT:
         raise BudgetExceededError(size, _LIMIT)
 
@@ -597,22 +593,17 @@ class RatFunc:
 _ONE = {(0, 0): 1}
 
 
-# Each entry holds one power of one image polynomial.  The set-up and one
-# round of a benchmark workload build 57 (oracle-mix) to 317
-# (ladder-sweep-p2-l1) distinct powers, of 139 to 4,151 terms in all.  The
-# embeddings' images have at most two terms, so an e-th power has at most
-# e + 1: with the exponents up to 729 of those inputs, 512 entries hold at
-# worst about 3.7 * 10^5 terms.  Other images are bounded only by the
-# budget each build ran under.
+# Each entry holds one power of one image polynomial, built under one
+# budget limit.  The set-up and one round of a benchmark workload build 57
+# (oracle-mix) to 317 (ladder-sweep-p2-l1) distinct powers, of 139 to 4,151
+# terms in all.  The embeddings' images have at most two terms, so an e-th
+# power has at most e + 1: with the exponents up to 729 of those inputs,
+# 512 entries hold at worst about 3.7 * 10^5 terms.  Other images are
+# bounded only by the budget each build ran under.
 @lru_cache(maxsize=512)
-def _power(base: Poly, e: int) -> tuple[Poly, tuple[int, ...]]:
-    """base**e, and the sizes its build passed to _check_budget, in order."""
-    global _RECORD
-    outer, _RECORD = _RECORD, []
-    try:
-        return base**e, tuple(_RECORD)
-    finally:
-        _RECORD = outer
+def _power(base: Poly, e: int, limit: int | None) -> Poly:
+    """base**e; limit, the budget limit its build runs under, only keys the entry."""
+    return base**e
 
 
 def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
@@ -622,12 +613,14 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     common target ring.  The result is exact; a zero denominator cannot
     arise because the image denominators are nonzero polynomials.
 
-    Powers of the images come from _power, a memo shared by every call.
-    A hit replays the budget checks of the power's build in order, so a
-    budget overflow names the size a fresh build would name, whatever ran
-    before.  A factor of one (exponent 0, or an image denominator of one)
-    is skipped: its product has the size of the part it multiplies, which
-    was checked already.
+    Powers of the images come from _power, a memo shared by every call
+    and kept per budget limit.  An entry exists only when its build passed
+    every check under that limit, and a build that raised leaves none, so a
+    hit skips only checks that a fresh build would pass again: a budget
+    overflow names the size a fresh build names, whatever ran before.  A
+    factor of one (exponent 0, or an image denominator of one) is skipped:
+    its product has the size of the part it multiplies, which was checked
+    already.
     """
     if isinstance(f, RatFunc):
         num = substitute(f.num, images)
@@ -650,10 +643,7 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     def times(part: Poly, base: Poly, e: int) -> Poly:
         if e == 0 or base._t == _ONE:
             return part
-        pw, sizes = _power(base, e)
-        for size in sizes:
-            _check_budget(size)
-        return part * pw
+        return part * _power(base, e, _LIMIT)
 
     num = Poly.zero(target)
     for (e1, e2), c in f._t.items():

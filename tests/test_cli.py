@@ -111,6 +111,33 @@ def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp
     assert kept.read_text() == "earlier report\n"
 
 
+def test_out_permission_is_checked_on_the_file_it_writes(capsys, monkeypatch, tmp_path):
+    # os.access is patched, since a root user passes every real permission
+    # check.  An existing file is written in place, so a read-only one
+    # exits 2 before the command runs, and a writable one may sit in a
+    # read-only directory
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "selftest", never)
+    readonly = tmp_path / "readonly.json"
+    readonly.write_text("earlier report\n")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: str(path) != str(readonly))
+    code, out, err = run_cli(["--out", str(readonly), "selftest"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Permission denied" in err and str(readonly) in err
+    assert readonly.read_text() == "earlier report\n"
+
+    writable = tmp_path / "writable.json"
+    writable.write_text("earlier report\n")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: str(path) != str(tmp_path))
+    code, _, err = run_cli(["--out", str(writable), "value", "v^4+u"], capsys)
+    assert code == 0 and err == ""
+    assert writable.read_text().strip() == "17/16"
+    code, _, err = run_cli(["--out", str(tmp_path / "new.json"), "value", "u"], capsys)
+    assert code == 2 and "Permission denied" in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

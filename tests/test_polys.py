@@ -508,10 +508,12 @@ def _overflow(f, images, limit):
 
 
 def test_substitute_budget_does_not_depend_on_the_memo():
-    # a memo hit replays the budget checks of its power's build, so at every
-    # limit a cold and a warm memo both finish or name the same size.  Over
-    # F_2, (1 + x)^7, the denominator of u^7's image, checks the sizes 2, 4
-    # and 8 as it builds: at limit 3 both name 4, not the final 8.
+    # the memo is keyed on the budget limit, and a build that raised leaves
+    # no entry, so a hit stands for checks that passed under the same limit:
+    # at every limit a cold memo, one warmed with no limit, and one warmed
+    # by the same limit all finish or name the same size.  Over F_2,
+    # (1 + x)^7, the denominator of u^7's image, checks the sizes 2, 4 and
+    # 8 as it builds: at limit 3 all name 4, not the final 8.
     rng = random.Random(13)
     cases = [(uv_images(EmbeddingConfig.default(2)), U2**7)]
     for p in (2, 3):
@@ -529,7 +531,8 @@ def test_substitute_budget_does_not_depend_on_the_memo():
             cold = _overflow(f, images, limit)
             substitute(f, images)
             warm = _overflow(f, images, limit)
-            assert cold == warm, (str(f), limit)
+            again = _overflow(f, images, limit)
+            assert cold == warm == again, (str(f), limit)
             if cold is None:
                 break
             named.append(cold)
@@ -537,6 +540,23 @@ def test_substitute_budget_does_not_depend_on_the_memo():
         assert _overflow(f, images, limit + 1) is None
         if f is cases[0][1]:
             assert named == [2, 4, 4, 8, 8, 8, 8]
+
+
+def test_power_memo_is_keyed_on_the_budget_limit():
+    # u^5 takes the powers x^10 and (1 + x)^5 of u's image: built with no
+    # limit, both miss under a limit, and both hit when called again there
+    f = Poly.var(ring_uv(2), "u") ** 5
+    images = uv_images(EmbeddingConfig.default(2))
+    _power.cache_clear()
+    substitute(f, images)
+    unlimited = _power.cache_info()
+    with support_limit(100):
+        substitute(f, images)
+        first = _power.cache_info()
+        substitute(f, images)
+        second = _power.cache_info()
+    assert (first.hits, first.misses) == (unlimited.hits, unlimited.misses + 2)
+    assert (second.hits, second.misses) == (first.hits + 2, first.misses)
 
 
 def test_support_budget():
