@@ -129,7 +129,7 @@ class Poly:
     Immutable after construction; no zero coefficients are ever stored.
     """
 
-    __slots__ = ("ring", "_t")
+    __slots__ = ("ring", "_t", "_hash")  # _hash is filled by the first __hash__
 
     def __init__(self, ring: Ring, terms=None):
         p = ring.p
@@ -335,7 +335,11 @@ class Poly:
         return self.ring == other.ring and self._t == other._t
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._t.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.ring, frozenset(self._t.items()))))
+            return self._hash
 
     def __str__(self):
         if not self._t:

@@ -5,7 +5,9 @@ the regular parameters u_k, v_k, the shifted chart coordinate s_k, the
 descent unit in u = u_k^(p^(2k)) * unit, the level's key polynomials, the
 unit factors of the twisted key recursion, and the drift terms of the
 untwisted recursion.  Keeping one common ring makes every claimed identity
-checkable as an exact cross-multiplied polynomial equality.
+checkable as an exact cross-multiplied polynomial equality.  K_(k,i) and
+K_(k,i-1)^(p^2) share one denominator at every level, so the twisted
+recursion is compared as their difference, which builds no product.
 
 Level recursion (k >= 1, from level k-1):
 
@@ -169,6 +171,12 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
                         K_(k,i) = K_(k,i-1)^(p^2) - gamma * K_(k,0)^(p^(2(i-2))) * K_(k,i-2)
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
+
+    The identity is compared as K_(k,i) - K_(k,i-1)^(p^2) = -gamma * ...
+    The left side adds two numerators over their shared denominator (90
+    and 54 terms at k = 5, i = 6 of build_tower(2, 5, 6)), where the right
+    side as written is a 25,992/2,736-term fraction before the equality
+    cross-multiplies it.
     """
     if i < 2:
         raise ValueError("twisted recursion starts at index 2")
@@ -177,11 +185,12 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
 
     def run():
         gamma = level.unit_factors[i]
+        keys = level.keys
         if i == 2:
-            rhs = level.keys[1].frob(2) - gamma * level.keys[0]
+            twist = gamma * keys[0]
         else:
-            rhs = level.keys[i - 1].frob(2) - gamma * level.keys[0] ** (p ** (2 * (i - 2))) * level.keys[i - 2]
-        identity = level.keys[i] == rhs
+            twist = gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
+        identity = keys[i] - keys[i - 1].frob(2) == -twist
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
         floor = Fraction(2, p ** (2 * (k + 1)))

@@ -208,7 +208,9 @@ def test_gf2_product_matches_dict_loop_and_sympy():
 
 def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
     # the two sides of every k = 4 twisted- and drift-recursion identity of
-    # build_tower(2, 4, 4), as the certificates hand them to RatFunc.__eq__
+    # build_tower(2, 4, 4), as the certificates hand them to RatFunc.__eq__:
+    # K_i - K_(i-1)^(p^2) against -gamma * K_0^(p^(2(i-2))) * K_(i-2) for
+    # the twisted one, K_i against its whole recursion for the drift one
     from valcert.tower import build_tower, verify_drift_recursion, verify_twisted_recursion
 
     level = build_tower(2, 4, 4)[4]
@@ -262,7 +264,8 @@ def test_packed_equality_matches_poly_products():
 
 def test_packed_equality_budget_names_the_poly_product_sizes():
     # under a budget, == raises with the size the Poly products would name,
-    # the left one first: below both sizes, and between them either way
+    # the left one first: below both sizes, and between them either way.
+    # The last pair is the drift identity at i = 4
     a, b = _recursion_sides()[-1]
     b = _toggled(b)
     left, right = (a.num * b.den).support_size, (b.num * a.den).support_size
@@ -557,6 +560,28 @@ def test_power_memo_is_keyed_on_the_budget_limit():
         second = _power.cache_info()
     assert (first.hits, first.misses) == (unlimited.hits, unlimited.misses + 2)
     assert (second.hits, second.misses) == (first.hits + 2, first.misses)
+
+
+def test_equal_polys_hash_alike_by_every_route():
+    # a Poly keeps its hash after the first __hash__; equal polynomials built
+    # through __init__, _make, frob and arithmetic still hash alike, and
+    # the power memo hits on any of them once one has been built
+    for ring, a, b, c in ((R2, U2, V2, 1), (R3, U3, V3, 2)):
+        p = ring.p
+        terms = {(p, 0): 1, (0, p): c}
+        routes = [
+            Poly(ring, terms),
+            Poly._make(ring, dict(terms)),
+            (a + c * b).frob(1),
+            (a + c * b) ** p,
+            a**p + (b + a) ** p - a**p - b**p + c * b**p,
+        ]
+        assert len({*routes}) == 1
+        assert len({hash(f) for f in routes} | {hash(f) for f in routes}) == 1
+        _power.cache_clear()
+        built = [_power(f, 7, None) for f in routes]
+        assert all(g is built[0] for g in built)
+        assert (_power.cache_info().hits, _power.cache_info().misses) == (len(routes) - 1, 1)
 
 
 def test_support_budget():

@@ -1,5 +1,6 @@
 """Tower construction: exact identities, value formulas, bounds."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from valcert.engine import value
 from valcert.keyseq import p_sequence
 from valcert.parsing import parse_expr
-from valcert.polys import BudgetExceededError, RatFunc, ring_uv, support_limit
+from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, support_limit
 from valcert.tower import (
     build_tower,
     drift_bound,
@@ -27,6 +28,11 @@ def tower2():
 @pytest.fixture(scope="module")
 def tower3():
     return build_tower(3, 1, 3)
+
+
+@pytest.fixture(scope="module")
+def tower4():
+    return build_tower(2, 4, 4)
 
 
 def test_level_one_explicit(tower2):
@@ -53,12 +59,44 @@ def test_unit_descent(tower2, tower3):
             assert cert.passed, cert.actual
 
 
-def test_twisted_recursion(tower2, tower3):
-    for tw, i_max in ((tower2, 4), (tower3, 3)):
+def _textbook_twisted(level, i):
+    # the recursion as written, K_i == K_(i-1)^(p^2) - gamma * ...: the
+    # oracle of the arrangement verify_twisted_recursion compares
+    p, keys, gamma = level.p, level.keys, level.unit_factors[i]
+    if i == 2:
+        return keys[2] == keys[1].frob(2) - gamma * keys[0]
+    return keys[i] == keys[i - 1].frob(2) - gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
+
+
+def test_twisted_recursion(tower4, tower3):
+    # every certificate agrees with the textbook arrangement, with gamma
+    # intact and with one numerator term of gamma toggled
+    for tw, i_max in ((tower4, 4), (tower3, 3)):
         for level in tw:
             for i in range(2, i_max + 1):
-                cert = verify_twisted_recursion(level, i)
-                assert cert.passed, (level.k, i, cert.actual)
+                # the compared difference adds over one denominator only
+                # while this holds; it is what keeps the check cheap
+                assert level.keys[i - 1].frob(2).den == level.keys[i].den, (level.k, i)
+                gamma = level.unit_factors[i]
+                (e1, e2), _ = gamma.num.terms()[0]
+                toggled = RatFunc(gamma.num + Poly.monomial(gamma.ring, 1, e1, e2), gamma.den)
+                for g, holds in ((gamma, True), (toggled, False)):
+                    bent = replace(level, unit_factors={**level.unit_factors, i: g})
+                    assert _textbook_twisted(bent, i) is holds, (level.k, i)
+                    cert = verify_twisted_recursion(bent, i)
+                    assert cert.passed is holds, (level.k, i, cert.actual)
+                    assert cert.actual.startswith("identity;") is holds, (level.k, i, cert.actual)
+
+
+def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(tower4):
+    # at k = 4, i = 3 the largest support built is 1,248 terms in the
+    # textbook arrangement and 972 in the compared one
+    level = tower4[4]
+    with support_limit(1100):
+        cert = verify_twisted_recursion(level, 3)
+        assert cert.passed, cert.actual
+        with pytest.raises(BudgetExceededError):
+            _textbook_twisted(level, 3)
 
 
 def test_twisted_recursion_offset_value(tower2):
