@@ -141,7 +141,7 @@ def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
     apprs = build_approximants(tower, 1, cfg)
     certs = []
     expect = {"0": "-1/2", "1/approximant[0]": "-15/32", "1/approximant[1]": "-239/512"}
-    family = ceiling_family(random.Random(f"{seed}:accept7"), p_sequence(2), apprs, 50, 50)
+    family = ceiling_family(random.Random(f"{seed}:accept7"), apprs, 50, 50)
     for label, f in family:
         got, cert = ceiling_check(f, cfg, label)
         if label in expect and cert.passed and str(got) != expect[label]:

@@ -210,7 +210,6 @@ def gap_bound_sweep(
 
 def ceiling_family(
     rng: random.Random,
-    base_seq: GenSeq,
     approximants: list[Approximant],
     pinned: int,
     generic: int,
@@ -222,6 +221,7 @@ def ceiling_family(
     the ladder bound); and ``generic`` seeded random elements, drawn in that
     order from ``rng``.
     """
+    base_seq = p_sequence(approximants[0].element.ring.p)
     uv = base_seq.ring
     family = [("0", RatFunc(Poly.zero(uv)))]
     family += [(f"1/approximant[{a.k}]", 1 / a.element) for a in approximants]
@@ -290,8 +290,8 @@ class DefectEvidence:
 def dependence_report(
     cfg: EmbeddingConfig,
     approximants: list[Approximant],
-    samples: int = 40,
-    seed: int = 0,
+    samples: int,
+    seed: int,
 ) -> tuple[DefectEvidence | None, Certificate]:
     """Run the ceiling check over the ceiling family, ``samples`` of each kind.
 
@@ -309,7 +309,7 @@ def dependence_report(
     def run():
         nonlocal evidence
         rng = random.Random(f"{seed}:dependence")
-        family = ceiling_family(rng, p_sequence(p), approximants, samples, samples)
+        family = ceiling_family(rng, approximants, samples, samples)
         entries = []
         for label, f in family:
             got = _ceiling_value(f, cfg, seq)

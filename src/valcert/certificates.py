@@ -11,6 +11,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
 from .polys import BudgetExceededError
 
 __all__ = ["Certificate", "Report", "check", "failures", "PASS", "FAIL", "BUDGET"]
@@ -104,13 +105,8 @@ def _clip(text: str) -> str:
 class Report:
     """A flat list of certificates plus the run header."""
 
-    tool: str
-    version: str
     config: dict
     certificates: list[Certificate] = field(default_factory=list)
-
-    def extend(self, certs) -> None:
-        self.certificates.extend(certs)
 
     @property
     def warnings(self) -> list[str]:
@@ -121,8 +117,8 @@ class Report:
 
     def to_json(self) -> str:
         doc = {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "valcert",
+            "version": __version__,
             "config": self.config,
             "warnings": self.warnings,
             "certificates": [c.to_record() for c in self.certificates],
@@ -130,7 +126,7 @@ class Report:
         return json.dumps(doc, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"{self.tool} {self.version}  config={self.config}"]
+        lines = [f"valcert {__version__}  config={self.config}"]
         lines += [c.text_row() + f"  [{c.elapsed:.3f}s]" for c in self.certificates]
         n_pass = sum(c.passed for c in self.certificates)
         n_fail = sum(c.failed for c in self.certificates)

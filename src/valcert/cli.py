@@ -26,11 +26,9 @@ import errno
 import os
 import random
 import sys
-import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
-from . import __version__
 from .acceptance import run_all
 from .artin_schreier import (
     build_approximants,
@@ -42,7 +40,7 @@ from .artin_schreier import (
     gap_element_certificates,
     verify_approximant_gap,
 )
-from .certificates import Certificate, Report
+from .certificates import BUDGET, Report, check
 from .embeddings import EmbeddingConfig
 from .engine import (
     expand,
@@ -53,7 +51,7 @@ from .engine import (
 )
 from .keyseq import p_sequence, q_sequence
 from .parsing import ParseError, parse_expr
-from .polys import BudgetExceededError, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
+from .polys import RatFunc, ring_uv, ring_xv, ring_xy, support_limit
 from .tower import (
     build_tower,
     verify_drift_recursion,
@@ -61,7 +59,6 @@ from .tower import (
     verify_unit_descent,
     verify_value_formula,
 )
-from .values import is_prime
 
 RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
 
@@ -69,7 +66,7 @@ RINGS = {"uv": ring_uv, "xy": ring_xy, "xv": ring_xv}
 @dataclass
 class RunConfig:
     p: int
-    c: int | None  # None means p - 1
+    c: int
     kmax: int
     imax: int
     samples: int
@@ -77,12 +74,7 @@ class RunConfig:
     budget: int
 
     def validate(self) -> None:
-        if not is_prime(self.p) or self.p > 7:
-            raise ValueError(f"p must be a prime <= 7, got {self.p}")
-        if self.c is None:
-            self.c = self.p - 1
-        if self.c < 1 or self.c % (self.p - 1) != 0:
-            raise ValueError(f"c must be a positive multiple of p-1, got {self.c}")
+        self.embedding()  # raises if p or c breaks its rule
         if self.kmax < 0:
             raise ValueError("kmax must be >= 0")
         if self.imax < 2:
@@ -215,7 +207,7 @@ def _ladder(cfg: RunConfig, k_max: int):
 def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     if args.what == "t1":
         k = cfg.kmax if args.k is None else args.k
-        report.extend(gap_element_certificates(cfg.embedding()))
+        report.certificates.extend(gap_element_certificates(cfg.embedding()))
         tower, apprs = _ladder(cfg, k)
         for appr in apprs:
             report.certificates.append(verify_approximant_gap(appr, cfg.embedding()))
@@ -230,7 +222,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             return None
         half = cfg.samples // 2
         rng = random.Random(f"{cfg.seed}:t2")
-        family = ceiling_family(rng, p_sequence(cfg.p), apprs, half, cfg.samples - half)
+        family = ceiling_family(rng, apprs, half, cfg.samples - half)
         for label, f in family:
             _, cert = ceiling_check(f, cfg.embedding(), label)
             report.certificates.append(cert)
@@ -262,7 +254,7 @@ def cmd_fuzz(cfg: RunConfig, args, report: Report) -> str | None:
 def cmd_selftest(cfg: RunConfig, args, report: Report) -> str | None:
     lines = []
     for n, description, certs in run_all(seed=cfg.seed, k_max=cfg.kmax):
-        report.extend(certs)
+        report.certificates.extend(certs)
         ok = all(c.passed for c in certs)
         lines.append(f"criterion {n:>2} {'PASS' if ok else 'FAIL'}  {description} ({len(certs)} certificates)")
     return "\n".join(lines) + "\n"
@@ -300,7 +292,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(
             p=args.p,
-            c=args.c,
+            c=args.p - 1 if args.c is None else args.c,
             kmax=args.kmax,
             imax=args.imax,
             samples=args.samples,
@@ -315,22 +307,24 @@ def main(argv=None) -> int:
     if unwritable is not None:
         print(f"error: {unwritable}", file=sys.stderr)
         return 2
-    report = Report(tool="valcert", version=__version__, config=cfg.echo())
-    t0 = time.perf_counter()
+    report = Report(config=cfg.echo())
+    text = None
+
+    def run():
+        # the whole command is one timed check, so an overflow outside
+        # every certificate ends it in one record named after it
+        nonlocal text
+        text = COMMANDS[args.command](cfg, args, report)
+        return "", "", True
+
     try:
         with support_limit(cfg.budget):
-            text = COMMANDS[args.command](cfg, args, report)
+            whole = check(args.command, cfg.echo(), run)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except BudgetExceededError as e:
-        # an overflow outside every certificate ends the command in one
-        # timed record named after it
-        elapsed = time.perf_counter() - t0
-        report.certificates.append(
-            Certificate(args.command, cfg.echo(), "within budget", str(e), "budget-exceeded", elapsed)
-        )
-        text = None
+    if whole.status == BUDGET:
+        report.certificates.append(whole)
     try:
         sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
     except OSError as e:

@@ -22,7 +22,7 @@ from functools import cache
 from types import MappingProxyType
 
 from .polys import Poly, RatFunc, Ring, ring_xy, substitute
-from .values import is_prime
+from .values import check_p
 
 __all__ = ["EmbeddingConfig", "uv_images", "xv_images", "embed_uv", "embed_xv", "embed"]
 
@@ -35,12 +35,9 @@ class EmbeddingConfig:
     c: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
-        if self.c % (self.p - 1) != 0:
-            raise ValueError(f"(p-1)={self.p - 1} must divide c={self.c}")
+        check_p(self.p)
+        if self.c < 1 or self.c % (self.p - 1) != 0:
+            raise ValueError(f"c must be a positive multiple of p-1, got {self.c}")
 
     @classmethod
     def default(cls, p: int) -> "EmbeddingConfig":

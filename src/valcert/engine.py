@@ -65,7 +65,7 @@ from itertools import compress
 from .certificates import Certificate, _clip, check, failures
 from .embeddings import EmbeddingConfig, embed_uv
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _bucket, _check_budget, _divmod_buckets
+from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -351,7 +351,7 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
     raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
-def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
+def cross_check(f: Poly | RatFunc, c: int) -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
     The host valuation restricts to the base one, so the two independently
@@ -360,7 +360,7 @@ def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     if isinstance(f, Poly):
         f = RatFunc(f)
     p = f.ring.p
-    ident = label or str(f)
+    ident = str(f)
 
     def run():
         base = value(f, p_sequence(p))
@@ -370,6 +370,11 @@ def cross_check(f: Poly | RatFunc, c: int, label: str = "") -> Certificate:
     return check(f"engine/restriction/c={c}/{ident}", {"p": p, "c": c, "f": ident}, run)
 
 
+def _pair(rng: random.Random, ring: Ring) -> dict:
+    # one (f, g) draw of the multiplicativity and ultrametric sweeps
+    return {"f": random_poly(rng, ring, 8, 5), "g": random_poly(rng, ring, 8, 5)}
+
+
 def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
     """value(f*g) == value(f) + value(g) over seeded random pairs."""
 
@@ -377,7 +382,7 @@ def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
         rng = random.Random(f"{seed}:mult:{seq.name}")
         bad, first = failures(
             samples,
-            lambda: {"f": random_poly(rng, seq.ring, 8, 5), "g": random_poly(rng, seq.ring, 8, 5)},
+            lambda: _pair(rng, seq.ring),
             lambda f, g: value(f * g, seq) != value(f, seq) + value(g, seq),
         )
         want = f"{samples} products split"
@@ -402,9 +407,7 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 
     def run():
         rng = random.Random(f"{seed}:ultra:{seq.name}")
-        bad, first = failures(
-            samples, lambda: {"f": random_poly(rng, seq.ring, 8, 5), "g": random_poly(rng, seq.ring, 8, 5)}, fails
-        )
+        bad, first = failures(samples, lambda: _pair(rng, seq.ring), fails)
         want = f"{samples} sums dominated"
         return want, f"{samples - bad} dominated; {first}" if bad else want, bad == 0
 

@@ -28,6 +28,9 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*^/()")
+# str.isdigit also takes digits such as '²', which int() rejects, and
+# Arabic-Indic ones, which int() reads; an INT is ASCII only
+_DIGITS = set("0123456789")
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -39,9 +42,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(("int", text[i:j], i))
             i = j

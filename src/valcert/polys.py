@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import lru_cache
 
-from .values import is_prime
+from .values import check_p
 
 __all__ = [
     "Ring",
@@ -82,10 +82,7 @@ class Ring:
     __slots__ = ("p", "vars")
 
     def __init__(self, p: int, vars: tuple[str, str]):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p > 7:
-            raise ValueError("only small primes (p <= 7) are supported")
+        check_p(p)
         if len(vars) != 2 or vars[0] == vars[1]:
             raise ValueError("need two distinct variable names")
         object.__setattr__(self, "p", p)

@@ -24,8 +24,8 @@ __all__ = [
 def random_poly(
     rng: random.Random,
     ring: Ring,
-    max_deg: int = 6,
-    max_terms: int = 4,
+    max_deg: int,
+    max_terms: int,
     nonzero: bool = True,
 ) -> Poly:
     while True:
@@ -38,9 +38,9 @@ def random_poly(
             return f
 
 
-def random_ratfunc(rng: random.Random, ring: Ring, max_deg: int = 5) -> RatFunc:
-    num = random_poly(rng, ring, max_deg, 4)
-    den = random_poly(rng, ring, max_deg, 3)
+def random_ratfunc(rng: random.Random, ring: Ring) -> RatFunc:
+    num = random_poly(rng, ring, 5, 4)
+    den = random_poly(rng, ring, 5, 3)
     return RatFunc(num, den)
 
 

@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["INFINITY", "omega", "is_prime"]
+__all__ = ["INFINITY", "omega", "check_p"]
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; the engine only meets small primes."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def check_p(p: int) -> None:
+    """The one rule on the characteristic: p is a prime <= 7."""
+    if p not in (2, 3, 5, 7):
+        raise ValueError(f"p must be a prime <= 7, got {p}")
 
 
 class _Infinity:
@@ -82,6 +76,5 @@ INFINITY = _Infinity()
 
 def omega(p: int) -> Fraction:
     """Tail constant p^4 / (p^4 - 1), the sum of the geometric series in p^-4."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_p(p)
     return Fraction(p**4, p**4 - 1)

@@ -8,6 +8,9 @@ import pytest
 from valcert import cli
 from valcert.certificates import Certificate, Report
 from valcert.cli import main
+from valcert.embeddings import EmbeddingConfig
+from valcert.polys import ring_uv
+from valcert.values import omega
 
 
 def run_cli(argv, capsys):
@@ -90,6 +93,42 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     code, out, err = run_cli(["--out", str(missing), "value", "u"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "No such file or directory" in err
+    # digits that str.isdigit takes but int() rejects or reads
+    for digit in ("\u00b2", "\u0663"):
+        code, out, err = run_cli(["--p", "3", "value", "u^" + digit], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: unexpected character {digit!r} at offset 2\n"
+
+
+P_RULE = "p must be a prime <= 7, got {}"
+C_RULE = "c must be a positive multiple of p-1, got {}"
+
+
+@pytest.mark.parametrize(
+    "p, c, error",
+    [(p, None, P_RULE.format(p)) for p in (0, 1, 4, 9, 11)]
+    + [(p, None, None) for p in (2, 3, 5, 7)]
+    + [(3, c, C_RULE.format(c)) for c in (0, 3)],
+)
+def test_p_and_c_rules_have_one_message(p, c, error, capsys):
+    # the library and the command line apply each rule through one check,
+    # so they accept the same inputs and reject the rest in the same words
+    builds = [lambda: EmbeddingConfig(p, p - 1 if c is None else c)]
+    if c is None:
+        builds += [lambda: ring_uv(p), lambda: omega(p)]
+    for build in builds:
+        if error is None:
+            build()
+        else:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == error
+    flags = ["--p", str(p)] + ([] if c is None else ["--c", str(c)])
+    code, out, err = run_cli([*flags, "value", "u"], capsys)
+    if error is None:
+        assert (code, out, err) == (0, "1\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp_path):
@@ -272,7 +311,7 @@ def test_budget_exceeded_warns_but_exits_zero(capsys):
 
 
 def test_report_exit_code_logic():
-    report = Report(tool="t", version="v", config={})
+    report = Report(config={})
     report.certificates.append(Certificate(id="a", status="pass"))
     assert report.exit_code() == 0
     report.certificates.append(Certificate(id="b", status="budget-exceeded"))

@@ -346,7 +346,7 @@ def test_cross_check_examples():
     seq = p_sequence(2)
     for f, label in ((U, "u"), (V, "v"), (seq.poly(3), "K3")):
         for c in (1, 2):
-            cert = cross_check(RatFunc(f), c, label=label)
+            cert = cross_check(RatFunc(f), c)
             assert cert.passed, (label, c, cert.actual)
 
 

@@ -38,6 +38,16 @@ def test_negative_exponent():
     assert "negative exponent" in str(info.value)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digit_is_not_an_int(digit):
+    # str.isdigit takes both: int() rejects the superscript two and reads
+    # the Arabic-Indic three as 3
+    with pytest.raises(ParseError) as info:
+        parse_expr("u^" + digit, R3)
+    assert info.value.position == 2
+    assert str(info.value) == f"unexpected character {digit!r} at offset 2"
+
+
 def test_caret_binds_tightest():
     f = parse_expr("u*v^2", R2)
     assert f == Poly.var(R2, "u") * Poly.var(R2, "v") ** 2
