@@ -154,7 +154,7 @@ def expand(f: Poly, seq: GenSeq) -> Expansion:
     return Expansion(seq, terms)
 
 
-def _check_ring(f: Poly, seq: GenSeq) -> None:
+def _check_ring(f: Poly | RatFunc, seq: GenSeq) -> None:
     if f.ring != seq.ring:
         raise ValueError(f"polynomial ring {f.ring} does not match sequence ring {seq.ring}")
 
@@ -187,13 +187,11 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
     Zero maps to INFINITY.  For fractions the value is value(numerator)
     minus value(denominator).
     """
-    if isinstance(f, RatFunc):
-        if f.num.is_zero():
-            return INFINITY
-        return value(f.num, seq) - value(f.den, seq)
+    _check_ring(f, seq)
     if f.is_zero():
         return INFINITY
-    _check_ring(f, seq)
+    if isinstance(f, RatFunc):
+        return value(f.num, seq) - value(f.den, seq)
     # Every term value is key / den, where den is the largest denominator
     # (a power of p) among the values of S_0..S_top, and key is an integer
     # combination of those values rescaled to den.  The values come from the

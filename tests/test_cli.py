@@ -330,6 +330,10 @@ STRUCTURED_DIGESTS = {
     "ascheck t2 --samples 40": "cb3ba0e680e9bd37d232c4c32ac4e0eb3668f17ca596a5d6c38431c3304b5203",
     "ascheck report": "ebb25345e201ceeee6c7efd926bbce9ce67e7419b59a8a7b0eac1058e62eaf37",
     "tower": "0114a3a03b9c6c740e648df1c135efeecfaea5e9591aeab6714b467a40d81b36",
+    # recorded at commit 4575714, where each drift was still built by the
+    # level-step recursion: tower levels 3 and 4, and a p = 3 tower
+    "--kmax 4 --imax 6 tower": "7c33e1fabade310c51f9ecb813c4cf9fad61f277931027e7ea850d7ce381f897",
+    "--p 3 --kmax 3 --imax 4 tower": "92d63635f6bd29cc909da19c7607e325013f102f5ed569c7c38a2b771844a115",
     "fuzz --what cross": "c899bbe8efe01ced8f96aaf4699045dce80c55e47bb8ec1b2391ffb4a2f04313",
     "fuzz --what mult": "84bac240ccb89b1f7b4d76fc63be33af5fde1bb4784e6214df4b54c71e3cc344",
     "fuzz --what ultra": "416d173c5751876a174dea0b8ae2e00ec03abb975b5e1076db7c0c73a9ce26ca",

@@ -97,6 +97,17 @@ def test_value_ratfunc():
     assert value(RatFunc(Poly.zero(R2), V), seq) is INFINITY
 
 
+def test_value_checks_the_ring_before_zero():
+    # zero on a mismatched ring raises as a nonzero input does, as a Poly
+    # and as a RatFunc
+    seq = p_sequence(2)
+    for ring in (ring_xy(2), ring_uv(3)):
+        for f in (Poly.zero(ring), Poly.one(ring)):
+            for g in (f, RatFunc(f)):
+                with pytest.raises(ValueError, match="does not match"):
+                    value(g, seq)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**30))
 def test_reconstruction(seed):

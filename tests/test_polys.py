@@ -172,13 +172,16 @@ def test_divmod_by_key_polynomials_matches_sympy():
 
 def _tower_parts() -> list[Poly]:
     # numerators and denominators of build_tower(2, 4, 4) with 32 terms or
-    # more (40 to 344), exponents near 2^16: the sparse operands of the
-    # tower's identity checks
+    # more (40 to 324), exponents near 2^16: the sparse operands of the
+    # tower's identity checks, with the twisted recursion's right side as
+    # written, gamma * K_0^(p^(2(i-2))) * K_(i-2), for the largest of them
     from valcert.tower import build_tower
 
     parts = []
     for level in build_tower(2, 4, 4):
-        for f in (*level.keys.values(), *level.unit_factors.values(), *level.drifts.values()):
+        keys = level.keys
+        twists = [g * keys[0] ** (2 ** (2 * (i - 2))) * keys[i - 2] for i, g in level.unit_factors.items() if i > 2]
+        for f in (*keys.values(), *level.unit_factors.values(), *level.drifts.values(), *twists):
             parts += [f.num, f.den]
     return [f for f in parts if f.support_size >= 32]
 
@@ -210,7 +213,9 @@ def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
     # the two sides of every k = 4 twisted- and drift-recursion identity of
     # build_tower(2, 4, 4), as the certificates hand them to RatFunc.__eq__:
     # K_i - K_(i-1)^(p^2) against -gamma * K_0^(p^(2(i-2))) * K_(i-2) for
-    # the twisted one, K_i against its whole recursion for the drift one
+    # the twisted one; for the drift one K_i - K_(i-1)^(p^2) - drift against
+    # -K_0^(p^(2(i-2))) * K_(i-2) at i >= 3, and K_2 against its whole
+    # recursion at i = 2
     from valcert.tower import build_tower, verify_drift_recursion, verify_twisted_recursion
 
     level = build_tower(2, 4, 4)[4]

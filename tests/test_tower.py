@@ -35,6 +35,11 @@ def tower4():
     return build_tower(2, 4, 4)
 
 
+@pytest.fixture(scope="module")
+def tower3_deep():
+    return build_tower(3, 3, 4)
+
+
 def test_level_one_explicit(tower2):
     R = ring_uv(2)
     L1 = tower2[1]
@@ -106,12 +111,54 @@ def test_twisted_recursion_offset_value(tower2):
     assert value(gamma - 1, seq) == Fraction(1, 4)
 
 
-def test_drift_recursion(tower2, tower3):
-    for tw, i_max in ((tower2, 4), (tower3, 3)):
+def _recursion_drift(prev, level, i):
+    # the drift as the level step derives it, fresh - carried: level k-1's
+    # recursion at index i+1 divided by u_k^(p^(2i)).  It is the oracle of
+    # the closed form build_tower uses, and carried must be zero
+    p, u_k, v_k = level.p, level.keys[0], level.keys[1]
+    carried = (prev.drifts[2].frob(2 * i - 2) * prev.keys[i - 1] - prev.drifts[i + 1]) / u_k ** (p ** (2 * i))
+    if i == 2:
+        fresh = u_k * v_k.frob(2)
+    else:
+        fresh = u_k ** (p ** (2 * (i - 2))) * v_k.frob(2 * i - 2) * level.keys[i - 2]
+    return fresh, carried
+
+
+def test_drift_closed_form_matches_recursion(tower4, tower3_deep):
+    for tw in (tower4, tower3_deep):
+        for prev, level in zip(tw, tw[1:]):
+            assert sorted(level.drifts) == list(range(2, len(level.keys)))
+            for i, drift in level.drifts.items():
+                fresh, carried = _recursion_drift(prev, level, i)
+                assert carried.num.is_zero(), (level.k, i)
+                assert fresh - carried == drift, (level.k, i)
+
+
+def _textbook_drift(level, i):
+    # the recursion as written, K_i == K_(i-1)^(p^2) - K_0^... * K_(i-2) +
+    # drift: the oracle of the arrangement verify_drift_recursion compares
+    p, keys, drift = level.p, level.keys, level.drifts[i]
+    if i == 2:
+        return keys[2] == keys[1].frob(2) - keys[0] + drift
+    return keys[i] == keys[i - 1].frob(2) - keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2] + drift
+
+
+def test_drift_recursion(tower4, tower3_deep):
+    # every certificate agrees with the textbook arrangement, with the drift
+    # intact and with one numerator term of it toggled
+    for tw in (tower4, tower3_deep):
         for level in tw:
-            for i in range(2, i_max + 1):
-                cert = verify_drift_recursion(level, i)
-                assert cert.passed, (level.k, i, cert.actual)
+            for i in range(2, 5):
+                drift = level.drifts[i]
+                terms = drift.num.terms()  # none at level 0
+                e1, e2 = terms[0][0] if terms else (0, 0)
+                toggled = RatFunc(drift.num + Poly.monomial(drift.ring, 1, e1, e2), drift.den)
+                for d, holds in ((drift, True), (toggled, False)):
+                    bent = replace(level, drifts={**level.drifts, i: d})
+                    assert _textbook_drift(bent, i) is holds, (level.k, i)
+                    cert = verify_drift_recursion(bent, i)
+                    assert cert.passed is holds, (level.k, i, cert.actual)
+                    assert cert.actual.startswith("identity;") is holds, (level.k, i, cert.actual)
 
 
 def test_drift_exact_value_k1_i2(tower2):
