@@ -5,10 +5,14 @@ the regular parameters u_k, v_k, the shifted chart coordinate s_k, the
 descent unit in u = u_k^(p^(2k)) * unit, the level's key polynomials, the
 unit factors of the twisted key recursion, and the drift terms of the
 untwisted recursion.  Keeping one common ring makes every claimed identity
-checkable as an exact cross-multiplied polynomial equality.  K_(k,i) and
-K_(k,i-1)^(p^2) share one denominator at every level, so the twisted and
-drift recursions are compared through their difference, which builds no
-product.
+checkable as an exact cross-multiplied polynomial equality.  K_(k,i),
+K_(k,i-1)^(p^2) and v_k^(p^(2(i-1))) share one denominator D at every
+level, so the twisted and drift recursions are compared through the
+difference K_(k,i) - K_(k,i-1)^(p^2), which builds no product.  At k >= 1
+the unit factor has the closed form 1 - v_k^(p^(2(i-1))): where gamma has
+more terms than v_k, the twisted certificate proves its identity through
+that closed form over D and never builds the product of gamma with
+K_(k,0)^(p^(2(i-2))) * K_(k,i-2).
 
 Level recursion (k >= 1, from level k-1):
 
@@ -157,6 +161,39 @@ def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certifi
     return check(f"tower/unit-descent/k={k}", {"p": p, "k": k}, run)
 
 
+def _twist_base(level: TowerLevel, i: int) -> RatFunc:
+    """m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2), a factor of both recursions (K_(k,0) at i = 2)."""
+    keys = level.keys
+    if i == 2:
+        return keys[0]
+    return keys[0] ** (level.p ** (2 * (i - 2))) * keys[i - 2]
+
+
+def _terms(f: RatFunc) -> int:
+    return f.num.support_size + f.den.support_size
+
+
+def _closed_form_unit(level: TowerLevel, i: int, m: RatFunc) -> RatFunc | None:
+    """gamma_(k,i) as (D - w.num)/D, when three exact checks prove the twisted identity.
+
+    With w = v_k^(p^(2(i-1))) and D the denominator of K_(k,i), the checks are
+    K_(k,i).den == K_(k,i-1)^(p^2).den == w.den == D, gamma == (D - w.num)/D,
+    and K_(k,i).num - K_(k,i-1)^(p^2).num == (w.num - D) * m over denominator 1.
+    Together they give K_(k,i) - K_(k,i-1)^(p^2) = -gamma * m.  Returns None
+    when any check fails: at level 0, where gamma = 1, or on a corrupted level.
+    """
+    key, prior, w = level.keys[i], level.keys[i - 1].frob(2), level.v.frob(2 * i - 2)
+    d = key.den
+    if not d == prior.den == w.den:
+        return None
+    closed = RatFunc(d - w.num, d)
+    if not level.unit_factors[i] == closed:
+        return None
+    if not RatFunc(key.num - prior.num) == RatFunc(w.num - d) * m:
+        return None
+    return closed
+
+
 def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
     """The key recursion with unit factors, plus the unit-factor value facts.
 
@@ -165,11 +202,21 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
 
-    The identity is compared as K_(k,i) - K_(k,i-1)^(p^2) = -gamma * ...
-    The left side adds two numerators over their shared denominator (90
-    and 54 terms at k = 5, i = 6 of build_tower(2, 5, 6)), where the right
-    side as written is a 25,992/2,736-term fraction before the equality
-    cross-multiplies it.
+    With m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2): at every level k >= 1,
+    gamma = 1 - w with w = v_k^(p^(2(i-1))), and K_(k,i), K_(k,i-1)^(p^2)
+    and w share one denominator D.  When gamma has more terms than v_k (and
+    so than w), the identity is proved through that closed form by the
+    three checks of _closed_form_unit, which never build gamma * m: at
+    k = 5, i = 6 of build_tower(2, 5, 6) that product is a 25,992/2,736-term
+    fraction.  Both values are then taken on the smaller of gamma and
+    (D - w.num)/D, which are the same field element, so the text is the
+    same either way.  The size rule routes levels 4 and 5 of
+    build_tower(2, 5, 6); below them gamma is no larger than v_k, and the
+    three checks cost more than the product they avoid.  Otherwise, or when
+    a check fails (level 0, where gamma = 1, or a corrupted level), the
+    identity is compared as K_(k,i) - K_(k,i-1)^(p^2) == -(gamma * m), whose
+    left side adds over the shared denominator; the verdict is the same on
+    either path.
     """
     if i < 2:
         raise ValueError("twisted recursion starts at index 2")
@@ -177,13 +224,13 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     p, k = level.p, level.k
 
     def run():
-        gamma = level.unit_factors[i]
-        keys = level.keys
-        if i == 2:
-            twist = gamma * keys[0]
+        gamma, keys = level.unit_factors[i], level.keys
+        m = _twist_base(level, i)
+        closed = _closed_form_unit(level, i, m) if _terms(gamma) > _terms(level.v) else None
+        if closed is None:
+            identity = keys[i] - keys[i - 1].frob(2) == -(gamma * m)
         else:
-            twist = gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
-        identity = keys[i] - keys[i - 1].frob(2) == -twist
+            identity, gamma = True, min(gamma, closed, key=_terms)
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
         floor = Fraction(2, p ** (2 * (k + 1)))
@@ -217,7 +264,7 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
         if i == 2:
             identity = keys[2] == keys[1].frob(2) - keys[0] + drift
         else:
-            identity = keys[i] - keys[i - 1].frob(2) - drift == -(keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2])
+            identity = keys[i] - keys[i - 1].frob(2) - drift == -_twist_base(level, i)
         dval = value(drift, seq)
         bound = drift_bound(p, k, i)
         ok = identity and dval >= bound

@@ -10,6 +10,8 @@ from valcert.keyseq import p_sequence
 from valcert.parsing import parse_expr
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, support_limit
 from valcert.tower import (
+    _closed_form_unit,
+    _twist_base,
     build_tower,
     drift_bound,
     key_value_formula,
@@ -65,32 +67,98 @@ def test_unit_descent(tower2, tower3):
 
 
 def _textbook_twisted(level, i):
-    # the recursion as written, K_i == K_(i-1)^(p^2) - gamma * ...: the
-    # oracle of the arrangement verify_twisted_recursion compares
-    p, keys, gamma = level.p, level.keys, level.unit_factors[i]
+    # the recursion as written, K_i == K_(i-1)^(p^2) - gamma * ..., with
+    # both values taken on gamma as the level holds it: the oracle of
+    # verify_twisted_recursion's verdict and actual text
+    p, k, keys, gamma = level.p, level.k, level.keys, level.unit_factors[i]
     if i == 2:
-        return keys[2] == keys[1].frob(2) - gamma * keys[0]
-    return keys[i] == keys[i - 1].frob(2) - gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
+        identity = keys[2] == keys[1].frob(2) - gamma * keys[0]
+    else:
+        identity = keys[i] == keys[i - 1].frob(2) - gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
+    seq = p_sequence(p)
+    unit_val, dist = value(gamma, seq), value(gamma - 1, seq)
+    passed = identity and unit_val == 0 and dist >= Fraction(2, p ** (2 * (k + 1)))
+    return passed, f"{'identity' if identity else 'mismatch'}; unit value {unit_val}; offset value {dist}"
+
+
+def _compared_twisted(level, i):
+    # K_i - K_(i-1)^(p^2) == -gamma * ..., which verify_twisted_recursion
+    # compares when the closed-form route is not taken: the oracle of the
+    # route's budget
+    p, keys, gamma = level.p, level.keys, level.unit_factors[i]
+    twist = gamma * keys[0] if i == 2 else gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
+    return keys[i] - keys[i - 1].frob(2) == -twist
+
+
+def _toggled(f):
+    # f with 1 added to the coefficient of its leading numerator term
+    (e1, e2), _ = f.num.terms()[0]
+    return RatFunc(f.num + Poly.monomial(f.ring, 1, e1, e2), f.den)
+
+
+def _bent(level, i):
+    # level with one corrupted input of the index-i identity: gamma_(k,i) or
+    # K_(k,i) with one numerator term toggled, or K_(k,i-1) with one term
+    # added to its denominator, which leaves every numerator of the closed
+    # form's checks as it was
+    prior = level.keys[i - 1]
+    grown = RatFunc(prior.num, prior.den + Poly.monomial(prior.ring, 1, prior.den.deg1() + 1, 0))
+    yield replace(level, unit_factors={**level.unit_factors, i: _toggled(level.unit_factors[i])})
+    yield replace(level, keys={**level.keys, i: _toggled(level.keys[i])})
+    yield replace(level, keys={**level.keys, i - 1: grown})
 
 
 def test_twisted_recursion(tower4, tower3):
-    # every certificate agrees with the textbook arrangement, with gamma
-    # intact and with one numerator term of gamma toggled
+    # every certificate agrees with the textbook arrangement, verdict and
+    # actual text, on the intact level and on each corruption of it
     for tw, i_max in ((tower4, 4), (tower3, 3)):
         for level in tw:
             for i in range(2, i_max + 1):
-                # the compared difference adds over one denominator only
-                # while this holds; it is what keeps the check cheap
-                assert level.keys[i - 1].frob(2).den == level.keys[i].den, (level.k, i)
-                gamma = level.unit_factors[i]
-                (e1, e2), _ = gamma.num.terms()[0]
-                toggled = RatFunc(gamma.num + Poly.monomial(gamma.ring, 1, e1, e2), gamma.den)
-                for g, holds in ((gamma, True), (toggled, False)):
-                    bent = replace(level, unit_factors={**level.unit_factors, i: g})
-                    assert _textbook_twisted(bent, i) is holds, (level.k, i)
+                for bent in (level, *_bent(level, i)):
+                    want = _textbook_twisted(bent, i)
                     cert = verify_twisted_recursion(bent, i)
-                    assert cert.passed is holds, (level.k, i, cert.actual)
-                    assert cert.actual.startswith("identity;") is holds, (level.k, i, cert.actual)
+                    assert (cert.passed, cert.actual) == want, (level.k, i, cert.actual)
+                    assert want[0] is (bent is level), (level.k, i)
+
+
+def test_closed_form_route(tower4, tower3_deep):
+    # the route on its own, at both characteristics: the size rule never
+    # sends a p = 3 level to it, so only these calls cover p = 3
+    for tw in (tower4, tower3_deep):
+        for level in tw[1:]:
+            for i in range(2, 5):
+                key, w = level.keys[i], level.v.frob(2 * i - 2)
+                # the shared denominator that the closed form rests on
+                assert key.den == level.keys[i - 1].frob(2).den == w.den, (level.k, i)
+                m = _twist_base(level, i)
+                closed = _closed_form_unit(level, i, m)
+                assert closed is not None and closed == level.unit_factors[i], (level.k, i)
+                assert closed.den == key.den and closed - 1 == -w, (level.k, i)
+                for bent in _bent(level, i):
+                    assert _closed_form_unit(bent, i, m) is None, (level.k, i)
+                    cert = verify_twisted_recursion(bent, i)
+                    assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i)
+
+
+def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
+    # level 4 of build_tower(2, 4, 4) proves its identities through the
+    # closed form, and lower levels, where gamma is no larger than v_k,
+    # compare them directly; a route that silently fell back would show here
+    from valcert import tower
+
+    taken = []
+    route = tower._closed_form_unit
+
+    def spy(level, i, m):
+        closed = route(level, i, m)
+        taken.append((level.k, i, closed is not None))
+        return closed
+
+    monkeypatch.setattr(tower, "_closed_form_unit", spy)
+    for level in tower4:
+        for i in range(2, 5):
+            assert verify_twisted_recursion(level, i).passed, (level.k, i)
+    assert taken == [(4, i, True) for i in range(2, 5)]
 
 
 def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(tower4):
@@ -102,6 +170,17 @@ def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(towe
         assert cert.passed, cert.actual
         with pytest.raises(BudgetExceededError):
             _textbook_twisted(level, 3)
+
+
+def test_closed_form_route_fits_a_budget_the_compared_arrangement_overflows(tower4):
+    # at k = 4, i = 3 the largest support the route builds is 276 terms,
+    # against 972 in the compared arrangement, which overflows at 324
+    level = tower4[4]
+    with support_limit(300):
+        cert = verify_twisted_recursion(level, 3)
+        assert cert.passed, cert.actual
+        with pytest.raises(BudgetExceededError):
+            _compared_twisted(level, 3)
 
 
 def test_twisted_recursion_offset_value(tower2):
