@@ -594,13 +594,19 @@ class RatFunc:
 _ONE = {(0, 0): 1}
 
 
-# Each entry holds one power of one image polynomial, built under one
-# budget limit.  The set-up and one round of a benchmark workload build 57
-# (oracle-mix) to 317 (ladder-sweep-p2-l1) distinct powers, of 139 to 4,151
-# terms in all.  The embeddings' images have at most two terms, so an e-th
-# power has at most e + 1: with the exponents up to 729 of those inputs,
-# 512 entries hold at worst about 3.7 * 10^5 terms.  Other images are
-# bounded only by the budget each build ran under.
+# Each entry holds one power of one polynomial, built under one budget
+# limit: a numerator or denominator of an embedding image (substitute) or
+# of a tower level's key (sampling.random_level_element).  The set-up and
+# one round of a benchmark workload build 57 (oracle-mix) to 345
+# (ladder-sweep-p2-l1) distinct powers, of 139 to 4,214 terms in all; the
+# level keys' powers are 28 of the 345 (63 terms) and 30 of the 166 of
+# ladder-sweep-p3-l0 (64 terms).  The embeddings' images have at most two
+# terms, so an e-th power has at most e + 1: with the exponents up to 729
+# of those inputs, 512 entries hold at worst about 3.7 * 10^5 terms.  A
+# t-term key raised to a < p^2 has at most C(t + a - 1, a) terms: the
+# ladder workloads' keys have at most 4 terms at p = 2 (a <= 3) and 3 at
+# p = 3 (a <= 8), so at most 20 and 45, within that bound.  Other images
+# and keys are bounded only by the budget each build ran under.
 @lru_cache(maxsize=512)
 def _power(base: Poly, e: int, limit: int | None) -> Poly:
     """base**e; limit, the budget limit its build runs under, only keys the entry."""

@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 from . import engine  # by module: engine imports the samplers from here
+from . import polys  # by module: the budget limit is read at call time
 from .keyseq import GenSeq
-from .polys import Poly, RatFunc, Ring
+from .polys import Poly, RatFunc, Ring, _power
 
 __all__ = [
     "random_poly",
@@ -54,13 +55,23 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     key, which still reaches the extremal single-key monomials.  The cap
     bounds key weight only, not the embedded size or the time to expand
     it: at p = 3, level 1, some draws take tens of seconds to minutes.
+
+    Each key power K_(k,i)^a is built once per process for each key,
+    exponent and budget limit: its numerator and denominator come from
+    ``polys._power``, the memo ``substitute`` keeps its image powers in,
+    which holds the same terms in the same order as ``K_(k,i) ** a``.
     """
     p = level.p
     i_cap = min(i_cap, max(level.keys))
+
+    def key_power(i: int, a: int) -> RatFunc:
+        key = level.keys[i]
+        return RatFunc(_power(key.num, a, polys._LIMIT), _power(key.den, a, polys._LIMIT))
+
     out = RatFunc(Poly.zero(level.u.ring))
     for _ in range(rng.randint(1, 3)):
         part = RatFunc(Poly.const(level.u.ring, rng.randint(1, p - 1)))
-        part = part * level.keys[0] ** rng.randint(0, 2)
+        part = part * key_power(0, rng.randint(0, 2))
         budget = 2 * p ** (2 * i_cap)
         picks = rng.sample(range(1, i_cap + 1), rng.randint(0, min(2, i_cap)))
         for i in sorted(picks, reverse=True):
@@ -70,7 +81,7 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
                 continue
             a = rng.randint(1, top)
             budget -= a * w
-            part = part * level.keys[i] ** a
+            part = part * key_power(i, a)
         out = out + part
     return out
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from valcert.artin_schreier import (
+    _attained_gap,
+    _frobenius_gap,
     build_approximants,
     ceiling_check,
     dependence_report,
@@ -18,7 +20,7 @@ from valcert.artin_schreier import (
 from valcert.embeddings import EmbeddingConfig, embed_uv, embed_xv
 from valcert.engine import value
 from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import Poly, RatFunc, ring_uv, ring_xv, ring_xy, support_limit
+from valcert.polys import BudgetExceededError, Poly, RatFunc, _power, ring_uv, ring_xv, ring_xy, support_limit
 from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import omega
@@ -149,6 +151,64 @@ def test_frobenius_gap_oracle(p, k, setup2, setup3):
         e = embed_uv(g, cfg)
         assert value(e**p - x**p, host) == p * value(e - x, host)
     assert value(embed_uv(apprs[k].element, cfg) ** p - x**p, host) == gap_value(p, k)
+
+
+def _ladder(p, k):
+    cfg = EmbeddingConfig.default(p)
+    tower = build_tower(p, k, k + 3)
+    return cfg, tower, build_approximants(tower, k, cfg)[k]
+
+
+@pytest.mark.parametrize("p,k", [(2, 0), (2, 1), (3, 0)])
+def test_attained_gap_memo_matches_a_fresh_computation(p, k):
+    cfg, _, appr = _ladder(p, k)
+    seq = q_sequence(p)
+    h = appr.element
+    fresh = _frobenius_gap(h, cfg, seq)
+    assert fresh == gap_value(p, k)
+    _attained_gap.cache_clear()
+    cold = _attained_gap(h.num, h.den, cfg, seq, None)
+    warm = _attained_gap(h.num, h.den, cfg, seq, None)
+    info = _attained_gap.cache_info()
+    assert cold == warm == fresh
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # a computation that raised leaves no entry
+    with support_limit(1), pytest.raises(BudgetExceededError):
+        _attained_gap(h.num, h.den, cfg, seq, 1)
+    assert _attained_gap.cache_info().currsize == 1
+
+
+def _sweep_record(ladder, seed, limit):
+    cfg, tower, appr = ladder
+    with support_limit(limit):
+        return gap_bound_sweep(tower[appr.k], appr, cfg, samples=1, seed=seed).to_record()
+
+
+@pytest.mark.parametrize("p,k,seed", [(2, 0, 1), (2, 1, 1), (3, 0, 3)])
+def test_gap_bound_sweep_budget_does_not_depend_on_the_memo(p, k, seed):
+    # the attained-gap memo is keyed on the budget limit, and a computation
+    # that raised leaves no entry: at every limit a cold memo, one warmed
+    # with no limit, and one warmed by the same limit all finish or name
+    # the same size.  Both regimes occur: an overflow in the approximant's
+    # own gap, which then has no entry, and one in the sample after it
+    ladder = _ladder(p, k)
+    stored_on_overflow = set()
+    limit = 1
+    while True:
+        _attained_gap.cache_clear()
+        _power.cache_clear()
+        cold = _sweep_record(ladder, seed, limit)
+        stored = _attained_gap.cache_info().currsize
+        _sweep_record(ladder, seed, None)
+        warm = _sweep_record(ladder, seed, limit)
+        again = _sweep_record(ladder, seed, limit)
+        assert cold == warm == again, limit
+        if cold["status"] != "budget-exceeded":
+            break
+        stored_on_overflow.add(stored)
+        limit += 1
+    assert cold["status"] == "pass"
+    assert stored_on_overflow == {0, 1}
 
 
 def test_gap_bound_zero_element(setup2):

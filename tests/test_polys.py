@@ -21,6 +21,8 @@ from valcert.polys import (
     substitute,
     support_limit,
 )
+from valcert.sampling import random_level_element
+from valcert.tower import build_tower
 
 R2 = ring_uv(2)
 R3 = ring_uv(3)
@@ -565,6 +567,78 @@ def test_power_memo_is_keyed_on_the_budget_limit():
         second = _power.cache_info()
     assert (first.hits, first.misses) == (unlimited.hits, unlimited.misses + 2)
     assert (second.hits, second.misses) == (first.hits + 2, first.misses)
+
+
+def _reference_level_element(rng, level, i_cap):
+    # random_level_element with its key powers built as K ** a
+    p = level.p
+    i_cap = min(i_cap, max(level.keys))
+    out = RatFunc(Poly.zero(level.u.ring))
+    for _ in range(rng.randint(1, 3)):
+        part = RatFunc(Poly.const(level.u.ring, rng.randint(1, p - 1)))
+        part = part * level.keys[0] ** rng.randint(0, 2)
+        budget = 2 * p ** (2 * i_cap)
+        picks = rng.sample(range(1, i_cap + 1), rng.randint(0, min(2, i_cap)))
+        for i in sorted(picks, reverse=True):
+            w = p ** (2 * i)
+            top = min(p * p - 1, budget // w)
+            if top < 1:
+                continue
+            a = rng.randint(1, top)
+            budget -= a * w
+            part = part * level.keys[i] ** a
+        out = out + part
+    return out
+
+
+# the levels the ladder workloads sample: p = 2, level 1 and p = 3, level 0
+_SAMPLED_LEVELS = [build_tower(2, 1, 4)[1], build_tower(3, 0, 3)[0]]
+
+
+def _draw(build, level, seed, limit=None):
+    # the draw, or the size its budget overflow names
+    with support_limit(limit):
+        try:
+            return build(random.Random(seed), level, i_cap=level.k + 3)
+        except BudgetExceededError as err:
+            return err.size
+
+
+@pytest.mark.parametrize("level", _SAMPLED_LEVELS, ids=["p2-k1", "p3-k0"])
+def test_level_sampler_key_powers_match_the_reference(level):
+    # the key powers come from the power memo; every draw has the terms,
+    # in the same order, of the draw built with K ** a, cold and warm
+    for seed in range(12):
+        want = _draw(_reference_level_element, level, seed)
+        _power.cache_clear()
+        cold = _draw(random_level_element, level, seed)
+        warm = _draw(random_level_element, level, seed)
+        for got in (cold, warm):
+            assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den), seed
+
+
+def test_level_sampler_budget_does_not_depend_on_the_memo():
+    # at p = 2, level 1, seed 11 draws a 21-term element and names the
+    # sizes 3, 9, 18 and 21 on the way: at every limit below 21 the
+    # reference, a cold memo, one warmed with no limit and one warmed by
+    # the same limit all name the same size
+    level = _SAMPLED_LEVELS[0]
+    named = []
+    limit = 1
+    while True:
+        want = _draw(_reference_level_element, level, 11, limit)
+        _power.cache_clear()
+        cold = _draw(random_level_element, level, 11, limit)
+        _draw(random_level_element, level, 11)
+        warm = _draw(random_level_element, level, 11, limit)
+        again = _draw(random_level_element, level, 11, limit)
+        if not isinstance(want, int):
+            assert all(_same_terms(g.num, want.num) and _same_terms(g.den, want.den) for g in (cold, warm, again))
+            break
+        assert cold == warm == again == want, limit
+        named.append(want)
+        limit += 1
+    assert limit == 21 and sorted(set(named)) == [3, 9, 18, 21]
 
 
 def test_equal_polys_hash_alike_by_every_route():
