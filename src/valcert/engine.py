@@ -194,14 +194,14 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
         return value(f.num, seq) - value(f.den, seq)
     # Every term value is key / den, where den is the largest denominator
     # (a power of p) among the values of S_0..S_top, and key is an integer
-    # combination of those values rescaled to den.  The values come from the
-    # sequence's cached value table, keeping a corrupted table detectable.
+    # combination of coefs, those values rescaled to den.  GenSeq.value_coefs
+    # reads them from the sequence's value table once per top index, so a
+    # table corrupted before the first value() call that reaches it is
+    # detectable.
     p = seq.p
     d2 = f.deg2()
     top = seq.index_for_degree(d2) if d2 > 0 else 0
-    vals = [seq.scale] + [seq.value(i) for i in range(1, top + 1)]
-    den = max(v.denominator for v in vals)
-    coefs = [v.numerator * (den // v.denominator) for v in vals]
+    den, coefs = seq.value_coefs(top)
     keys: set[int] = set()
     if d2 < p * p:
         # base S_1 is the bare second variable, so its digits are the

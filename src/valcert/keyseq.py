@@ -40,6 +40,7 @@ class GenSeq:
         self._polys: list[Poly] = [Poly.var(ring, ring.vars[0]), Poly.var(ring, ring.vars[1])]
         self._values: dict[int, Fraction] = {}
         self._keys: dict[int, tuple] = {}
+        self._coefs: dict[int, tuple] = {}
 
     @property
     def p(self) -> int:
@@ -92,6 +93,19 @@ class GenSeq:
             p = self.p
             deg, low = _key_data(self.poly(n))
             got = self._keys[n] = deg, low, deg * p, [((p * b1, p * b2), c) for (b1, b2), c in low]
+        return got
+
+    def value_coefs(self, top: int) -> tuple[int, tuple[int, ...]]:
+        """(den, coefs): v(S_0)..v(S_top) as coefs[i] / den, built once per top.
+
+        den is the largest denominator among the values, a power of p.  The
+        values are read from the value table when top is first asked for.
+        """
+        got = self._coefs.get(top)
+        if got is None:
+            vals = [self.scale] + [self.value(i) for i in range(1, top + 1)]
+            den = max(v.denominator for v in vals)
+            got = self._coefs[top] = den, tuple(v.numerator * (den // v.denominator) for v in vals)
         return got
 
     def index_for_degree(self, d2: int) -> int:

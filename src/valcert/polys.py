@@ -17,6 +17,7 @@ import heapq
 from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import itemgetter
 
 from .values import check_p
 
@@ -69,6 +70,12 @@ def support_limit(max_terms: int | None):
         yield
     finally:
         _LIMIT = prev
+
+
+# the second exponent of a term key, and the key of the leading term:
+# highest second exponent, then highest first
+_E2 = itemgetter(1)
+_LEAD = itemgetter(1, 0)
 
 
 def _check_budget(size: int) -> None:
@@ -201,12 +208,13 @@ class Poly:
         """Degree in the second variable; -1 for the zero polynomial."""
         if not self._t:
             return -1
-        return max(e2 for (_, e2) in self._t)
+        return max(map(_E2, self._t))
 
     def deg1(self) -> int:
+        # the lexicographic maximum key holds the highest first exponent
         if not self._t:
             return -1
-        return max(e1 for (e1, _) in self._t)
+        return max(self._t)[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -361,7 +369,13 @@ class Poly:
 # -- kernels on raw term dicts ------------------------------------------------
 
 def _mul_dict(big: dict, small: dict, p: int) -> dict:
-    # the product of two term dicts over F_p, one small term at a time
+    # the product of two term dicts over F_p, one small term at a time.  A
+    # one-term small is a monomial shift of big: no two products collide
+    # and c * d is nonzero in F_p, so the comprehension builds the dict the
+    # loop would, in the same order
+    if len(small) == 1:
+        ((a1, a2), c), = small.items()
+        return {(a1 + b1, a2 + b2): c * d % p for (b1, b2), d in big.items()}
     t: dict = {}
     for (a1, a2), c in small.items():
         for (b1, b2), d in big.items():
@@ -468,14 +482,18 @@ class RatFunc:
         if num.is_zero():
             den = Poly.one(num.ring)
         else:
-            m1 = min(min(e1 for (e1, _) in num._t), min(e1 for (e1, _) in den._t))
-            m2 = min(min(e2 for (_, e2) in num._t), min(e2 for (_, e2) in den._t))
+            # the lexicographic minimum key holds the least first exponent
+            nt, dt = num._t, den._t
+            m1 = min(min(nt)[0], min(dt)[0])
+            m2 = min(min(map(_E2, nt)), min(map(_E2, dt)))
             if m1 or m2:
-                num = Poly._make(num.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in num._t.items()})
-                den = Poly._make(den.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in den._t.items()})
-            lead = den._t[max(den._t, key=lambda e: (e[1], e[0]))]
+                num = Poly._make(num.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in nt.items()})
+                den = Poly._make(den.ring, {(e1 - m1, e2 - m2): c for (e1, e2), c in dt.items()})
+            p = num.ring.p
+            # over F_2 every coefficient, the lead's too, is 1
+            lead = den._t[max(den._t, key=_LEAD)] if p != 2 else 1
             if lead != 1:
-                inv = pow(lead, num.ring.p - 2, num.ring.p)
+                inv = pow(lead, p - 2, p)
                 num = num * inv
                 den = den * inv
         object.__setattr__(self, "num", num)
@@ -589,8 +607,9 @@ class RatFunc:
         return f"RatFunc({self.ring}, {self})"
 
 
-# the term dict of the polynomial 1; substitute compares with it, since
-# base == 1 would build a Poly and check its size against the budget
+# the term dict of the polynomial 1; _substitute_terms compares an image's
+# terms with it, since base == 1 would build a Poly and check its size
+# against the budget
 _ONE = {(0, 0): 1}
 
 
@@ -620,19 +639,45 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     common target ring.  The result is exact; a zero denominator cannot
     arise because the image denominators are nonzero polynomials.
 
+    A polynomial is cleared to one numerator over one denominator by
+    _substitute_terms, on raw term dicts.  A fraction's numerator and
+    denominator are cleared alike, to n1/d1 and n2/d2, and the result is
+    RatFunc(n1 * d2, d1 * n2), the products num / den takes on their
+    RatFuncs.  Building them from the unnormalized pairs changes no term
+    of the result: a content shift of a factor shifts its products, and a
+    scalar scales them, by the same amount on both sides, which the final
+    normalization removes; neither changes a size or a term order.
+    """
+    if isinstance(f, RatFunc):
+        n1, d1 = _substitute_terms(f.num, images)
+        n2, d2 = _substitute_terms(f.den, images)
+        if n2.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(n1 * d2, d1 * n2)
+    return RatFunc(*_substitute_terms(f, images))
+
+
+def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Poly]:
+    """f under the images as (numerator, denominator), neither normalized.
+
+    Each term c * u^e1 * v^e2 becomes the part c * n1^e1 * d1^(max1 - e1)
+    * n2^e2 * d2^(max2 - e2), over the shared denominator
+    d1^max1 * d2^max2.  Each product runs _mul_dict with the operands
+    Poly.__mul__ would choose, and the parts are added into one dict with
+    the inserts and deletes of Poly.__add__, so every term comes out in the
+    order the Poly operations give, and the budget checks each product and
+    each partial sum at the size the Poly operations check.  A factor of
+    one (exponent 0, or an image denominator of one) is skipped: its
+    product has the size of the part it multiplies, which was checked
+    already.  A zero numerator comes with the denominator one, as a zero
+    RatFunc has.
+
     Powers of the images come from _power, a memo shared by every call
     and kept per budget limit.  An entry exists only when its build passed
     every check under that limit, and a build that raised leaves none, so a
     hit skips only checks that a fresh build would pass again: a budget
-    overflow names the size a fresh build names, whatever ran before.  A
-    factor of one (exponent 0, or an image denominator of one) is skipped:
-    its product has the size of the part it multiplies, which was checked
-    already.
+    overflow names the size a fresh build names, whatever ran before.
     """
-    if isinstance(f, RatFunc):
-        num = substitute(f.num, images)
-        den = substitute(f.den, images)
-        return num / den
     v1, v2 = f.ring.vars
     try:
         img1, img2 = images[v1], images[v2]
@@ -640,23 +685,31 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
         raise ValueError(f"no image for variable {missing}") from None
     _same_ring(img1, img2)
     target = img1.ring
-    if target.p != f.ring.p:
+    p = target.p
+    if p != f.ring.p:
         raise RingMismatchError("characteristic must be preserved")
     if f.is_zero():
-        return RatFunc(Poly.zero(target))
+        return Poly.zero(target), Poly.one(target)
     max1 = f.deg1()
     max2 = f.deg2()
 
-    def times(part: Poly, base: Poly, e: int) -> Poly:
+    def times(part: dict, base: Poly, e: int) -> dict:
         if e == 0 or base._t == _ONE:
             return part
-        return part * _power(base, e, _LIMIT)
+        factor = _power(base, e, _LIMIT)._t
+        t = _mul_dict(part, factor, p) if len(part) > len(factor) else _mul_dict(factor, part, p)
+        _check_budget(len(t))
+        return t
 
-    num = Poly.zero(target)
+    num: dict = {}
     for (e1, e2), c in f._t.items():
-        part = Poly.const(target, c)
-        part = times(times(part, img1.num, e1), img1.den, max1 - e1)
-        part = times(times(part, img2.num, e2), img2.den, max2 - e2)
-        num = num + part
-    den = times(times(Poly.one(target), img1.den, max1), img2.den, max2)
-    return RatFunc(num, den)
+        part = times(times({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
+        for e, d in times(times(part, img2.num, e2), img2.den, max2 - e2).items():
+            s = (num.get(e, 0) + d) % p
+            if s:
+                num[e] = s
+            elif e in num:
+                del num[e]
+        _check_budget(len(num))
+    den = times(times({(0, 0): 1}, img1.den, max1), img2.den, max2)
+    return Poly._make(target, num), Poly._make(target, den) if num else Poly.one(target)

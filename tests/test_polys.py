@@ -13,6 +13,7 @@ from valcert.polys import (
     Poly,
     RatFunc,
     RingMismatchError,
+    _mul_dict,
     _power,
     _same_ring,
     ring_uv,
@@ -125,6 +126,41 @@ def test_divmod_matches_sympy(ring, d, data):
     g = low + Poly.monomial(ring, 1, 0, d)  # monic of y-degree d
     q, r = divmod(f, g)
     assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(g))
+
+
+def _mul_loop(big: dict, small: dict, p: int) -> dict:
+    # the general loop of _mul_dict, one small term at a time: the oracle of
+    # its one-term path
+    t: dict = {}
+    for (a1, a2), c in small.items():
+        for (b1, b2), d in big.items():
+            e = (a1 + b1, a2 + b2)
+            s = (t.get(e, 0) + c * d) % p
+            if s:
+                t[e] = s
+            elif e in t:
+                del t[e]
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([R2, R3]),
+    st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+    st.data(),
+)
+def test_monomial_product_matches_the_general_loop(ring, e, data):
+    # a one-term factor is a shift of the other: the same items in the same
+    # order as the loop, with coefficient p - 1 and the exponent (0, 0)
+    p = ring.p
+    big = data.draw(poly_strategy(ring, max_deg=9, max_terms=8))._t
+    c = data.draw(st.integers(min_value=1, max_value=p - 1))
+    for small in ({e: c}, {e: p - 1}, {(0, 0): c}, {(0, 0): p - 1}):
+        want = _mul_loop(big, small, p)
+        assert list(_mul_dict(big, small, p).items()) == list(want.items())
+        g = Poly._make(ring, small)
+        for product in (Poly._make(ring, big) * g, g * Poly._make(ring, big)):
+            assert list(product._t.items()) == list(want.items())
 
 
 def _rows(f: Poly) -> list[int]:
@@ -371,6 +407,67 @@ def test_ratfunc_denominator_normalized():
     assert g.den == 2 * V3 + 2 * U3**2 + U3 * V3 and g.num == 2 * U3
 
 
+def _normalized(num: Poly, den: Poly) -> tuple[dict, dict]:
+    # RatFunc's normalization with generator scans, the oracle of its
+    # C-level ones: cancel the common monomial content, then scale the
+    # denominator's lead (highest v-degree, then highest u-degree) to 1
+    p = num.ring.p
+    nt, dt = num._t, den._t
+    if not nt:
+        return {}, {(0, 0): 1}
+    m1 = min(min(e1 for (e1, _) in nt), min(e1 for (e1, _) in dt))
+    m2 = min(min(e2 for (_, e2) in nt), min(e2 for (_, e2) in dt))
+    nt = {(e1 - m1, e2 - m2): c for (e1, e2), c in nt.items()}
+    dt = {(e1 - m1, e2 - m2): c for (e1, e2), c in dt.items()}
+    inv = pow(dt[max(dt, key=lambda e: (e[1], e[0]))], p - 2, p)
+    return {e: c * inv % p for e, c in nt.items()}, {e: c * inv % p for e, c in dt.items()}
+
+
+def _same_items(f: RatFunc, want: tuple[dict, dict]) -> bool:
+    # numerator and denominator hold want's items, in want's order
+    return (list(f.num._t.items()), list(f.den._t.items())) == tuple(list(t.items()) for t in want)
+
+
+def test_ratfunc_normalization_examples():
+    zero3 = Poly.zero(R3)
+    cases = [
+        (U2**3 * V2 + U2**2, U2**2 * V2**2 + U2**4),  # content in u alone
+        (V2**2 + U2 * V2**3, U2 + V2**2),  # content in v alone
+        (U3**2 * V3 + 2 * U3 * V3**2, 2 * U3 * V3**3),  # content in both
+        (U3 + 1, 2 * V3**2 + U3),  # a p = 3 lead of 2
+        (2 * U3, U3**2 + 2 * U3 * V3),  # the lead's u-degree decides
+        (zero3, 2 * V3 + U3),  # a zero numerator
+    ]
+    for num, den in cases:
+        assert _same_items(RatFunc(num, den), _normalized(num, den)), (str(num), str(den))
+    assert _same_items(RatFunc(zero3, 2 * V3), ({}, {(0, 0): 1}))
+    assert _same_items(RatFunc(U3 + 1, 2 * V3**2 + U3), ({(1, 0): 2, (0, 0): 2}, {(0, 2): 1, (1, 0): 2}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([R2, R3]),
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+    st.data(),
+)
+def test_ratfunc_normalization_matches_the_generator_scans(ring, shift, data):
+    # both sides times a drawn monomial, so content shows in either variable
+    num = data.draw(poly_strategy(ring, max_deg=6, max_terms=5))
+    den = data.draw(poly_strategy(ring, max_deg=6, max_terms=5).filter(bool))
+    m = Poly.monomial(ring, 1, *shift)
+    for a, b in ((num, den), (num * m, den * m), (num * m, den)):
+        assert _same_items(RatFunc(a, b), _normalized(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([R2, R3]), st.data())
+def test_degrees_match_the_generator_forms(ring, data):
+    f = data.draw(poly_strategy(ring, max_deg=9, max_terms=6))
+    assert f.deg1() == max((e1 for (e1, _) in f._t), default=-1)
+    assert f.deg2() == max((e2 for (_, e2) in f._t), default=-1)
+    assert (Poly.zero(ring).deg1(), Poly.zero(ring).deg2()) == (-1, -1)
+
+
 def test_substitute_images():
     host = ring_xy(2)
     x, y = Poly.var(host, "x"), Poly.var(host, "y")
@@ -507,11 +604,11 @@ def test_embedding_images_are_read_only():
     assert uv_images(cfg) is uv_images(EmbeddingConfig.default(2))
 
 
-def _overflow(f, images, limit):
-    # the size a budget overflow names, or None when substitute finishes
+def _overflow(f, images, limit, build=substitute):
+    # the size a budget overflow names, or None when the build finishes
     with support_limit(limit):
         try:
-            substitute(f, images)
+            build(f, images)
         except BudgetExceededError as err:
             return err.size
     return None
@@ -550,6 +647,35 @@ def test_substitute_budget_does_not_depend_on_the_memo():
         assert _overflow(f, images, limit + 1) is None
         if f is cases[0][1]:
             assert named == [2, 4, 4, 8, 8, 8, 8]
+
+
+def test_substitute_budget_matches_the_poly_level_oracle():
+    # substitute builds its products and sums on raw term dicts, and a
+    # fraction's result from unnormalized pairs; at every limit up to the
+    # first that passes it must overflow at the first size the Poly
+    # operations of _substitute_per_call name, polynomial or fraction, and
+    # past it give the same terms in the same order
+    rng = random.Random(29)
+    for p in (2, 3):
+        for ring, images in _image_sets(p):
+            x, y = (Poly.var(ring, name) for name in ring.vars)
+            cases = [RatFunc(y**3, x**2 + 1), RatFunc(x * y + 1, y**2 + x**3)]
+            for _ in range(3):
+                f = Poly(ring, {(rng.randrange(5), rng.randrange(4)): rng.randrange(1, p) for _ in range(3)})
+                den = Poly(ring, {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, p) for _ in range(2)})
+                cases += [f, RatFunc(f, den)]
+            for f in cases:
+                limit = 1
+                while True:
+                    want = _overflow(f, images, limit, _substitute_per_call)
+                    _power.cache_clear()
+                    assert _overflow(f, images, limit) == want, (p, str(f), limit)
+                    if want is None:
+                        break
+                    limit += 1
+                assert limit > 1
+                got, want = substitute(f, images), _substitute_per_call(f, images)
+                assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den)
 
 
 def test_power_memo_is_keyed_on_the_budget_limit():
