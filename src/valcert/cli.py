@@ -215,11 +215,11 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             report.certificates.append(gap_bound_sweep(tower[k], apprs[k], cfg.embedding(), cfg.samples, cfg.seed))
         return None
     if args.what == "t2":
-        _, apprs = _ladder(cfg, min(cfg.kmax, 1))
         if args.f is not None:
             _, cert = ceiling_check(parse_expr(args.f, ring_uv(cfg.p)), cfg.embedding(), args.f)
             report.certificates.append(cert)
             return None
+        _, apprs = _ladder(cfg, min(cfg.kmax, 1))
         half = cfg.samples // 2
         rng = random.Random(f"{cfg.seed}:t2")
         family = ceiling_family(rng, apprs, half, cfg.samples - half)

@@ -6,13 +6,9 @@ descent unit in u = u_k^(p^(2k)) * unit, the level's key polynomials, the
 unit factors of the twisted key recursion, and the drift terms of the
 untwisted recursion.  Keeping one common ring makes every claimed identity
 checkable as an exact cross-multiplied polynomial equality.  K_(k,i),
-K_(k,i-1)^(p^2) and v_k^(p^(2(i-1))) share one denominator D at every
-level, so the twisted and drift recursions are compared through the
-difference K_(k,i) - K_(k,i-1)^(p^2), which builds no product.  At k >= 1
-the unit factor has the closed form 1 - v_k^(p^(2(i-1))): where gamma has
-more terms than v_k, the twisted certificate proves its identity through
-that closed form over D and never builds the product of gamma with
-K_(k,0)^(p^(2(i-2))) * K_(k,i-2).
+K_(k,i-1)^(p^2) and the unit factor share one denominator at every level,
+so the twisted and drift recursions are compared through the difference
+K_(k,i) - K_(k,i-1)^(p^2), which builds no product.
 
 Level recursion (k >= 1, from level k-1):
 
@@ -20,11 +16,13 @@ Level recursion (k >= 1, from level k-1):
     K_(k,i) = K_(k-1,i+1) / u_k^(p^(2i))          for i >= 1
     u_(k-1) = u_k^(p^2) * (s_k + 1)
     unit_k = (s_k^(p^(2(k-1))) + 1) * unit_(k-1)
-    gammafactor_(k,i) = gammafactor_(k-1,i+1) * (s_k^(p^(2(i-1))) + 1)
+    gammafactor_(k,i) = 1 - v_k^(p^(2(i-1)))         for i >= 2
     drift_(k,i) = v_k^(p^(2(i-1))) * K_(k-1,i-1)     for i >= 2
 
 with all level-0 unit factors equal to 1 and all level-0 drifts equal to 0.
-The drift is closed because level k-1's drifts cancel in the step to level k.
+Both are closed forms of their level recursions: the unit factor's is
+gammafactor_(k-1,i+1) * (s_k^(p^(2(i-1))) + 1), and level k-1's drifts
+cancel in the step to level k.
 """
 
 from __future__ import annotations
@@ -109,10 +107,7 @@ def _next_level(prev: TowerLevel, i_top: int) -> TowerLevel:
     keys = {0: u_k, 1: v_k}
     for i in range(2, i_top + 1):
         keys[i] = prev.keys[i + 1] / u_k ** (p ** (2 * i))
-    gammas = {
-        i: prev.unit_factors[i + 1] * (s_k ** (p ** (2 * (i - 1))) + 1)
-        for i in range(2, i_top + 1)
-    }
+    gammas = {i: 1 - v_k.frob(2 * i - 2) for i in range(2, i_top + 1)}
     drifts = {i: v_k.frob(2 * i - 2) * prev.keys[i - 1] for i in range(2, i_top + 1)}
     return TowerLevel(
         k=k,
@@ -169,31 +164,6 @@ def _twist_base(level: TowerLevel, i: int) -> RatFunc:
     return keys[0] ** (level.p ** (2 * (i - 2))) * keys[i - 2]
 
 
-def _terms(f: RatFunc) -> int:
-    return f.num.support_size + f.den.support_size
-
-
-def _closed_form_unit(level: TowerLevel, i: int, m: RatFunc) -> RatFunc | None:
-    """gamma_(k,i) as (D - w.num)/D, when three exact checks prove the twisted identity.
-
-    With w = v_k^(p^(2(i-1))) and D the denominator of K_(k,i), the checks are
-    K_(k,i).den == K_(k,i-1)^(p^2).den == w.den == D, gamma == (D - w.num)/D,
-    and K_(k,i).num - K_(k,i-1)^(p^2).num == (w.num - D) * m over denominator 1.
-    Together they give K_(k,i) - K_(k,i-1)^(p^2) = -gamma * m.  Returns None
-    when any check fails: at level 0, where gamma = 1, or on a corrupted level.
-    """
-    key, prior, w = level.keys[i], level.keys[i - 1].frob(2), level.v.frob(2 * i - 2)
-    d = key.den
-    if not d == prior.den == w.den:
-        return None
-    closed = RatFunc(d - w.num, d)
-    if not level.unit_factors[i] == closed:
-        return None
-    if not RatFunc(key.num - prior.num) == RatFunc(w.num - d) * m:
-        return None
-    return closed
-
-
 def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
     """The key recursion with unit factors, plus the unit-factor value facts.
 
@@ -202,21 +172,11 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
 
-    With m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2): at every level k >= 1,
-    gamma = 1 - w with w = v_k^(p^(2(i-1))), and K_(k,i), K_(k,i-1)^(p^2)
-    and w share one denominator D.  When gamma has more terms than v_k (and
-    so than w), the identity is proved through that closed form by the
-    three checks of _closed_form_unit, which never build gamma * m: at
-    k = 5, i = 6 of build_tower(2, 5, 6) that product is a 25,992/2,736-term
-    fraction.  Both values are then taken on the smaller of gamma and
-    (D - w.num)/D, which are the same field element, so the text is the
-    same either way.  The size rule routes levels 4 and 5 of
-    build_tower(2, 5, 6); below them gamma is no larger than v_k, and the
-    three checks cost more than the product they avoid.  Otherwise, or when
-    a check fails (level 0, where gamma = 1, or a corrupted level), the
-    identity is compared as K_(k,i) - K_(k,i-1)^(p^2) == -(gamma * m), whose
-    left side adds over the shared denominator; the verdict is the same on
-    either path.
+    With m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2): when K_(k,i), K_(k,i-1)^(p^2)
+    and gamma share one denominator D, as on every intact level, multiplying
+    both sides by D leaves the numerators' identity
+    K_(k,i).num - K_(k,i-1)^(p^2).num == -gamma.num * m.  Otherwise (only on
+    corrupted input) it is compared as K_(k,i) - K_(k,i-1)^(p^2) == -(gamma * m).
     """
     if i < 2:
         raise ValueError("twisted recursion starts at index 2")
@@ -224,13 +184,12 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     p, k = level.p, level.k
 
     def run():
-        gamma, keys = level.unit_factors[i], level.keys
+        gamma, key, prior = level.unit_factors[i], level.keys[i], level.keys[i - 1].frob(2)
         m = _twist_base(level, i)
-        closed = _closed_form_unit(level, i, m) if _terms(gamma) > _terms(level.v) else None
-        if closed is None:
-            identity = keys[i] - keys[i - 1].frob(2) == -(gamma * m)
+        if key.den == prior.den == gamma.den:
+            identity = RatFunc(key.num - prior.num) == RatFunc(-gamma.num) * m
         else:
-            identity, gamma = True, min(gamma, closed, key=_terms)
+            identity = key - prior == -(gamma * m)
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
         floor = Fraction(2, p ** (2 * (k + 1)))

@@ -293,6 +293,19 @@ def test_ceiling_budget_is_per_certificate(capsys):
         assert {c["status"] for c in certs} == statuses
 
 
+def test_ascheck_t2_expression_needs_no_ladder(capsys):
+    # at --budget 40 building the ladder overflows, so the sampled family
+    # ends in one whole-command record; one requested ceiling check needs no
+    # ladder and keeps its own record
+    for argv, want in (
+        (["--f", "u"], [("as/ceiling/u", "pass")]),
+        (["--samples", "2"], [("ascheck", "budget-exceeded")]),
+    ):
+        code, out, _ = run_cli(["--format", "structured", "--budget", "40", "ascheck", "t2", *argv], capsys)
+        assert code == 0
+        assert [(c["id"], c["status"]) for c in json.loads(out)["certificates"]] == want
+
+
 def test_whole_command_budget_record_is_timed(capsys):
     # the record of an overflow outside every certificate carries the time
     # the command ran until it overflowed

@@ -212,14 +212,21 @@ def _tower_parts() -> list[Poly]:
     # numerators and denominators of build_tower(2, 4, 4) with 32 terms or
     # more (40 to 324), exponents near 2^16: the sparse operands of the
     # tower's identity checks, with the twisted recursion's right side as
-    # written, gamma * K_0^(p^(2(i-2))) * K_(i-2), for the largest of them
+    # written, gamma * K_0^(p^(2(i-2))) * K_(i-2), for the largest of them.
+    # Each gamma is built by its level recursion from level 0's ones,
+    # gamma_(k,i) = gamma_(k-1,i+1) * (s_k^(p^(2(i-1))) + 1), whose fractions
+    # are larger than the closed form the tower holds
     from valcert.tower import build_tower
 
-    parts = []
+    parts, gammas = [], {}
     for level in build_tower(2, 4, 4):
-        keys = level.keys
-        twists = [g * keys[0] ** (2 ** (2 * (i - 2))) * keys[i - 2] for i, g in level.unit_factors.items() if i > 2]
-        for f in (*keys.values(), *level.unit_factors.values(), *level.drifts.values(), *twists):
+        keys, s = level.keys, level.chart_shift
+        if level.k == 0:
+            gammas = level.unit_factors
+        else:
+            gammas = {i: gammas[i + 1] * (s ** (2 ** (2 * (i - 1))) + 1) for i in level.unit_factors}
+        twists = [g * keys[0] ** (2 ** (2 * (i - 2))) * keys[i - 2] for i, g in gammas.items() if i > 2]
+        for f in (*keys.values(), *gammas.values(), *level.drifts.values(), *twists):
             parts += [f.num, f.den]
     return [f for f in parts if f.support_size >= 32]
 

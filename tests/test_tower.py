@@ -10,8 +10,6 @@ from valcert.keyseq import p_sequence
 from valcert.parsing import parse_expr
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, support_limit
 from valcert.tower import (
-    _closed_form_unit,
-    _twist_base,
     build_tower,
     drift_bound,
     key_value_formula,
@@ -83,8 +81,8 @@ def _textbook_twisted(level, i):
 
 def _compared_twisted(level, i):
     # K_i - K_(i-1)^(p^2) == -gamma * ..., which verify_twisted_recursion
-    # compares when the closed-form route is not taken: the oracle of the
-    # route's budget
+    # compares when the denominators differ: the oracle of the budget of
+    # its numerators' comparison
     p, keys, gamma = level.p, level.keys, level.unit_factors[i]
     twist = gamma * keys[0] if i == 2 else gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
     return keys[i] - keys[i - 1].frob(2) == -twist
@@ -99,8 +97,8 @@ def _toggled(f):
 def _bent(level, i):
     # level with one corrupted input of the index-i identity: gamma_(k,i) or
     # K_(k,i) with one numerator term toggled, or K_(k,i-1) with one term
-    # added to its denominator, which leaves every numerator of the closed
-    # form's checks as it was
+    # added to its denominator, which leaves every numerator of the
+    # identity as it was
     prior = level.keys[i - 1]
     grown = RatFunc(prior.num, prior.den + Poly.monomial(prior.ring, 1, prior.den.deg1() + 1, 0))
     yield replace(level, unit_factors={**level.unit_factors, i: _toggled(level.unit_factors[i])})
@@ -121,66 +119,42 @@ def test_twisted_recursion(tower4, tower3):
                     assert want[0] is (bent is level), (level.k, i)
 
 
-def test_closed_form_route(tower4, tower3_deep):
-    # the route on its own, at both characteristics: the size rule never
-    # sends a p = 3 level to it, so only these calls cover p = 3
-    for tw in (tower4, tower3_deep):
-        for level in tw[1:]:
-            for i in range(2, 5):
-                key, w = level.keys[i], level.v.frob(2 * i - 2)
-                # the shared denominator that the closed form rests on
-                assert key.den == level.keys[i - 1].frob(2).den == w.den, (level.k, i)
-                m = _twist_base(level, i)
-                closed = _closed_form_unit(level, i, m)
-                assert closed is not None and closed == level.unit_factors[i], (level.k, i)
-                assert closed.den == key.den and closed - 1 == -w, (level.k, i)
-                for bent in _bent(level, i):
-                    assert _closed_form_unit(bent, i, m) is None, (level.k, i)
-                    cert = verify_twisted_recursion(bent, i)
-                    assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i)
-
-
-def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
-    # level 4 of build_tower(2, 4, 4) proves its identities through the
-    # closed form, and lower levels, where gamma is no larger than v_k,
-    # compare them directly; a route that silently fell back would show here
+def test_twisted_identity_branches(tower4, tower3_deep, monkeypatch):
+    # the numerators' comparison, which builds two fractions, decides
+    # exactly when K_i, K_(i-1)^(p^2) and gamma share one denominator: on
+    # every intact level, level 0 included, at both characteristics.  The
+    # grown prior denominator, the last corruption, takes the fallback,
+    # which builds none; so does a toggled gamma whose normalization cancels
+    # a monomial.  Either way the certificate agrees with the textbook
+    # arrangement
     from valcert import tower
 
-    taken = []
-    route = tower._closed_form_unit
-
-    def spy(level, i, m):
-        closed = route(level, i, m)
-        taken.append((level.k, i, closed is not None))
-        return closed
-
-    monkeypatch.setattr(tower, "_closed_form_unit", spy)
-    for level in tower4:
-        for i in range(2, 5):
-            assert verify_twisted_recursion(level, i).passed, (level.k, i)
-    assert taken == [(4, i, True) for i in range(2, 5)]
+    built = []
+    monkeypatch.setattr(tower, "RatFunc", lambda *args: built.append(args) or RatFunc(*args))
+    for tw in (tower4, tower3_deep):
+        for level in tw:
+            for i in range(2, 5):
+                for n, bent in enumerate((level, *_bent(level, i))):
+                    built.clear()
+                    cert = verify_twisted_recursion(bent, i)
+                    shared = bent.keys[i].den == bent.keys[i - 1].frob(2).den == bent.unit_factors[i].den
+                    assert len(built) == (2 if shared else 0), (level.k, i, n)
+                    if n in (0, 3):
+                        assert shared is (n == 0), (level.k, i, n)
+                    assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i, n)
 
 
 def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(tower4):
-    # at k = 4, i = 3 the largest support built is 1,248 terms in the
-    # textbook arrangement and 972 in the compared one
-    level = tower4[4]
-    with support_limit(1100):
-        cert = verify_twisted_recursion(level, 3)
-        assert cert.passed, cert.actual
-        with pytest.raises(BudgetExceededError):
-            _textbook_twisted(level, 3)
-
-
-def test_closed_form_route_fits_a_budget_the_compared_arrangement_overflows(tower4):
-    # at k = 4, i = 3 the largest support the route builds is 276 terms,
-    # against 972 in the compared arrangement, which overflows at 324
+    # at k = 4, i = 3 the largest support built is 276 terms in the
+    # certificate, 828 in the compared arrangement and 1,024 in the
+    # textbook one, so both arrangements overflow where it fits
     level = tower4[4]
     with support_limit(300):
         cert = verify_twisted_recursion(level, 3)
         assert cert.passed, cert.actual
-        with pytest.raises(BudgetExceededError):
-            _compared_twisted(level, 3)
+        for arrangement in (_compared_twisted, _textbook_twisted):
+            with pytest.raises(BudgetExceededError):
+                arrangement(level, 3)
 
 
 def test_twisted_recursion_offset_value(tower2):
@@ -188,6 +162,22 @@ def test_twisted_recursion_offset_value(tower2):
     seq = p_sequence(2)
     gamma = tower2[1].unit_factors[2]
     assert value(gamma - 1, seq) == Fraction(1, 4)
+
+
+def _recursion_unit(prev, level, i):
+    # the unit factor as the level step derives it: level k-1's at index i+1
+    # times s_k^(p^(2(i-1))) + 1.  It is the oracle of the closed form
+    # build_tower uses
+    return prev.unit_factors[i + 1] * (level.chart_shift ** (level.p ** (2 * (i - 1))) + 1)
+
+
+def test_unit_closed_form_matches_recursion(tower4, tower3_deep):
+    for tw in (tower4, tower3_deep):
+        for prev, level in zip(tw, tw[1:]):
+            assert sorted(level.unit_factors) == list(range(2, len(level.keys)))
+            for i, gamma in level.unit_factors.items():
+                assert _recursion_unit(prev, level, i) == gamma, (level.k, i)
+                assert gamma.den == level.keys[i].den, (level.k, i)
 
 
 def _recursion_drift(prev, level, i):
