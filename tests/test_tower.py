@@ -119,14 +119,15 @@ def test_twisted_recursion(tower4, tower3):
                     assert want[0] is (bent is level), (level.k, i)
 
 
-def test_twisted_identity_branches(tower4, tower3_deep, monkeypatch):
-    # the numerators' comparison, which builds two fractions, decides
-    # exactly when K_i, K_(i-1)^(p^2) and gamma share one denominator: on
-    # every intact level, level 0 included, at both characteristics.  The
-    # grown prior denominator, the last corruption, takes the fallback,
-    # which builds none; so does a toggled gamma whose normalization cancels
-    # a monomial.  Either way the certificate agrees with the textbook
-    # arrangement
+def test_closed_form_route(tower4, tower3_deep, monkeypatch):
+    # gamma_(k,i) = 1 - w, w = v_k^(p^(2(i-1))), over the denominator that
+    # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which builds
+    # two fractions, decides exactly when K_i, K_(i-1)^(p^2) and gamma share
+    # one denominator: on every intact level, level 0 included, at both
+    # characteristics.  The grown prior denominator, the last corruption,
+    # takes the fallback, which builds none; so does a toggled gamma whose
+    # normalization cancels a monomial.  Either way the certificate agrees
+    # with the textbook arrangement
     from valcert import tower
 
     built = []
@@ -134,6 +135,10 @@ def test_twisted_identity_branches(tower4, tower3_deep, monkeypatch):
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
+                if level.k >= 1:
+                    key, gamma, w = level.keys[i], level.unit_factors[i], level.v.frob(2 * i - 2)
+                    assert key.den == level.keys[i - 1].frob(2).den == w.den == gamma.den, (level.k, i)
+                    assert gamma - 1 == -w, (level.k, i)
                 for n, bent in enumerate((level, *_bent(level, i))):
                     built.clear()
                     cert = verify_twisted_recursion(bent, i)
@@ -144,17 +149,49 @@ def test_twisted_identity_branches(tower4, tower3_deep, monkeypatch):
                     assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i, n)
 
 
+def _terms(f):
+    return len(f.num.terms()) + len(f.den.terms())
+
+
+def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
+    # at level 4 of build_tower(2, 4, 4) gamma (30 terms) outgrows v_k (22),
+    # and below it does not; the numerators' comparison decides on every
+    # level all the same, so a certificate that silently fell back would
+    # show here
+    from valcert import tower
+
+    assert [_terms(level.unit_factors[2]) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
+    built = []
+    monkeypatch.setattr(tower, "RatFunc", lambda *args: built.append(args) or RatFunc(*args))
+    taken = []
+    for level in tower4:
+        for i in range(2, 5):
+            built.clear()
+            assert verify_twisted_recursion(level, i).passed, (level.k, i)
+            taken.append((level.k, i, len(built) == 2))
+    assert taken == [(k, i, True) for k in range(5) for i in range(2, 5)]
+
+
 def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(tower4):
     # at k = 4, i = 3 the largest support built is 276 terms in the
-    # certificate, 828 in the compared arrangement and 1,024 in the
-    # textbook one, so both arrangements overflow where it fits
+    # certificate and 1,024 in the textbook arrangement
     level = tower4[4]
     with support_limit(300):
         cert = verify_twisted_recursion(level, 3)
         assert cert.passed, cert.actual
-        for arrangement in (_compared_twisted, _textbook_twisted):
-            with pytest.raises(BudgetExceededError):
-                arrangement(level, 3)
+        with pytest.raises(BudgetExceededError):
+            _textbook_twisted(level, 3)
+
+
+def test_closed_form_route_fits_a_budget_the_compared_arrangement_overflows(tower4):
+    # at k = 4, i = 3 the largest support the certificate builds is 276
+    # terms, against 828 in the compared arrangement
+    level = tower4[4]
+    with support_limit(300):
+        cert = verify_twisted_recursion(level, 3)
+        assert cert.passed, cert.actual
+        with pytest.raises(BudgetExceededError):
+            _compared_twisted(level, 3)
 
 
 def test_twisted_recursion_offset_value(tower2):
