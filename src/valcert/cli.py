@@ -13,7 +13,8 @@ Subcommands:
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
---k, expand of zero, an --out that cannot be opened), named in an "error:" line.
+--k, an ascheck flag its mode does not read, expand of zero, an --out that
+cannot be opened), named in an "error:" line.
 An --out whose directory is missing, that names a directory, or that cannot
 be written (an existing file that is read-only, or a new file in a read-only
 directory) exits 2 before the command runs.
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_as.add_argument("--f", default=None, help="base-field expression for t2 (on (u,v))")
     p_as.add_argument("--samples", type=int, default=S)
     p_as.add_argument("--seed", type=int, default=S)
-    p_as.add_argument("--dump-values", action="store_true", help="also print the ladder value table")
+    p_as.add_argument("--dump-values", action="store_true", default=None, help="also print each sampled element's v(1/x - f)")
 
     p_fuzz = sub.add_parser("fuzz", help="engine oracles")
     p_fuzz.add_argument("--what", choices=("mult", "ultra", "cross"), required=True)
@@ -146,6 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="run the acceptance suite")
     return ap
+
+
+def _check_ascheck_flags(args) -> None:
+    # a flag that one ascheck mode alone reads, given to another mode, is an
+    # error, not a silent no-op; an unset flag is None, so --k 0 counts
+    for attr, flag, mode in (("k", "--k", "t1"), ("f", "--f", "t2"), ("dump_values", "--dump-values", "report")):
+        if getattr(args, attr) is not None and args.what != mode:
+            raise ValueError(f"{flag} is read only by ascheck {mode}, not by ascheck {args.what}")
 
 
 def _resolve_seed(args) -> int:
@@ -292,7 +301,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(
             p=args.p,
-            c=args.p - 1 if args.c is None else args.c,
+            c=EmbeddingConfig.default(args.p).c if args.c is None else args.c,
             kmax=args.kmax,
             imax=args.imax,
             samples=args.samples,
@@ -300,6 +309,8 @@ def main(argv=None) -> int:
             budget=args.budget,
         )
         cfg.validate()
+        if args.command == "ascheck":
+            _check_ascheck_flags(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -256,20 +256,11 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product of two polynomials, by the dict loop (_mul_dict) at every p.
-
-        The smaller factor's terms run in the outer loop.  expand() lists
-        the terms of one y-degree in the order this leaves them, so the
-        swap below is part of its output.
-        """
+        """Product of two polynomials, by the dict loop (_mul_dict) at every p."""
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        if len(self._t) > len(g._t):
-            big, small = self._t, g._t
-        else:
-            big, small = g._t, self._t
-        return Poly._make(self.ring, _mul_dict(big, small, self.ring.p))
+        return Poly._make(self.ring, _mul_dict(self._t, g._t, self.ring.p))
 
     __rmul__ = __mul__
 
@@ -286,28 +277,20 @@ class Poly:
         q = self.ring.p**t
         return Poly._make(self.ring, {(e1 * q, e2 * q): c for (e1, e2), c in self._t.items()})
 
-    def _small_pow(self, n: int) -> "Poly":
-        out = Poly.one(self.ring)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __pow__(self, n: int) -> "Poly":
         """n-th power via base-p digits: layers of Frobenius, then multiply."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n == 0:
-            return Poly.one(self.ring)
         p = self.ring.p
         out = Poly.one(self.ring)
         layer = 0
-        small: dict[int, Poly] = {}
         while n:
             n, d = divmod(n, p)
             if d:
-                if d not in small:
-                    small[d] = self._small_pow(d)
-                out = out * small[d].frob(layer)
+                digit = Poly.one(self.ring)
+                for _ in range(d):
+                    digit = digit * self
+                out = out * digit.frob(layer)
             layer += 1
         return out
 
@@ -368,11 +351,15 @@ class Poly:
 
 # -- kernels on raw term dicts ------------------------------------------------
 
-def _mul_dict(big: dict, small: dict, p: int) -> dict:
-    # the product of two term dicts over F_p, one small term at a time.  A
-    # one-term small is a monomial shift of big: no two products collide
-    # and c * d is nonzero in F_p, so the comprehension builds the dict the
-    # loop would, in the same order
+def _mul_dict(a: dict, b: dict, p: int) -> dict:
+    # the product of two term dicts over F_p.  The smaller factor's terms
+    # run in the outer loop, a's on a tie.  expand() lists the terms of one
+    # y-degree in the order this leaves them, so the choice is part of its
+    # output, and every product that becomes a Poly leaves it to this one
+    # rule.  A one-term small is a monomial shift of big: no two products
+    # collide and c * d is nonzero in F_p, so the comprehension builds the
+    # dict the loop would, in the same order
+    big, small = (a, b) if len(a) > len(b) else (b, a)
     if len(small) == 1:
         ((a1, a2), c), = small.items()
         return {(a1 + b1, a2 + b2): c * d % p for (b1, b2), d in big.items()}
@@ -445,11 +432,9 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
             e2n = shift + b2
             lv = levels.get(e2n)
             if lv is None:
-                # a fresh row: no term can cancel
-                levels[e2n] = {e1 + b1: -c * cv % p for e1, c in bucket.items()}
+                lv = levels[e2n] = {}
                 if e2n >= deg:
                     heapq.heappush(heap, -e2n)
-                continue
             for e1, c in bucket.items():
                 e1n = e1 + b1
                 s = (lv.get(e1n, 0) - c * cv) % p
@@ -662,9 +647,9 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
 
     Each term c * u^e1 * v^e2 becomes the part c * n1^e1 * d1^(max1 - e1)
     * n2^e2 * d2^(max2 - e2), over the shared denominator
-    d1^max1 * d2^max2.  Each product runs _mul_dict with the operands
-    Poly.__mul__ would choose, and the parts are added into one dict with
-    the inserts and deletes of Poly.__add__, so every term comes out in the
+    d1^max1 * d2^max2.  Each product is part * power by _mul_dict, as
+    Poly.__mul__ forms it, and the parts are added into one dict with the
+    inserts and deletes of Poly.__add__, so every term comes out in the
     order the Poly operations give, and the budget checks each product and
     each partial sum at the size the Poly operations check.  A factor of
     one (exponent 0, or an image denominator of one) is skipped: its
@@ -696,8 +681,7 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
     def times(part: dict, base: Poly, e: int) -> dict:
         if e == 0 or base._t == _ONE:
             return part
-        factor = _power(base, e, _LIMIT)._t
-        t = _mul_dict(part, factor, p) if len(part) > len(factor) else _mul_dict(factor, part, p)
+        t = _mul_dict(part, _power(base, e, _LIMIT)._t, p)
         _check_budget(len(t))
         return t
 

@@ -6,10 +6,12 @@ the criterion pins one.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
 from valcert import acceptance
+from valcert.certificates import Certificate
 
 REPORTED = {}
 
@@ -96,6 +98,22 @@ def test_criterion_7_ceiling():
     assert by_id["as/ceiling/0"].actual == "-1/2"
     assert by_id["as/ceiling/1/approximant[0]"].actual == "-15/32"
     assert by_id["as/ceiling/1/approximant[1]"].actual == "-239/512"
+
+
+def test_criterion_7_fails_a_moved_frozen_value(monkeypatch):
+    # a ceiling check that passes but reads another value than the frozen
+    # one fails criterion 7, and the certificate names the frozen value
+    def moved(f, cfg, label):
+        return Fraction(-1, 4), Certificate(id=f"as/ceiling/{label}", actual="-1/4")
+
+    monkeypatch.setattr(acceptance, "ceiling_check", moved)
+    certs = acceptance.criterion_7_ceiling()
+    assert len(certs) == 103
+    assert {c.id: c.actual for c in certs if not c.passed} == {
+        "as/ceiling/0": "-1/4 (expected the frozen value -1/2)",
+        "as/ceiling/1/approximant[0]": "-1/4 (expected the frozen value -15/32)",
+        "as/ceiling/1/approximant[1]": "-1/4 (expected the frozen value -239/512)",
+    }
 
 
 def test_criterion_8_dependence():

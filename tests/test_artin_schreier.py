@@ -1,6 +1,7 @@
 """The degree-p extension: generator, ladder, ceiling, dependence evidence."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,10 @@ from valcert.artin_schreier import (
     gap_value,
     verify_approximant_gap,
 )
-from valcert.embeddings import EmbeddingConfig, embed_uv, embed_xv
+from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv
 from valcert.engine import value
 from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import BudgetExceededError, Poly, RatFunc, _power, ring_uv, ring_xv, ring_xy, support_limit
+from valcert.polys import BudgetExceededError, Poly, RatFunc, Ring, _power, ring_uv, ring_xv, ring_xy, support_limit
 from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import omega
@@ -209,6 +210,26 @@ def test_gap_bound_sweep_budget_does_not_depend_on_the_memo(p, k, seed):
         limit += 1
     assert cold["status"] == "pass"
     assert stored_on_overflow == {0, 1}
+
+
+def test_gap_bound_sweep_fails_an_approximant_off_the_bound(setup2):
+    # h_k + v no longer attains the ladder bound, so the sweep fails before
+    # it samples, and says what the approximant attained
+    cfg, tower, apprs = setup2
+    v = Poly.var(ring_uv(2), "v")
+    for k in (0, 1):
+        off = replace(apprs[k], element=apprs[k].element + v)
+        cert = gap_bound_sweep(tower[k], off, cfg, samples=3, seed=5)
+        assert (cert.status, cert.expected, cert.actual) == ("fail", f"attained {gap_value(2, k)}", "attained 1/2")
+
+
+def test_library_entry_points_reject_bad_arguments(setup2):
+    cfg, tower, _ = setup2
+    with pytest.raises(ValueError, match="tower has 2 levels, need 3"):
+        build_approximants(tower[:2], 2, cfg)
+    odd = Poly.var(Ring(2, ("a", "b")), "a")
+    with pytest.raises(ValueError, match=r"no embedding from ring F2\[a,b\]"):
+        embed(odd, cfg)
 
 
 def test_gap_bound_zero_element(setup2):

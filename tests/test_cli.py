@@ -98,6 +98,34 @@ def test_malformed_input_exit_2(capsys, tmp_path):
         code, out, err = run_cli(["--p", "3", "value", "u^" + digit], capsys)
         assert code == 2 and out == ""
         assert err == f"error: unexpected character {digit!r} at offset 2\n"
+    for argv, line in (
+        (["--kmax", "-1", "value", "u"], "kmax must be >= 0"),
+        (["--imax", "1", "value", "u"], "imax must be >= 2"),
+        (["--budget", "0", "value", "u"], "budget must be positive"),
+        (["expand", "u/v"], "expand takes a polynomial, not a fraction at offset 1"),
+        (["value", "(u+v"], "expected ')', got '' at offset 4"),
+        (["value", "u^v"], "expected integer exponent, got 'v' at offset 2"),
+    ):
+        assert run_cli(argv, capsys) == (2, "", f"error: {line}\n")
+
+
+def test_ascheck_flag_outside_its_mode_exits_2(capsys, monkeypatch):
+    # --k, --f and --dump-values are each read by one ascheck mode; given
+    # to another they used to be ignored with exit 0.  The error names the
+    # first such flag and the mode that reads it, before the command runs
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "ascheck", never)
+    for argv, line in (
+        (["t1", "--f", "u", "--dump-values"], "--f is read only by ascheck t2, not by ascheck t1"),
+        (["t1", "--dump-values"], "--dump-values is read only by ascheck report, not by ascheck t1"),
+        (["t2", "--k", "3"], "--k is read only by ascheck t1, not by ascheck t2"),
+        (["t2", "--k", "0"], "--k is read only by ascheck t1, not by ascheck t2"),
+        (["report", "--f", "u", "--k", "7"], "--k is read only by ascheck t1, not by ascheck report"),
+        (["report", "--f", "u"], "--f is read only by ascheck t2, not by ascheck report"),
+    ):
+        assert run_cli(["ascheck", *argv], capsys) == (2, "", f"error: {line}\n")
 
 
 P_RULE = "p must be a prime <= 7, got {}"

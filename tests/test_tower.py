@@ -328,8 +328,12 @@ def test_budget_aborts_build():
         build_tower(2, 2, 4)
 
 
-def test_build_validation():
+def test_build_validation(tower2):
     with pytest.raises(ValueError):
         build_tower(2, -1, 4)
     with pytest.raises(ValueError):
         build_tower(2, 1, 1)
+    with pytest.raises(ValueError, match="twisted recursion starts at index 2"):
+        verify_twisted_recursion(tower2[1], 1)
+    with pytest.raises(ValueError, match="drift recursion starts at index 2"):
+        verify_drift_recursion(tower2[1], 1)
