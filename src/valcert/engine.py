@@ -34,25 +34,13 @@ of S_n and S_n^p once per sequence and index, beside its value table.
 ``expand()`` keeps the one-digit-at-a-time division, so the tests compare
 the two.
 
-``_stream`` runs on either of two term layouts, each a division kernel with
-a size and a leaf.  At p = 2 an input is packed into rows: one Python int
-per second-variable degree e2, with bit e1 set for each term x^e1 * y^e2
-(every coefficient is 1).  Over F_2 subtraction is XOR and multiplying by
-x^b1 is a left shift, so dividing by a key, S_n or S_n^p alike, costs one
-shift-and-XOR per row and per non-leading key term, and the base-S_1
-digits are the rows themselves.  The rows spend
-a bit on every exponent up to each row's highest and a slot on every degree
-up to the top one, so an input is packed only when it needs a division
-(y-degree at least p^2) and its bits plus slots come to at most
-``_ROW_BITS`` per term.
-
-Every other input that needs a division, such as the tower's sparse keys
-and products with exponents near 2^20 and every input at odd p, is bucketed
-once as {e2: {e1: c}} for ``polys._divmod_buckets``, the one dict division
-kernel, which ``Poly.__divmod__`` wraps.  It divides the buckets in place:
-its quotient becomes the next dividend and its remainder is the digit, so
-no Poly is built per digit.  The tests check that kernel against sympy, and
-the row kernel against it.
+``_stream`` runs on one term layout: an input that needs a division, such
+as the tower's sparse keys with exponents near 2^20 or a dense host
+polynomial of the ladder, is bucketed once as {e2: {e1: c}} for
+``polys._divmod_buckets``, the one dict division kernel, which
+``Poly.__divmod__`` wraps.  It divides the buckets in place: its quotient
+becomes the next dividend and its remainder is the digit, so no Poly is
+built per digit.  The tests check that kernel against sympy.
 """
 
 from __future__ import annotations
@@ -60,7 +48,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .certificates import Certificate, _clip, check, failures
 from .embeddings import EmbeddingConfig, embed_uv
@@ -210,124 +197,56 @@ def value(f: Poly | RatFunc, seq: GenSeq) -> Fraction:
         keys.update([e2 * step + coefs[0] * e1 for e1, e2 in f._t])
         count = len(f._t)
     else:
-        rows = _pack_rows(f, d2) if p == 2 else None
-        terms, kernel = (_bucket(f._t), _BUCKETS) if rows is None else (rows, _ROWS)
-        count = _stream(terms, kernel, seq, coefs, 0, keys)
+        count = _stream(_bucket(f._t), seq, coefs, 0, keys)
     if count != len(keys):
         raise _tie_error(f, seq)
     return Fraction(min(keys), den)
 
 
-def _stream(terms, kernel: tuple, seq: GenSeq, coefs: list[int], acc: int, keys: set) -> int:
-    # The digit recursion of _expand_into on one term layout, carrying the
-    # partial term value as the integer acc; adds each term's key to keys
-    # and returns the number of terms, so a shortfall in len(keys) reveals
-    # a tie.  The base-S_n digit j = a + p*b is peeled off in two radix
-    # stages: the digits D_b of base S_n^p, then the p digits a of each D_b
-    # in base S_n.
-    _, top, size, leaf = kernel
+def _stream(levels: dict, seq: GenSeq, coefs: list[int], acc: int, keys: set) -> int:
+    # The digit recursion of _expand_into on bucketed terms {e2: {e1: c}},
+    # carrying the partial term value as the integer acc; adds each term's
+    # key to keys and returns the number of terms, so a shortfall in
+    # len(keys) reveals a tie.  The base-S_n digit j = a + p*b is peeled off
+    # in two radix stages: the digits D_b of base S_n^p, then the p digits
+    # a of each D_b in base S_n.
     p = seq.p
     p2 = p * p
-    d2 = top(terms)
+    d2 = max(levels)
     if d2 < p2:
-        leaf(terms, coefs[0], coefs[1], acc, keys)
-        return size(terms)
+        # base S_1 is the bare second variable: the key of x^e1 * y^e2 is
+        # acc + e2*v(S_1) + e1*v(S_0)
+        m, step = coefs[0], coefs[1]
+        keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
+        return sum(map(len, levels.values()))
     n = seq.index_for_degree(d2)
     deg, low, pdeg, plow = seq.key_data(n)
     step = coefs[n]
     count = 0
-    for b, outer in enumerate(_digits(terms, kernel, pdeg, plow, p)):
+    for b, outer in enumerate(_digits(levels, pdeg, plow, p)):
         if outer:
-            for a, digit in enumerate(_digits(outer, kernel, deg, low, p)):
+            for a, digit in enumerate(_digits(outer, deg, low, p)):
                 if digit:
                     j = a + p * b
                     if j >= p2:
                         raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
-                    count += _stream(digit, kernel, seq, coefs, acc + j * step, keys)
+                    count += _stream(digit, seq, coefs, acc + j * step, keys)
     return count
 
 
-def _digits(terms, kernel: tuple, deg: int, low: list, p: int):
-    # The digits of nonzero terms in base y^deg + low, lowest first, some
-    # of them empty: the remainder of each division, then the last
-    # quotient, whose y-degree is below deg, without a division that would
-    # only copy it.  Each division consumes its dividend, and the budget
-    # checks its quotient, then its remainder, as Poly.__divmod__ does.
-    divide, top, size, _ = kernel
-    while top(terms) >= deg:
-        terms, digit = divide(terms, deg, low, p)
-        _check_budget(size(terms))
-        _check_budget(size(digit))
+def _digits(levels: dict, deg: int, low: list, p: int):
+    # The digits of nonzero bucketed terms in base y^deg + low, lowest
+    # first, some of them empty: the remainder of each division, then the
+    # last quotient, whose y-degree is below deg, without a division that
+    # would only copy it.  Each division consumes its dividend, and the
+    # budget checks its quotient, then its remainder, as Poly.__divmod__
+    # does.
+    while max(levels) >= deg:
+        levels, digit = _divmod_buckets(levels, deg, low, p)
+        _check_budget(sum(map(len, levels.values())))
+        _check_budget(sum(map(len, digit.values())))
         yield digit
-    yield terms
-
-
-def _bucket_leaf(levels: dict, m: int, step: int, acc: int, keys: set) -> None:
-    # adds the key acc + e2*step + m*e1 for each term x^e1 * y^e2
-    keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
-
-
-# A term layout for _stream is (divide, top, size, leaf): divide takes
-# _divmod_buckets's arguments, top gives the y-degree, size the number of
-# terms, and leaf adds the keys of a digit of y-degree below p^2.
-# Terms bucketed as {e2: {e1: c}}:
-_BUCKETS = (_divmod_buckets, max, lambda levels: sum(map(len, levels.values())), _bucket_leaf)
-
-
-# Sparsest input packed into rows, in row bits plus row slots per term.
-# The ladder's level-1 host inputs reach 226 and the tower's keys 10^3 to
-# 10^6.  Measured on the benchmark's inputs, the rows lost to the dict path
-# only on inputs of at most 40 terms, none of which took a millisecond.
-_ROW_BITS = 256
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _pack_rows(f: Poly, d2: int) -> list[int] | None:
-    # rows[e2] has bit e1 set for each term x^e1 * y^e2 of f over F_2, and
-    # d2 = deg2(f); None when the rows would be sparser than _ROW_BITS
-    cols: dict[int, list[int]] = {}
-    for e1, e2 in f._t:
-        cols.setdefault(e2, []).append(e1)
-    if sum(map(max, cols.values())) + len(cols) + d2 + 1 > _ROW_BITS * len(f._t):
-        return None
-    rows = [0] * (d2 + 1)
-    for e2, e1s in cols.items():
-        rows[e2] = sum(map((1).__lshift__, e1s))  # distinct bits: the sum is the OR
-    return rows
-
-
-def _divmod_rows(rows: list[int], deg: int, low: list, p: int) -> tuple[list[int], list[int]]:
-    """_divmod_buckets over F_2 on packed rows; p, always 2, keeps its arguments.
-
-    Divides by the key y^deg + sum x^b1 * y^b2 over ((b1, b2), 1) in low;
-    rows and both results carry no zero top row.
-    """
-    top = len(rows) - 1
-    r = list(rows)
-    q = [0] * (top - deg + 1)
-    for d in range(top, deg - 1, -1):
-        row = r[d]
-        if row:
-            shift = d - deg
-            q[shift] = row
-            for (b1, b2), _ in low:
-                r[shift + b2] ^= row << b1
-    del r[deg:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _row_leaf(rows: list[int], m: int, step: int, acc: int, keys: set) -> None:
-    # adds the key acc + e2*step + m*e1 for each set bit e1 of each row e2
-    for e2, row in enumerate(rows):
-        bits = bin(row)[:1:-1].encode().translate(_BIT_BYTES)
-        start = acc + e2 * step
-        keys.update(compress(range(start, start + m * len(bits), m), bits))
-
-
-# Packed F_2 rows, one int per y-degree:
-_ROWS = (_divmod_rows, lambda rows: len(rows) - 1, lambda rows: sum(map(int.bit_count, rows)), _row_leaf)
+    yield levels
 
 
 def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:

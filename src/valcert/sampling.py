@@ -53,8 +53,9 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     over the ambient (u,v) field.  Each summand's total key weight
     sum a_i * p^(2i) is capped at twice the weight of the single top-index
     key, which still reaches the extremal single-key monomials.  The cap
-    bounds key weight only, not the embedded size or the time to expand
-    it: at p = 3, level 1, some draws take tens of seconds to minutes.
+    bounds key weight only, not the embedded size: at p = 3, level 1,
+    ``embed_uv`` of some draws builds numerators of 10^6 terms and more,
+    and takes seconds, before any value is computed.
 
     Each key power K_(k,i)^a is built once per process for each key,
     exponent and budget limit: its numerator and denominator come from

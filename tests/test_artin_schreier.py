@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from valcert import artin_schreier
 from valcert.artin_schreier import (
     _attained_gap,
     _frobenius_gap,
+    _gap_exceeds,
     build_approximants,
     ceiling_check,
     dependence_report,
@@ -124,7 +126,7 @@ def test_tail_above_omega(setup2):
     cfg, _, apprs = setup2
     host = q_sequence(2)
     for appr in apprs:
-        assert value(appr.tail, host) > omega(2)
+        assert value(appr.tail(cfg), host) > omega(2)
 
 
 def test_gap_bound_sweep(setup2):
@@ -152,6 +154,67 @@ def test_frobenius_gap_oracle(p, k, setup2, setup3):
         e = embed_uv(g, cfg)
         assert value(e**p - x**p, host) == p * value(e - x, host)
     assert value(embed_uv(apprs[k].element, cfg) ** p - x**p, host) == gap_value(p, k)
+
+
+def _spy_values(monkeypatch) -> list:
+    # the list of every input artin_schreier values from now on
+    valued = []
+
+    def spied(f, seq):
+        valued.append(f)
+        return value(f, seq)
+
+    monkeypatch.setattr(artin_schreier, "value", spied)
+    return valued
+
+
+@pytest.mark.parametrize("p,k", [(2, 0), (2, 1), (3, 0)])
+def test_gap_exceeds_matches_the_frobenius_gap(p, k, setup2, setup3, monkeypatch):
+    # the sweep's truncated decision against the full value it replaces, on
+    # the sweep's own draws.  Bound -1 leaves no term of weight <= T, so
+    # only D is ever valued; the gap itself answers no and the gap less
+    # p^-10 yes
+    cfg, tower, apprs = setup2 if p == 2 else setup3
+    host = q_sequence(p)
+    x = RatFunc(Poly.var(ring_xy(p), "x"))
+    rng = random.Random(f"gap-exceeds:{p}:{k}")
+    valued = _spy_values(monkeypatch)
+    answers = set()
+    for _ in range(40):
+        g = random_level_element(rng, tower[k], i_cap=k + 3)
+        gap = _frobenius_gap(g, cfg, host)
+        den = (embed_uv(g, cfg) - x).den
+        tiny = Fraction(1, p**10)
+        for bound in (Fraction(-1), Fraction(0), gap - tiny, gap, gap + tiny, gap_value(p, k)):
+            valued.clear()
+            got = _gap_exceeds(g, cfg, host, bound)
+            assert got == (gap > bound), (g, bound)
+            if bound == -1:
+                assert all(f == den for f in valued)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_gap_exceeds_values_a_tied_denominator(monkeypatch):
+    # g = 1/(v^4 + u) at p = 2: the denominator of g - x is v^4 + u
+    # embedded, whose least weight 1 both y^8 and x^2 have, while its value
+    # is 17/16.  So the least weight is not v(D), and only value(D) gives
+    # the right T
+    cfg = EmbeddingConfig.default(2)
+    host = q_sequence(2)
+    u, v = Poly.var(ring_uv(2), "u"), Poly.var(ring_uv(2), "v")
+    g = RatFunc(Poly.one(ring_uv(2)), v**4 + u)
+    den = (embed_uv(g, cfg) - RatFunc(Poly.var(ring_xy(2), "x"))).den
+    weights = [Fraction(a, 2) + Fraction(b, 8) for a, b in den._t]
+    assert sorted(weights)[:2] == [1, 1] and {(0, 8), (2, 0)} <= set(den._t)
+    assert value(den, host) == Fraction(17, 16)
+    valued = _spy_values(monkeypatch)
+    gap = _frobenius_gap(g, cfg, host)
+    tiny = Fraction(1, 2**10)
+    for bound in (Fraction(-1), Fraction(0), gap - tiny, gap, gap + tiny):
+        valued.clear()
+        assert _gap_exceeds(g, cfg, host, bound) == (gap > bound), bound
+        assert valued[0] == den
 
 
 def _ladder(p, k):

@@ -74,8 +74,11 @@ def test_negative_samples_exit_2(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert "samples must be >= 0" in err and out == ""
-    code, _, _ = run_cli(["--kmax", "0", "--samples", "0", "ascheck", "t1"], capsys)
-    assert code == 0
+    for samples, swept in (("0", False), ("1", True)):
+        code, out, _ = run_cli(["--format", "structured", "--samples", samples, "ascheck", "t1", "--k", "0"], capsys)
+        assert code == 0
+        ids = [c["id"] for c in json.loads(out)["certificates"]]
+        assert ("as/gap-bound-sweep/k=0" in ids) == swept
 
 
 def test_malformed_input_exit_2(capsys, tmp_path):
@@ -308,7 +311,8 @@ def test_ceiling_budget_is_per_certificate(capsys):
         ),
         (
             ["--budget", "40", "ascheck", "t1"],
-            ["as/gap-identity", "as/gap-value", "as/gap-above-tail", "as/ceiling-strict", "ascheck"],
+            ["as/gap-identity", "as/gap-value", "as/gap-above-tail", "as/ceiling-strict"]
+            + [f"as/approximant-gap/k={k}" for k in range(3)],
             {"pass", "budget-exceeded"},
         ),
         (["--budget", "3", "tower"], ["tower"], {"budget-exceeded"}),
@@ -322,25 +326,41 @@ def test_ceiling_budget_is_per_certificate(capsys):
 
 
 def test_ascheck_t2_expression_needs_no_ladder(capsys):
-    # at --budget 40 building the ladder overflows, so the sampled family
+    # at --budget 5 building the tower overflows, so the sampled family
     # ends in one whole-command record; one requested ceiling check needs no
     # ladder and keeps its own record
     for argv, want in (
         (["--f", "u"], [("as/ceiling/u", "pass")]),
         (["--samples", "2"], [("ascheck", "budget-exceeded")]),
     ):
-        code, out, _ = run_cli(["--format", "structured", "--budget", "40", "ascheck", "t2", *argv], capsys)
+        code, out, _ = run_cli(["--format", "structured", "--budget", "5", "ascheck", "t2", *argv], capsys)
         assert code == 0
         assert [(c["id"], c["status"]) for c in json.loads(out)["certificates"]] == want
 
 
 def test_whole_command_budget_record_is_timed(capsys):
     # the record of an overflow outside every certificate carries the time
-    # the command ran until it overflowed
-    code, out, _ = run_cli(["--budget", "40", "ascheck", "t1"], capsys)
+    # the command ran until it overflowed, here in building the tower
+    code, out, _ = run_cli(["--budget", "100", "--kmax", "4", "ascheck", "t1"], capsys)
     assert code == 0
     row = next(line for line in out.splitlines() if line.startswith("BUDGET-EXCEEDED  ascheck "))
     assert not row.endswith("[0.000s]")
+
+
+def test_approximant_tails_are_built_inside_their_certificate(capsys):
+    # the tail of h_k^p - x^p is read only by as/approximant-gap/k, so its
+    # overflow is recorded on that certificate alone, and a mode that reads
+    # no tail never builds one
+    t1 = ["as/gap-identity", "as/gap-value", "as/gap-above-tail", "as/ceiling-strict"]
+    for budget, mode, passed, (overflowed, size) in (
+        ("200", "report", [], ("as/dependence", 224)),
+        ("300", "t1", t1 + ["as/approximant-gap/k=0", "as/approximant-gap/k=1"], ("as/approximant-gap/k=2", 424)),
+    ):
+        code, out, _ = run_cli(["--format", "structured", "--budget", budget, "ascheck", mode], capsys)
+        assert code == 0
+        certs = json.loads(out)["certificates"]
+        assert [(c["id"], c["status"]) for c in certs] == [(i, "pass") for i in passed] + [(overflowed, "budget-exceeded")]
+        assert certs[-1]["actual"] == f"polynomial support {size} exceeds budget {budget}"
 
 
 def test_budget_exceeded_warns_but_exits_zero(capsys):
@@ -378,7 +398,13 @@ STRUCTURED_DIGESTS = {
     "fuzz --what cross": "c899bbe8efe01ced8f96aaf4699045dce80c55e47bb8ec1b2391ffb4a2f04313",
     "fuzz --what mult": "84bac240ccb89b1f7b4d76fc63be33af5fde1bb4784e6214df4b54c71e3cc344",
     "fuzz --what ultra": "416d173c5751876a174dea0b8ae2e00ec03abb975b5e1076db7c0c73a9ce26ca",
-    "--budget 1000 ascheck t1 --k 1 --samples 5": "850588053c09d69ddcda62e147c17ca850c2d1329eeda361cc830c4f5301b269",
+    # recorded at commit c439328, where this sweep overflowed on a 989-term
+    # embedded sample, an overflow that weight truncation leaves in place
+    "--budget 800 ascheck t1 --k 1 --samples 5": "c22a78fc3a1dd4a10356c22de12ac84aa55f97b0dba2621ce62c56f34d56dbd3",
+    # re-recorded when the sweep stopped valuing each sample's full g - x:
+    # at commit c439328 (850588053c09...) it overflowed on a 1669-term
+    # division inside that value, and now it passes
+    "--budget 1000 ascheck t1 --k 1 --samples 5": "1864e8253aab79ae4dcd11dae78071fe3083323f75547c3cd54d62bc6ed8f29a",
     "--kmax 0 --budget 20 ascheck t2 --samples 6": "d1fcbfaaef4361aa1e586cd3c2db1d7db8318986adf7b914982d5a8821bcb84e",
     # recorded at commit 1e04c13: a 403-line listing whose product of two
     # factors of 82 and 80 terms runs through the ordered packed F_2 kernel,

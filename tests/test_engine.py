@@ -32,11 +32,6 @@ LEVEL1 = build_tower(2, 1, 3)[1]
 TOWER_POLYS = [g for level in build_tower(2, 4, 4) for key in level.keys.values() for g in (key.num, key.den)]
 
 
-def packed(f):
-    # whether value() runs f through the p = 2 row kernel
-    return f.deg2() >= 4 and engine._pack_rows(f, f.deg2()) is not None
-
-
 def rnd_poly(rng, ring, max_deg=7, max_terms=5):
     while True:
         t = {
@@ -128,8 +123,8 @@ def test_reconstruction(seed):
 def test_value_is_min_over_expansion(source, p, seed):
     # the streamed integer keys against the explicit expansion, whose
     # reconstruction test_reconstruction checks independently.  "level"
-    # draws dense p = 2 host polynomials that take the row kernel; "sparse"
-    # spreads x-exponents past its gate, onto the bucketed dict path.  The
+    # draws dense p = 2 host polynomials of the ladder; "sparse" spreads
+    # x-exponents thousands apart, as the tower's keys do.  The
     # last three reach the radix split's empty digits: products of tower keys
     # reach zero base-S_n digits inside a nonzero D_b, and p^t-th powers of
     # a multiple of S_0, S_1 or S_2, bare or times a monomial, reach zero
@@ -139,12 +134,10 @@ def test_value_is_min_over_expansion(source, p, seed):
         seq = q_sequence(2)
         g = embed_uv(random_level_element(rng, LEVEL1, i_cap=2), EmbeddingConfig.default(2))
         inputs = [f for f in (g.num, g.den) if f]  # the draw can cancel to 0
-        assert all(packed(f) for f in inputs if f.deg2() >= 4)
     elif source == "sparse":
         seq = q_sequence(2)
         f = rnd_poly(rng, seq.ring, max_deg=19, max_terms=6)
         f = Poly(seq.ring, {((e1 + 1) << 12, e2): c for (e1, e2), c in f.terms()}) + Y**4
-        assert not packed(f)
         inputs = [f]
     elif source == "tower":
         seq = p_sequence(2)
@@ -239,11 +232,11 @@ def test_value_builds_each_key_data_once(monkeypatch):
 
 
 def test_corrupted_value_table_aborts_loudly():
-    # U + V takes the dict path, (X + Y)^5 the row kernel; each corrupts a
-    # private sequence, since the shared ones serve every later test
+    # U + V takes the one-pass leaf, (X + Y)^5 the bucketed divisions; each
+    # corrupts a private sequence, since the shared ones serve every later
+    # test
     uv, xy = GenSeq(R2, Fraction(1), "uv"), GenSeq(ring_xy(2), Fraction(1, 2), "xy")
     for seq, f in ((uv, U + V), (xy, (X + Y) ** 5)):
-        assert packed(f) == (seq.ring == X.ring)
         seq.value(1)
         seq._values[1] = seq.scale  # v(S_1) deliberately collides with v(S_0)
         with pytest.raises(ValueTieError) as info:
@@ -253,64 +246,52 @@ def test_corrupted_value_table_aborts_loudly():
         assert "expansion" in message  # diagnostic dump present
 
 
-# value() packs rows with _pack_rows at p = 2; patched to pack nothing, it
-# takes the buckets
-BOTH_LAYOUTS = ((engine._pack_rows, engine._ROWS), (lambda f, d2: None, engine._BUCKETS))
-
-
 def test_packed_value_budget_names_the_dict_size(monkeypatch):
-    # the rows and the buckets run one recursion, which checks each
-    # quotient and remainder against the budget, so both layouts name one
-    # size
+    # value() streams a dense p = 2 input through the bucketed recursion,
+    # which checks each quotient and remainder against the budget, so it
+    # names the size of the first one past the limit: here the quotient of
+    # the first division, by S_2^2, as Poly.__divmod__ builds it
     seq = q_sequence(2)
     f = (X + Y + 1) ** 9 * (Y**5 + X**3 * Y + X)
-    assert packed(f)
     stream = engine._stream
-    sizes, kernels = [], set()
+    streamed = []
 
-    def spied(terms, kernel, *args):
-        kernels.add(kernel)
-        return stream(terms, kernel, *args)
+    def spied(levels, *args):
+        streamed.append(max(levels))
+        return stream(levels, *args)
 
     monkeypatch.setattr(engine, "_stream", spied)
-    for pack, kernel in BOTH_LAYOUTS:
-        monkeypatch.setattr(engine, "_pack_rows", pack)
-        kernels.clear()
-        with support_limit(8), pytest.raises(BudgetExceededError) as info:
-            value(f, seq)
-        sizes.append(info.value.size)
-        assert kernels == {kernel}
-    assert sizes[0] == sizes[1] > 8
+    quotient, _ = divmod(f, seq.poly(seq.index_for_degree(f.deg2())) ** 2)
+    with support_limit(8), pytest.raises(BudgetExceededError) as info:
+        value(f, seq)
+    assert streamed == [f.deg2()]
+    assert info.value.size == quotient.support_size > 8
 
 
-def test_value_budget_checks_both_radix_stages(monkeypatch):
+def test_value_budget_checks_both_radix_stages():
     # value() first divides f by S_3^2, then that remainder D_0 by S_3, and
     # checks each quotient, then each remainder.  On this input the four
-    # sizes rise, so each limit below reaches one more check, and both
-    # layouts must name the size Poly.__divmod__ gives for that division.
+    # sizes rise, so each limit below reaches one more check, and value()
+    # must name the size Poly.__divmod__ gives for that division.
     seq = q_sequence(2)
     f = Y**32 + Y**31 * (X + X**3 + X**6)
-    assert packed(f) and seq.index_for_degree(f.deg2()) == 3
+    assert seq.index_for_degree(f.deg2()) == 3
     key = seq.poly(3)
     q1, d0 = divmod(f, key**2)
     q2, r2 = divmod(d0, key)
     sizes = [len(g.terms()) for g in (q1, d0, q2, r2)]
     assert sizes == sorted(set(sizes))
-    for pack, kernel in BOTH_LAYOUTS:
-        monkeypatch.setattr(engine, "_pack_rows", pack)
-        for limit, want in zip([0] + sizes, sizes):
-            with support_limit(limit), pytest.raises(BudgetExceededError) as info:
-                value(f, seq)
-            assert info.value.size == want, (kernel[0].__name__, limit)
+    for limit, want in zip([0] + sizes, sizes):
+        with support_limit(limit), pytest.raises(BudgetExceededError) as info:
+            value(f, seq)
+        assert info.value.size == want, limit
 
 
 def test_key_index_one_too_low_raises_on_the_digit_exponent(monkeypatch):
     # a sequence that answers S_2 where S_3 is due writes y^(p^4) as
     # S_2^(p^2) + x^(p^2): its digit exponent p^2 is no standard exponent,
-    # and both layouts must stop at that first out-of-range digit
-    assert packed(Y**16)
-    for p, pack in ((2, engine._pack_rows), (2, lambda f, d2: None), (3, engine._pack_rows)):
-        monkeypatch.setattr(engine, "_pack_rows", pack)  # p = 3 never packs
+    # and value() must stop at that first out-of-range digit
+    for p in (2, 3):
         seq = GenSeq(ring_xy(p), Fraction(1, p), "xy")
         index = seq.index_for_degree
         monkeypatch.setattr(seq, "index_for_degree", lambda d2, index=index: index(d2) - 1)
@@ -319,38 +300,37 @@ def test_key_index_one_too_low_raises_on_the_digit_exponent(monkeypatch):
 
 
 def test_value_routes_dict_inputs_through_buckets(monkeypatch):
-    # sparse p = 2 inputs (a tower key) and odd-p inputs that need a
-    # division run the bucketed digit recursion and build no Poly per digit;
-    # small inputs take the one-pass leaf and dense p = 2 ones the rows
+    # inputs that need a division, sparse p = 2 ones (a tower key), dense
+    # p = 2 ones and odd-p ones, run the bucketed digit recursion and build
+    # no Poly per digit; small inputs take the one-pass leaf
     def no_divmod(f, g):
         raise AssertionError("value() divided a Poly")
 
     calls = []
     stream = engine._stream
 
-    def counted(terms, kernel, *args):
-        if kernel is engine._BUCKETS:
-            calls.append(max(terms))
-        return stream(terms, kernel, *args)
+    def counted(levels, *args):
+        calls.append(max(levels))
+        return stream(levels, *args)
 
     key = build_tower(2, 4, 4)[4].keys[2].num
     p3 = q_sequence(3)
     f3 = (Poly.var(p3.ring, "x") + Poly.var(p3.ring, "y") + 1) ** 10
-    want = [value(key, p_sequence(2)), value(f3, p3)]
+    want = [value(key, p_sequence(2)), value(f3, p3), value((X + Y) ** 5, q_sequence(2))]
     monkeypatch.setattr(Poly, "__divmod__", no_divmod)
     monkeypatch.setattr(engine, "_stream", counted)
     for f, seq, routed in (
         (key, p_sequence(2), True),
         (f3, p3, True),
         (U**3 * V**3 + V, p_sequence(2), False),
-        ((X + Y) ** 5, q_sequence(2), False),
+        ((X + Y) ** 5, q_sequence(2), True),
     ):
         calls.clear()
         got = value(f, seq)
         assert bool(calls) == routed and (not routed or calls[0] == f.deg2())
         if routed:
             assert got == want.pop(0)
-    assert not packed(key) and not want
+    assert not want
 
 
 def test_cross_check_examples():

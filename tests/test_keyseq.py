@@ -101,3 +101,10 @@ def test_sequences_are_shared_per_characteristic():
         want = seq.scale if i == 0 else Fraction((2 ** (4 * i) - 1) // 15, 2 ** (2 * i))
         assert got == want
     assert value(seq.poly(0) + seq.poly(1), seq) == Fraction(1, 4)
+
+
+def test_negative_index_is_rejected():
+    seq = p_sequence(2)
+    for lookup in (seq.poly, seq.value):
+        with pytest.raises(IndexError, match="^negative sequence index$"):
+            lookup(-1)

@@ -1,6 +1,7 @@
 """Sparse polynomial and rational-function arithmetic."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from valcert.polys import (
     NonMonicDivisorError,
     Poly,
     RatFunc,
+    Ring,
     RingMismatchError,
     _mul_dict,
     _power,
@@ -163,25 +165,12 @@ def test_monomial_product_matches_the_general_loop(ring, e, data):
             assert list(product._t.items()) == list(want.items())
 
 
-def _rows(f: Poly) -> list[int]:
-    rows = [0] * (f.deg2() + 1)
-    for e1, e2 in f._t:
-        rows[e2] |= 1 << e1
-    return rows
-
-
-def _from_rows(ring, rows: list[int]) -> Poly:
-    return Poly(ring, {(e1, e2): 1 for e2, row in enumerate(rows) for e1 in range(row.bit_length()) if row >> e1 & 1})
-
-
 def test_divmod_by_key_polynomials_matches_sympy():
     # the divisions value() makes: sparse monic keys with repeated
     # second-variable degrees among their lower terms.  _divmod_buckets,
-    # which value() runs on sparse and odd-p inputs, consumes its dividend,
-    # which becomes the remainder, and leaves no empty row.  At p = 2 the
-    # row kernel value() runs on dense inputs must give the same quotient
-    # and remainder, here on the host keys S_2..S_7.
-    from valcert.engine import _divmod_rows
+    # which value() runs on every input that needs a division, consumes its
+    # dividend, which becomes the remainder, and leaves no empty row.  At
+    # p = 2 the dense host inputs of the ladder divide by S_2..S_7.
     from valcert.keyseq import p_sequence, q_sequence
     from valcert.polys import _bucket, _divmod_buckets, _key_data, _unbucket
 
@@ -203,9 +192,6 @@ def test_divmod_by_key_polynomials_matches_sympy():
         f = (x**3 + x * y) * host.poly(i - 1) ** 5 + key * y**3 + x**5 * y ** (key.deg2() + 1) + 1
         q, r = divmod(f, key)
         assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(key))
-        rq, rr = _divmod_rows(_rows(f), *_key_data(key), 2)
-        assert (_from_rows(host.ring, rq), _from_rows(host.ring, rr)) == (q, r)
-        assert rq[-1] and (not rr or rr[-1])  # no zero top rows
 
 
 def _tower_parts() -> list[Poly]:
@@ -384,6 +370,32 @@ def test_ring_mismatch():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Poly(R2, {(-1, 0): 1})
+
+
+def test_malformed_inputs_raise_named_errors():
+    # one input per rejecting branch, each with its type and whole message
+    host = ring_xy(2)
+    x = RatFunc(Poly.var(host, "x"))
+    cases = [
+        (lambda: Ring(2, ("x", "x")), ValueError, "need two distinct variable names"),
+        (lambda: Poly.var(R2, "z"), ValueError, "unknown variable 'z' in F2[u,v]"),
+        (lambda: U2.frob(-1), ValueError, "negative Frobenius power"),
+        (lambda: RatFunc(Poly.zero(R2)) ** -1, ZeroDivisionError, "negative power of zero"),
+        (lambda: substitute(U2, {"u": x}), ValueError, "no image for variable 'v'"),
+        (
+            lambda: substitute(U2, {"u": RatFunc(U3), "v": RatFunc(V3)}),
+            RingMismatchError,
+            "characteristic must be preserved",
+        ),
+        (
+            lambda: substitute(RatFunc(Poly.one(R2), V2), {"u": x, "v": RatFunc(Poly.zero(host))}),
+            ZeroDivisionError,
+            "division by zero rational function",
+        ),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_ratfunc_basics():
