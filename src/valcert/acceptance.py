@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 
 from .artin_schreier import (
     build_approximants,
@@ -61,17 +60,12 @@ def criterion_1_key_values(seed=0, k_max=2) -> list[Certificate]:
     return certs
 
 
-@cache
-def _tower_cached(p, k_max, i_max):
-    return build_tower(p, k_max, i_max)
-
-
 def criterion_2_tower_values(seed=0, k_max=2) -> list[Certificate]:
     """Tower value formulas, p=2 up to (k,i)=(2,4) and p=3 up to (1,3)."""
     certs = []
     for p, km, im in ((2, min(2, k_max), 4), (3, min(1, k_max), 3)):
         seq = p_sequence(p)
-        tower = _tower_cached(p, km, im)
+        tower = build_tower(p, km, im)
         for level in tower:
             for i in range(im + 1):
                 certs.append(verify_value_formula(level, i, seq))
@@ -82,7 +76,7 @@ def criterion_3_exact_identities(seed=0, k_max=2) -> list[Certificate]:
     """Unit descent, twisted recursion and drift identity, p=2, k <= 2, i <= 4."""
     certs = []
     seq = p_sequence(2)
-    tower = _tower_cached(2, min(2, k_max), 4)
+    tower = build_tower(2, min(2, k_max), 4)
     for level in tower:
         certs.append(verify_unit_descent(level, seq))
         for i in (2, 3, 4):
@@ -95,7 +89,7 @@ def criterion_4_drift_bound(seed=0, k_max=2) -> list[Certificate]:
     """Drift value bound over the criterion-3 range; exact value 1/2 at (k,i)=(1,2)."""
     certs = []
     seq = p_sequence(2)
-    tower = _tower_cached(2, min(2, k_max), 4)
+    tower = build_tower(2, min(2, k_max), 4)
     if len(tower) > 1:
 
         def run():
@@ -116,7 +110,7 @@ def criterion_5_approximant_gaps(seed=0, k_max=2) -> list[Certificate]:
     certs = []
     for p, km in ((2, min(2, k_max)), (3, 0)):
         cfg = EmbeddingConfig.default(p)
-        tower = _tower_cached(p, km, km + 2)
+        tower = build_tower(p, km, km + 2)
         apprs = build_approximants(tower, km, cfg)
         for appr in apprs:
             certs.append(verify_approximant_gap(appr, cfg))
@@ -126,7 +120,7 @@ def criterion_5_approximant_gaps(seed=0, k_max=2) -> list[Certificate]:
 def criterion_6_gap_bound_sweep(seed=0, k_max=2) -> list[Certificate]:
     """200 seeded local-ring samples never beat the ladder bound; h_k attains it."""
     cfg = EmbeddingConfig.default(2)
-    tower = _tower_cached(2, 2, 4)
+    tower = build_tower(2, 2, 4)
     apprs = build_approximants(tower, 1, cfg)
     return [
         gap_bound_sweep(tower[0], apprs[0], cfg, samples=100, seed=seed),
@@ -137,7 +131,7 @@ def criterion_6_gap_bound_sweep(seed=0, k_max=2) -> list[Certificate]:
 def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
     """v(1/x - f) < -2/p + omega/p < -1/p^2 for the pinned family and 100 samples."""
     cfg = EmbeddingConfig.default(2)
-    tower = _tower_cached(2, 2, 4)
+    tower = build_tower(2, 2, 4)
     apprs = build_approximants(tower, 1, cfg)
     certs = []
     expect = {"0": "-1/2", "1/approximant[0]": "-15/32", "1/approximant[1]": "-239/512"}
@@ -157,7 +151,7 @@ def criterion_8_dependence(seed=0, k_max=2) -> list[Certificate]:
     for p in (2, 3):
         cfg = EmbeddingConfig.default(p)
         km = min(2, k_max) if p == 2 else 1
-        tower = _tower_cached(p, km, km + 2)
+        tower = build_tower(p, km, km + 2)
         apprs = build_approximants(tower, km, cfg)
         _, cert = dependence_report(cfg, apprs, samples=20, seed=seed)
         cert.id = f"accept8/dependence/p={p}"

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import polys  # by module: the budget limit is read at call time
 from .certificates import Certificate, check, failures
 from .embeddings import EmbeddingConfig, embed, embed_uv, xv_images
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, ring_uv
+from .polys import Poly, RatFunc, _budget_memo, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel
 from .values import INFINITY, omega
@@ -173,15 +172,12 @@ def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fr
     return not low or value(Poly(seq.ring, low), seq) > t
 
 
-# Each entry holds the gap p * v(h - x) of one approximant h = num/den,
-# computed under one budget limit.  A computation that raised leaves no
-# entry, so a hit skips only checks that a fresh computation would pass
-# again under the same limit.  A command or benchmark run meets one
-# approximant per ladder level and embedding config, under one limit, so
-# 64 entries are far more than one run uses.
+# Each entry holds the gap p * v(h - x) of one approximant h = num/den.  A
+# command or benchmark run meets one approximant per ladder level and
+# embedding config, so 64 entries are far more than one run uses.
+@_budget_memo
 @lru_cache(maxsize=64)
-def _attained_gap(num: Poly, den: Poly, cfg: EmbeddingConfig, seq: GenSeq, limit: int | None) -> Fraction:
-    """The approximant's own gap; limit, the budget limit it runs under, only keys the entry."""
+def _attained_gap(num: Poly, den: Poly, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
     return _frobenius_gap(RatFunc(num, den), cfg, seq)
 
 
@@ -193,17 +189,15 @@ def _ceiling_value(f: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Frac
 def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:
     """Gap value of h_k^p - x^p against the ladder closed form; tail above omega.
 
-    The gap is computed once per process, keyed on the approximant, the
-    embedding config, the host sequence and the budget limit
-    (``_attained_gap``), and shared with ``gap_bound_sweep``; the tail's
-    value is computed on every call.
+    The gap comes from the memo ``_attained_gap``, shared with
+    ``gap_bound_sweep``; the tail's value is computed on every call.
     """
     p = cfg.p
     seq = q_sequence(p)
     h = appr.element
 
     def run():
-        got = _attained_gap(h.num, h.den, cfg, seq, polys._LIMIT)
+        got = _attained_gap(h.num, h.den, cfg, seq)
         expect = gap_value(p, appr.k)
         tail_val = value(appr.tail(cfg), seq)
         om = omega(p)
@@ -227,10 +221,9 @@ def gap_bound_sweep(
 ) -> Certificate:
     """No sampled local-ring element beats the ladder bound; h_k attains it.
 
-    The approximant's gap is computed once per process, keyed on the
-    approximant, the embedding config, the host sequence and the budget
-    limit (``_attained_gap``, shared with ``verify_approximant_gap``); every
-    sample's gap is compared with the bound afresh, by ``_gap_exceeds``.
+    The approximant's gap comes from the memo ``_attained_gap``, shared
+    with ``verify_approximant_gap``; every sample's gap is compared with
+    the bound afresh, by ``_gap_exceeds``.
     """
     p = cfg.p
     k = level.k
@@ -239,7 +232,7 @@ def gap_bound_sweep(
     h = appr.element
 
     def run():
-        attained = _attained_gap(h.num, h.den, cfg, host_seq, polys._LIMIT)
+        attained = _attained_gap(h.num, h.den, cfg, host_seq)
         if attained != bound:
             return f"attained {bound}", f"attained {attained}", False
         rng = random.Random(f"{seed}:gapbound:k={k}")

@@ -13,8 +13,8 @@ Subcommands:
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
---k, an ascheck flag its mode does not read, expand of zero, an --out that
-cannot be opened), named in an "error:" line.
+--k, a flag that the command or ascheck mode does not read, expand of zero, an
+--out that cannot be opened), named in an "error:" line.
 An --out whose directory is missing, that names a directory, or that cannot
 be written (an existing file that is read-only, or a new file in a read-only
 directory) exits 2 before the command runs.
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--c", type=int, default=None, help="mixed-term exponent, multiple of p-1 (default p-1)")
     ap.add_argument("--kmax", type=int, default=2, help="deepest tower level")
     ap.add_argument("--imax", type=int, default=4, help="highest key-polynomial index per level")
-    ap.add_argument("--samples", type=int, default=100, help="sample count for sweeps")
+    ap.add_argument("--samples", type=int, default=None, help="sample count for sweeps (default 100)")
     ap.add_argument("--seed", type=int, default=None, help="sweep seed (overrides VALCERT_SEED)")
     ap.add_argument("--budget", type=int, default=2_000_000, help="max polynomial support size")
     ap.add_argument("--format", choices=("text", "structured"), default="text")
@@ -149,12 +149,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_ascheck_flags(args) -> None:
-    # a flag that one ascheck mode alone reads, given to another mode, is an
-    # error, not a silent no-op; an unset flag is None, so --k 0 counts
-    for attr, flag, mode in (("k", "--k", "t1"), ("f", "--f", "t2"), ("dump_values", "--dump-values", "report")):
-        if getattr(args, attr) is not None and args.what != mode:
-            raise ValueError(f"{flag} is read only by ascheck {mode}, not by ascheck {args.what}")
+# The commands and ascheck modes that read each flag some of them ignore.
+# ascheck t1 samples only in the gap-bound sweep that --k asks for, and t2
+# only when no --f names the one element to check, so the sampling flags
+# tell those runs apart; tower reads its own --dump-values, which is False
+# when not given.
+_SWEEPS = ("fuzz", "ascheck t1 with --k", "ascheck t2 without --f", "ascheck report")
+FLAG_READERS = (
+    ("k", "--k", ("ascheck t1",)),
+    ("f", "--f", ("ascheck t2",)),
+    ("dump_values", "--dump-values", ("tower", "ascheck report")),
+    ("samples", "--samples", _SWEEPS),
+    ("seed", "--seed", ("selftest", *_SWEEPS)),
+)
+
+
+def _check_flags(args) -> None:
+    # a flag given to a run that does not read it is an error, not a silent
+    # no-op; an unset flag is None, so --k 0 counts.  The error names the
+    # readers among the command's own modes when it has any, else all
+    mode = f"ascheck {args.what}" if args.command == "ascheck" else args.command
+    k, f = getattr(args, "k", None), getattr(args, "f", None)
+    run = mode + {
+        "ascheck t1": " with --k" if k is not None else " without --k",
+        "ascheck t2": " with --f" if f is not None else " without --f",
+    }.get(mode, "")
+    for attr, flag, readers in FLAG_READERS:
+        name = run if attr in ("samples", "seed") else mode
+        if getattr(args, attr, None) is not None and name not in readers:
+            named = [r for r in readers if r.split()[0] == args.command] or readers
+            listed = ", ".join(named[:-1]) + " and " + named[-1] if len(named) > 1 else named[0]
+            raise ValueError(f"{flag} is read only by {listed}, not by {name}")
 
 
 def _resolve_seed(args) -> int:
@@ -299,18 +324,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         cfg = RunConfig(
             p=args.p,
             c=EmbeddingConfig.default(args.p).c if args.c is None else args.c,
             kmax=args.kmax,
             imax=args.imax,
-            samples=args.samples,
+            samples=100 if args.samples is None else args.samples,
             seed=_resolve_seed(args),
             budget=args.budget,
         )
         cfg.validate()
-        if args.command == "ascheck":
-            _check_ascheck_flags(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -54,6 +54,21 @@ class BudgetExceededError(RuntimeError):
 
 
 _LIMIT: int | None = None
+_MEMOS: list = []
+
+
+def _budget_memo(memo):
+    # register an lru_cache of budget-checked builds for support_limit
+    _MEMOS.append(memo)
+    return memo
+
+
+def _set_limit(max_terms: int | None) -> None:
+    global _LIMIT
+    if max_terms != _LIMIT:
+        _LIMIT = max_terms
+        for memo in _MEMOS:
+            memo.cache_clear()
 
 
 @contextmanager
@@ -62,14 +77,20 @@ def support_limit(max_terms: int | None):
 
     Exceeding the bound raises BudgetExceededError instead of silently
     truncating; ``None`` disables the check.
+
+    The memos of budget-checked builds (``_budget_memo``: the powers that
+    substitute and the level sampler take, and each approximant's own gap)
+    hold only builds that passed every check under the limit in force: a
+    build that raised leaves no entry, and each memo is emptied whenever
+    the limit changes, on entry and on exit.  So a hit skips only checks a
+    fresh build would pass, and an overflow names the size it would name.
     """
-    global _LIMIT
     prev = _LIMIT
-    _LIMIT = max_terms
+    _set_limit(max_terms)
     try:
         yield
     finally:
-        _LIMIT = prev
+        _set_limit(prev)
 
 
 # the second exponent of a term key, and the key of the leading term:
@@ -598,9 +619,9 @@ class RatFunc:
 _ONE = {(0, 0): 1}
 
 
-# Each entry holds one power of one polynomial, built under one budget
-# limit: a numerator or denominator of an embedding image (substitute) or
-# of a tower level's key (sampling.random_level_element).  The set-up and
+# Each entry holds one power of one polynomial: a numerator or
+# denominator of an embedding image (substitute) or of a tower level's key
+# (sampling.random_level_element).  The set-up and
 # one round of a benchmark workload build 57 (oracle-mix) to 345
 # (ladder-sweep-p2-l1) distinct powers, of 139 to 4,214 terms in all; the
 # level keys' powers are 28 of the 345 (63 terms) and 30 of the 166 of
@@ -611,9 +632,9 @@ _ONE = {(0, 0): 1}
 # ladder workloads' keys have at most 4 terms at p = 2 (a <= 3) and 3 at
 # p = 3 (a <= 8), so at most 20 and 45, within that bound.  Other images
 # and keys are bounded only by the budget each build ran under.
+@_budget_memo
 @lru_cache(maxsize=512)
-def _power(base: Poly, e: int, limit: int | None) -> Poly:
-    """base**e; limit, the budget limit its build runs under, only keys the entry."""
+def _power(base: Poly, e: int) -> Poly:
     return base**e
 
 
@@ -655,13 +676,7 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
     one (exponent 0, or an image denominator of one) is skipped: its
     product has the size of the part it multiplies, which was checked
     already.  A zero numerator comes with the denominator one, as a zero
-    RatFunc has.
-
-    Powers of the images come from _power, a memo shared by every call
-    and kept per budget limit.  An entry exists only when its build passed
-    every check under that limit, and a build that raised leaves none, so a
-    hit skips only checks that a fresh build would pass again: a budget
-    overflow names the size a fresh build names, whatever ran before.
+    RatFunc has.  Powers of the images come from the memo _power.
     """
     v1, v2 = f.ring.vars
     try:
@@ -681,7 +696,7 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
     def times(part: dict, base: Poly, e: int) -> dict:
         if e == 0 or base._t == _ONE:
             return part
-        t = _mul_dict(part, _power(base, e, _LIMIT)._t, p)
+        t = _mul_dict(part, _power(base, e)._t, p)
         _check_budget(len(t))
         return t
 

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from . import engine  # by module: engine imports the samplers from here
-from . import polys  # by module: the budget limit is read at call time
 from .keyseq import GenSeq
 from .polys import Poly, RatFunc, Ring, _power
 
@@ -57,8 +56,7 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     ``embed_uv`` of some draws builds numerators of 10^6 terms and more,
     and takes seconds, before any value is computed.
 
-    Each key power K_(k,i)^a is built once per process for each key,
-    exponent and budget limit: its numerator and denominator come from
+    The numerator and denominator of each key power K_(k,i)^a come from
     ``polys._power``, the memo ``substitute`` keeps its image powers in,
     which holds the same terms in the same order as ``K_(k,i) ** a``.
     """
@@ -67,7 +65,7 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
 
     def key_power(i: int, a: int) -> RatFunc:
         key = level.keys[i]
-        return RatFunc(_power(key.num, a, polys._LIMIT), _power(key.den, a, polys._LIMIT))
+        return RatFunc(_power(key.num, a), _power(key.den, a))
 
     out = RatFunc(Poly.zero(level.u.ring))
     for _ in range(rng.randint(1, 3)):

@@ -231,15 +231,23 @@ def test_attained_gap_memo_matches_a_fresh_computation(p, k):
     fresh = _frobenius_gap(h, cfg, seq)
     assert fresh == gap_value(p, k)
     _attained_gap.cache_clear()
-    cold = _attained_gap(h.num, h.den, cfg, seq, None)
-    warm = _attained_gap(h.num, h.den, cfg, seq, None)
+    cold = _attained_gap(h.num, h.den, cfg, seq)
+    warm = _attained_gap(h.num, h.den, cfg, seq)
     info = _attained_gap.cache_info()
     assert cold == warm == fresh
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    # a computation that raised leaves no entry
-    with support_limit(1), pytest.raises(BudgetExceededError):
-        _attained_gap(h.num, h.den, cfg, seq, 1)
-    assert _attained_gap.cache_info().currsize == 1
+    # the entry built with no limit is not hit under a limit, and a
+    # computation that raised leaves no entry, so it raises again
+    with support_limit(1):
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                _attained_gap(h.num, h.den, cfg, seq)
+        info = _attained_gap.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    # nor is anything built under the limit hit after it
+    assert _attained_gap(h.num, h.den, cfg, seq) == fresh
+    info = _attained_gap.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
 
 def _sweep_record(ladder, seed, limit):
@@ -250,22 +258,25 @@ def _sweep_record(ladder, seed, limit):
 
 @pytest.mark.parametrize("p,k,seed", [(2, 0, 1), (2, 1, 1), (3, 0, 3)])
 def test_gap_bound_sweep_budget_does_not_depend_on_the_memo(p, k, seed):
-    # the attained-gap memo is keyed on the budget limit, and a computation
-    # that raised leaves no entry: at every limit a cold memo, one warmed
-    # with no limit, and one warmed by the same limit all finish or name
-    # the same size.  Both regimes occur: an overflow in the approximant's
-    # own gap, which then has no entry, and one in the sample after it
+    # support_limit empties the attained-gap memo whenever the limit
+    # changes, and a computation that raised leaves no entry: at every limit
+    # a cold memo, one warmed with no limit, and one warmed in the same
+    # limit block all finish or name the same size.  Both regimes occur: an
+    # overflow in the approximant's own gap, which then has no entry, and
+    # one in the sample after it
     ladder = _ladder(p, k)
     stored_on_overflow = set()
     limit = 1
     while True:
         _attained_gap.cache_clear()
         _power.cache_clear()
-        cold = _sweep_record(ladder, seed, limit)
-        stored = _attained_gap.cache_info().currsize
+        with support_limit(limit):
+            cold = _sweep_record(ladder, seed, limit)
+            stored = _attained_gap.cache_info().currsize
         _sweep_record(ladder, seed, None)
-        warm = _sweep_record(ladder, seed, limit)
-        again = _sweep_record(ladder, seed, limit)
+        with support_limit(limit):
+            warm = _sweep_record(ladder, seed, limit)
+            again = _sweep_record(ladder, seed, limit)
         assert cold == warm == again, limit
         if cold["status"] != "budget-exceeded":
             break

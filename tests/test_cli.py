@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import valcert
 from valcert import cli
 from valcert.certificates import Certificate, Report
 from valcert.cli import main
@@ -129,6 +133,32 @@ def test_ascheck_flag_outside_its_mode_exits_2(capsys, monkeypatch):
         (["report", "--f", "u"], "--f is read only by ascheck t2, not by ascheck report"),
     ):
         assert run_cli(["ascheck", *argv], capsys) == (2, "", f"error: {line}\n")
+
+
+def test_sampling_flag_where_not_read_exits_2(capsys, monkeypatch):
+    # --samples and --seed used to be dropped with exit 0 where the command
+    # or ascheck mode samples nothing: ascheck t1 samples only with --k, t2
+    # only without --f.  The error names the runs that read the flag, those
+    # of the same command when it has any.  VALCERT_SEED is no flag, and
+    # never an error
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    for command in ("ascheck", "value", "tower", "selftest"):
+        monkeypatch.setitem(cli.COMMANDS, command, never)
+    sweeps = "ascheck t1 with --k, ascheck t2 without --f and ascheck report"
+    for argv, line in (
+        (["--samples", "7", "ascheck", "t1"], f"--samples is read only by {sweeps}, not by ascheck t1 without --k"),
+        (["--seed", "9", "ascheck", "t2", "--f", "u"], f"--seed is read only by {sweeps}, not by ascheck t2 with --f"),
+        (["ascheck", "t2", "--f", "u", "--samples", "2"], f"--samples is read only by {sweeps}, not by ascheck t2 with --f"),
+        (["--seed", "3", "value", "u"], f"--seed is read only by selftest, fuzz, {sweeps}, not by value"),
+        (["--samples", "9", "tower"], f"--samples is read only by fuzz, {sweeps}, not by tower"),
+        (["--samples", "5", "selftest"], f"--samples is read only by fuzz, {sweeps}, not by selftest"),
+    ):
+        assert run_cli(argv, capsys) == (2, "", f"error: {line}\n")
+    monkeypatch.setenv("VALCERT_SEED", "5")
+    monkeypatch.setitem(cli.COMMANDS, "tower", lambda cfg, args, report: f"seed {cfg.seed}\n")
+    assert run_cli(["tower"], capsys) == (0, "seed 5\n", "")
 
 
 P_RULE = "p must be a prime <= 7, got {}"
@@ -369,6 +399,29 @@ def test_budget_exceeded_warns_but_exits_zero(capsys):
     doc = json.loads(out)
     assert doc["warnings"]
     assert any(c["status"] == "budget-exceeded" for c in doc["certificates"])
+
+
+def _fresh_interpreter(argv):
+    # stdout of the command run in a new interpreter, where every memo is cold
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(valcert.__file__))}
+    done = subprocess.run([sys.executable, "-m", "valcert", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_budget_selftest_after_a_default_one_prints_the_fresh_bytes(capsys):
+    # a default selftest builds every tower the criteria use; a --budget 8
+    # selftest after it in the same process must still overflow where a
+    # fresh one does, in building the first tower, and end in one
+    # whole-command record, not in per-certificate overflows of towers
+    # kept from the first run
+    argv = ["--format", "structured", "--budget", "8", "selftest"]
+    assert run_cli(["--format", "structured", "selftest"], capsys)[0] == 0
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == _fresh_interpreter(argv)
+    assert [c["id"] for c in json.loads(out)["certificates"]][-1] == "selftest"
+    assert hashlib.sha256(out.encode()).hexdigest() == "2705aa53796284e388568eaeabbf0d228eb888c927b55343e464f108b22093d7"
 
 
 def test_report_exit_code_logic():

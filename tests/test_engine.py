@@ -246,6 +246,23 @@ def test_corrupted_value_table_aborts_loudly():
         assert "expansion" in message  # diagnostic dump present
 
 
+def test_tie_diagnostic_lists_30_terms_and_counts_the_rest():
+    # the dump in a tie fault lists the first 30 terms of the expansion,
+    # then how many it left out; (U + V + 1)^15 has more than 30 terms.
+    # The private sequence is corrupted as criterion 10 corrupts its own
+    seq = GenSeq(R2, Fraction(1), "uv")
+    seq.value(1)
+    seq._values[1] = seq.scale
+    f = (U + V + 1) ** 15
+    n = len(expand(f, seq).terms)
+    assert n > 30
+    with pytest.raises(ValueTieError) as info:
+        value(f, seq)
+    listing = str(info.value).split("\nexpansion:\n")[1].splitlines()
+    assert len(listing) == 31 and all(" value " in row for row in listing[:30])
+    assert listing[30] == f"  ... {n - 30} more terms"
+
+
 def test_packed_value_budget_names_the_dict_size(monkeypatch):
     # value() streams a dense p = 2 input through the bucketed recursion,
     # which checks each quotient and remainder against the budget, so it

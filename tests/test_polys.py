@@ -634,12 +634,13 @@ def _overflow(f, images, limit, build=substitute):
 
 
 def test_substitute_budget_does_not_depend_on_the_memo():
-    # the memo is keyed on the budget limit, and a build that raised leaves
-    # no entry, so a hit stands for checks that passed under the same limit:
-    # at every limit a cold memo, one warmed with no limit, and one warmed
-    # by the same limit all finish or name the same size.  Over F_2,
-    # (1 + x)^7, the denominator of u^7's image, checks the sizes 2, 4 and
-    # 8 as it builds: at limit 3 all name 4, not the final 8.
+    # support_limit empties the memo whenever the limit changes, and a
+    # build that raised leaves no entry, so a hit stands for checks that
+    # passed under the same limit: at every limit a cold memo, one warmed
+    # with no limit, and one warmed in the same limit block all finish or
+    # name the same size.  Over F_2, (1 + x)^7, the denominator of u^7's
+    # image, checks the sizes 2, 4 and 8 as it builds: at limit 3 all name
+    # 4, not the final 8.
     rng = random.Random(13)
     cases = [(uv_images(EmbeddingConfig.default(2)), U2**7)]
     for p in (2, 3):
@@ -656,8 +657,9 @@ def test_substitute_budget_does_not_depend_on_the_memo():
             _power.cache_clear()
             cold = _overflow(f, images, limit)
             substitute(f, images)
-            warm = _overflow(f, images, limit)
-            again = _overflow(f, images, limit)
+            with support_limit(limit):
+                warm = _overflow(f, images, limit)
+                again = _overflow(f, images, limit)
             assert cold == warm == again, (str(f), limit)
             if cold is None:
                 break
@@ -698,20 +700,40 @@ def test_substitute_budget_matches_the_poly_level_oracle():
 
 
 def test_power_memo_is_keyed_on_the_budget_limit():
-    # u^5 takes the powers x^10 and (1 + x)^5 of u's image: built with no
-    # limit, both miss under a limit, and both hit when called again there
+    # u^5 takes the powers x^10 and (1 + x)^5 of u's image.  support_limit
+    # empties the memo whenever it changes the limit: built with no limit,
+    # both miss under a limit, hit when called again in the block or in a
+    # nested block of the same limit, and miss again under another limit,
+    # inside the block and after it
     f = Poly.var(ring_uv(2), "u") ** 5
     images = uv_images(EmbeddingConfig.default(2))
+
+    def counts():
+        info = _power.cache_info()
+        return info.hits, info.misses, info.currsize
+
     _power.cache_clear()
     substitute(f, images)
-    unlimited = _power.cache_info()
+    unlimited = counts()
     with support_limit(100):
         substitute(f, images)
-        first = _power.cache_info()
+        first = counts()
         substitute(f, images)
-        second = _power.cache_info()
-    assert (first.hits, first.misses) == (unlimited.hits, unlimited.misses + 2)
-    assert (second.hits, second.misses) == (first.hits + 2, first.misses)
+        with support_limit(100):
+            substitute(f, images)
+        second = counts()
+        with support_limit(50):
+            substitute(f, images)
+            other = counts()
+        back = counts()
+    after = counts()
+    substitute(f, images)
+    assert unlimited == (0, 2, 2)
+    assert first == (0, 2, 2)
+    assert second == (4, 2, 2)
+    assert other == (0, 2, 2)
+    assert back == after == (0, 0, 0)
+    assert counts() == (0, 2, 2)
 
 
 def _reference_level_element(rng, level, i_cap):
@@ -765,8 +787,8 @@ def test_level_sampler_key_powers_match_the_reference(level):
 def test_level_sampler_budget_does_not_depend_on_the_memo():
     # at p = 2, level 1, seed 11 draws a 21-term element and names the
     # sizes 3, 9, 18 and 21 on the way: at every limit below 21 the
-    # reference, a cold memo, one warmed with no limit and one warmed by
-    # the same limit all name the same size
+    # reference, a cold memo, one warmed with no limit and one warmed in
+    # the same limit block all name the same size
     level = _SAMPLED_LEVELS[0]
     named = []
     limit = 1
@@ -775,8 +797,9 @@ def test_level_sampler_budget_does_not_depend_on_the_memo():
         _power.cache_clear()
         cold = _draw(random_level_element, level, 11, limit)
         _draw(random_level_element, level, 11)
-        warm = _draw(random_level_element, level, 11, limit)
-        again = _draw(random_level_element, level, 11, limit)
+        with support_limit(limit):
+            warm = _draw(random_level_element, level, 11, limit)
+            again = _draw(random_level_element, level, 11, limit)
         if not isinstance(want, int):
             assert all(_same_terms(g.num, want.num) and _same_terms(g.den, want.den) for g in (cold, warm, again))
             break
@@ -803,7 +826,7 @@ def test_equal_polys_hash_alike_by_every_route():
         assert len({*routes}) == 1
         assert len({hash(f) for f in routes} | {hash(f) for f in routes}) == 1
         _power.cache_clear()
-        built = [_power(f, 7, None) for f in routes]
+        built = [_power(f, 7) for f in routes]
         assert all(g is built[0] for g in built)
         assert (_power.cache_info().hits, _power.cache_info().misses) == (len(routes) - 1, 1)
 
