@@ -12,11 +12,11 @@ import random
 from fractions import Fraction
 
 from .artin_schreier import (
-    build_approximants,
     ceiling_check,
     ceiling_family,
     dependence_report,
     gap_bound_sweep,
+    ladder,
     verify_approximant_gap,
 )
 from .certificates import FAIL, Certificate, check
@@ -110,29 +110,21 @@ def criterion_5_approximant_gaps(seed=0, k_max=2) -> list[Certificate]:
     certs = []
     for p, km in ((2, min(2, k_max)), (3, 0)):
         cfg = EmbeddingConfig.default(p)
-        tower = build_tower(p, km, km + 2)
-        apprs = build_approximants(tower, km, cfg)
-        for appr in apprs:
-            certs.append(verify_approximant_gap(appr, cfg))
+        certs += [verify_approximant_gap(appr, cfg) for appr in ladder(cfg, km)[1]]
     return certs
 
 
 def criterion_6_gap_bound_sweep(seed=0, k_max=2) -> list[Certificate]:
     """200 seeded local-ring samples never beat the ladder bound; h_k attains it."""
     cfg = EmbeddingConfig.default(2)
-    tower = build_tower(2, 2, 4)
-    apprs = build_approximants(tower, 1, cfg)
-    return [
-        gap_bound_sweep(tower[0], apprs[0], cfg, samples=100, seed=seed),
-        gap_bound_sweep(tower[1], apprs[1], cfg, samples=100, seed=seed),
-    ]
+    tower, apprs = ladder(cfg, 1)
+    return [gap_bound_sweep(tower[k], apprs[k], cfg, samples=100, seed=seed) for k in (0, 1)]
 
 
 def criterion_7_ceiling(seed=0, k_max=2) -> list[Certificate]:
     """v(1/x - f) < -2/p + omega/p < -1/p^2 for the pinned family and 100 samples."""
     cfg = EmbeddingConfig.default(2)
-    tower = build_tower(2, 2, 4)
-    apprs = build_approximants(tower, 1, cfg)
+    _, apprs = ladder(cfg, 1)
     certs = []
     expect = {"0": "-1/2", "1/approximant[0]": "-15/32", "1/approximant[1]": "-239/512"}
     family = ceiling_family(random.Random(f"{seed}:accept7"), apprs, 50, 50)
@@ -150,9 +142,7 @@ def criterion_8_dependence(seed=0, k_max=2) -> list[Certificate]:
     certs = []
     for p in (2, 3):
         cfg = EmbeddingConfig.default(p)
-        km = min(2, k_max) if p == 2 else 1
-        tower = build_tower(p, km, km + 2)
-        apprs = build_approximants(tower, km, cfg)
+        _, apprs = ladder(cfg, min(2, k_max) if p == 2 else 1)
         _, cert = dependence_report(cfg, apprs, samples=20, seed=seed)
         cert.id = f"accept8/dependence/p={p}"
         certs.append(cert)

@@ -36,7 +36,7 @@ from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, _budget_memo, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
-from .tower import TowerLevel
+from .tower import TowerLevel, build_tower
 from .values import INFINITY, omega
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "extended_value",
     "gap_element_certificates",
     "build_approximants",
+    "ladder",
     "verify_approximant_gap",
     "gap_bound_sweep",
     "ceiling_family",
@@ -144,6 +145,12 @@ def build_approximants(tower: list[TowerLevel], k_max: int, cfg: EmbeddingConfig
             h = h + (-1) ** k * tower[k].keys[k + 1] ** cfg.p
         out.append(Approximant(k=k, element=h, lead=tower[k].keys[k + 2]))
     return out
+
+
+def ladder(cfg: EmbeddingConfig, k_max: int) -> tuple[list[TowerLevel], list[Approximant]]:
+    """build_tower(p, k_max, k_max + 3) and its approximants; level k holds the keys to k + 3 its sweep samples."""
+    tower = build_tower(cfg.p, k_max, k_max + 3)
+    return tower, build_approximants(tower, k_max, cfg)
 
 
 def _frobenius_gap(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:

@@ -10,11 +10,14 @@ Subcommands:
     fuzz       engine oracles: multiplicativity, ultrametric, cross-engine
     selftest   the full acceptance suite
 
+A flag that some runs ignore (FLAG_READERS) may follow the subcommand of any
+command that reads it; given to a run that does not read it, it exits 2.
+
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
---k, a flag that the command or ascheck mode does not read, expand of zero, an
---out that cannot be opened), named in an "error:" line.
+--k, a flag given to a run that does not read it, expand of zero, an --out
+that cannot be opened), named in an "error:" line.
 An --out whose directory is missing, that names a directory, or that cannot
 be written (an existing file that is read-only, or a new file in a read-only
 directory) exits 2 before the command runs.
@@ -32,13 +35,13 @@ from dataclasses import asdict, dataclass
 
 from .acceptance import run_all
 from .artin_schreier import (
-    build_approximants,
     ceiling_check,
     ceiling_family,
     dependence_report,
     extended_value,
     gap_bound_sweep,
     gap_element_certificates,
+    ladder,
     verify_approximant_gap,
 )
 from .certificates import BUDGET, Report, check
@@ -101,59 +104,10 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="valcert",
-        description="exact valuation engine and dependence certificates",
-    )
-    ap.add_argument("--p", type=int, default=2, help="characteristic (prime <= 7)")
-    ap.add_argument("--c", type=int, default=None, help="mixed-term exponent, multiple of p-1 (default p-1)")
-    ap.add_argument("--kmax", type=int, default=2, help="deepest tower level")
-    ap.add_argument("--imax", type=int, default=4, help="highest key-polynomial index per level")
-    ap.add_argument("--samples", type=int, default=None, help="sample count for sweeps (default 100)")
-    ap.add_argument("--seed", type=int, default=None, help="sweep seed (overrides VALCERT_SEED)")
-    ap.add_argument("--budget", type=int, default=2_000_000, help="max polynomial support size")
-    ap.add_argument("--format", choices=("text", "structured"), default="text")
-    ap.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-
-    sub = ap.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS  # subcommand-level repeats of the global flags
-
-    p_value = sub.add_parser("value", help="valuation of an expression")
-    p_value.add_argument("--ring", choices=("uv", "xy", "xv"), default="uv")
-    p_value.add_argument("expr")
-
-    p_expand = sub.add_parser("expand", help="standard expansion with term values")
-    p_expand.add_argument("--ring", choices=("uv", "xy"), default="uv")
-    p_expand.add_argument("expr")
-
-    p_tower = sub.add_parser("tower", help="tower certificates")
-    p_tower.add_argument("--kmax", type=int, default=S)
-    p_tower.add_argument("--imax", type=int, default=S)
-    p_tower.add_argument("--dump-values", action="store_true", help="also print the (k, i, value) table")
-
-    p_as = sub.add_parser("ascheck", help="extension certificates")
-    p_as.add_argument("what", choices=("t1", "t2", "report"))
-    p_as.add_argument("--k", type=nonnegative_int, default=None, help="ladder level for t1")
-    p_as.add_argument("--f", default=None, help="base-field expression for t2 (on (u,v))")
-    p_as.add_argument("--samples", type=int, default=S)
-    p_as.add_argument("--seed", type=int, default=S)
-    p_as.add_argument("--dump-values", action="store_true", default=None, help="also print each sampled element's v(1/x - f)")
-
-    p_fuzz = sub.add_parser("fuzz", help="engine oracles")
-    p_fuzz.add_argument("--what", choices=("mult", "ultra", "cross"), required=True)
-    p_fuzz.add_argument("--samples", type=int, default=S)
-    p_fuzz.add_argument("--seed", type=int, default=S)
-
-    sub.add_parser("selftest", help="run the acceptance suite")
-    return ap
-
-
-# The commands and ascheck modes that read each flag some of them ignore.
-# ascheck t1 samples only in the gap-bound sweep that --k asks for, and t2
-# only when no --f names the one element to check, so the sampling flags
-# tell those runs apart; tower reads its own --dump-values, which is False
-# when not given.
+# The runs that read each flag some runs ignore: a command, an ascheck mode,
+# or an ascheck run told apart by --k or --f.  ascheck t1 sweeps at --k, else
+# builds the ladder to --kmax; t2 samples a ladder's family unless --f names
+# one element.  tower reads its own --dump-values, False when not given.
 _SWEEPS = ("fuzz", "ascheck t1 with --k", "ascheck t2 without --f", "ascheck report")
 FLAG_READERS = (
     ("k", "--k", ("ascheck t1",)),
@@ -161,22 +115,75 @@ FLAG_READERS = (
     ("dump_values", "--dump-values", ("tower", "ascheck report")),
     ("samples", "--samples", _SWEEPS),
     ("seed", "--seed", ("selftest", *_SWEEPS)),
+    ("kmax", "--kmax", ("tower", "selftest", "ascheck t1 without --k", "ascheck t2 without --f", "ascheck report")),
+    ("imax", "--imax", ("tower",)),
+    ("c", "--c", ("value", "ascheck", "fuzz")),
 )
 
 
+def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: tower --k would otherwise be read as --kmax
+    ap = argparse.ArgumentParser(
+        prog="valcert", description="exact valuation engine and dependence certificates", allow_abbrev=False
+    )
+    ap.add_argument("--p", type=int, default=2, help="characteristic (prime <= 7)")
+    shared = {  # the global flags that some runs ignore
+        "--c": "mixed-term exponent, multiple of p-1 (default p-1)",
+        "--kmax": "deepest tower level (default 2)",
+        "--imax": "highest key-polynomial index per level, tower only (default 4)",
+        "--samples": "sample count for sweeps (default 100)",
+        "--seed": "sweep seed (overrides VALCERT_SEED)",
+    }
+    for flag, text in shared.items():
+        ap.add_argument(flag, type=int, default=None, help=text)
+    ap.add_argument("--budget", type=int, default=2_000_000, help="max polynomial support size")
+    ap.add_argument("--format", choices=("text", "structured"), default="text")
+    ap.add_argument("--out", default=None, help="write the report to a file instead of stdout")
+
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p_value = sub.add_parser("value", help="valuation of an expression", allow_abbrev=False)
+    p_value.add_argument("--ring", choices=("uv", "xy", "xv"), default="uv")
+    p_value.add_argument("expr")
+
+    p_expand = sub.add_parser("expand", help="standard expansion with term values", allow_abbrev=False)
+    p_expand.add_argument("--ring", choices=("uv", "xy"), default="uv")
+    p_expand.add_argument("expr")
+
+    p_tower = sub.add_parser("tower", help="tower certificates", allow_abbrev=False)
+    p_tower.add_argument("--dump-values", action="store_true", help="also print the (k, i, value) table")
+
+    p_as = sub.add_parser("ascheck", help="extension certificates", allow_abbrev=False)
+    p_as.add_argument("what", choices=("t1", "t2", "report"))
+    p_as.add_argument("--k", type=nonnegative_int, default=None, help="ladder level for t1")
+    p_as.add_argument("--f", default=None, help="base-field expression for t2 (on (u,v))")
+    p_as.add_argument("--dump-values", action="store_true", default=None, help="also print each sampled element's v(1/x - f)")
+
+    p_fuzz = sub.add_parser("fuzz", help="engine oracles", allow_abbrev=False)
+    p_fuzz.add_argument("--what", choices=("mult", "ultra", "cross"), required=True)
+
+    sub.add_parser("selftest", help="run the acceptance suite", allow_abbrev=False)
+    # each global flag may also follow the subcommand of a command that
+    # reads it, where it sets nothing unless given
+    for _, flag, readers in FLAG_READERS:
+        if flag in shared:
+            for command in dict.fromkeys(r.split()[0] for r in readers):
+                sub.choices[command].add_argument(flag, type=int, default=argparse.SUPPRESS, help=shared[flag])
+    return ap
+
+
 def _check_flags(args) -> None:
-    # a flag given to a run that does not read it is an error, not a silent
-    # no-op; an unset flag is None, so --k 0 counts.  The error names the
-    # readers among the command's own modes when it has any, else all
+    # a flag given to a run that does not read it is an error; an unset flag
+    # is None, so --k 0 counts.  A run reads it when its command, mode or run
+    # is a reader; the error names the command's own readers if any, else all
     mode = f"ascheck {args.what}" if args.command == "ascheck" else args.command
-    k, f = getattr(args, "k", None), getattr(args, "f", None)
     run = mode + {
-        "ascheck t1": " with --k" if k is not None else " without --k",
-        "ascheck t2": " with --f" if f is not None else " without --f",
+        "ascheck t1": " with --k" if getattr(args, "k", None) is not None else " without --k",
+        "ascheck t2": " with --f" if getattr(args, "f", None) is not None else " without --f",
     }.get(mode, "")
     for attr, flag, readers in FLAG_READERS:
-        name = run if attr in ("samples", "seed") else mode
-        if getattr(args, attr, None) is not None and name not in readers:
+        name = run if any(" with" in r for r in readers) else mode  # as fine as its readers
+        if getattr(args, attr, None) is not None and {args.command, mode, run}.isdisjoint(readers):
             named = [r for r in readers if r.split()[0] == args.command] or readers
             listed = ", ".join(named[:-1]) + " and " + named[-1] if len(named) > 1 else named[0]
             raise ValueError(f"{flag} is read only by {listed}, not by {name}")
@@ -233,16 +240,11 @@ def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
     return "\n".join(extra) + "\n" if extra else None
 
 
-def _ladder(cfg: RunConfig, k_max: int):
-    tower = build_tower(cfg.p, k_max, max(cfg.imax, k_max + 2))
-    return tower, build_approximants(tower, k_max, cfg.embedding())
-
-
 def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
     if args.what == "t1":
         k = cfg.kmax if args.k is None else args.k
         report.certificates.extend(gap_element_certificates(cfg.embedding()))
-        tower, apprs = _ladder(cfg, k)
+        tower, apprs = ladder(cfg.embedding(), k)
         for appr in apprs:
             report.certificates.append(verify_approximant_gap(appr, cfg.embedding()))
         if cfg.samples and args.k is not None:
@@ -253,7 +255,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             _, cert = ceiling_check(parse_expr(args.f, ring_uv(cfg.p)), cfg.embedding(), args.f)
             report.certificates.append(cert)
             return None
-        _, apprs = _ladder(cfg, min(cfg.kmax, 1))
+        _, apprs = ladder(cfg.embedding(), min(cfg.kmax, 1))
         half = cfg.samples // 2
         rng = random.Random(f"{cfg.seed}:t2")
         family = ceiling_family(rng, apprs, half, cfg.samples - half)
@@ -262,7 +264,7 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
             report.certificates.append(cert)
         return None
     # report
-    _, apprs = _ladder(cfg, cfg.kmax)
+    _, apprs = ladder(cfg.embedding(), cfg.kmax)
     evidence, cert = dependence_report(cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed)
     report.certificates.append(cert)
     if evidence is None:
@@ -324,17 +326,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _check_flags(args)
         cfg = RunConfig(
             p=args.p,
             c=EmbeddingConfig.default(args.p).c if args.c is None else args.c,
-            kmax=args.kmax,
-            imax=args.imax,
+            kmax=2 if args.kmax is None else args.kmax,
+            imax=4 if args.imax is None else args.imax,
             samples=100 if args.samples is None else args.samples,
             seed=_resolve_seed(args),
             budget=args.budget,
         )
         cfg.validate()
+        _check_flags(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -48,10 +48,10 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     """Random element of the level-k local ring.
 
     An F_p-combination of one to three standard monomials
-    u_k^m * prod K_(k,i)^(a_i) with m <= 2 and every a_i < p^2, realized
-    over the ambient (u,v) field.  Each summand's total key weight
-    sum a_i * p^(2i) is capped at twice the weight of the single top-index
-    key, which still reaches the extremal single-key monomials.  The cap
+    u_k^m * prod K_(k,i)^(a_i) with m <= 2, i <= i_cap and a_i < p^2 over
+    the (u,v) field; a level without K_(k,i_cap) raises ValueError.  Each
+    summand's key weight sum a_i * p^(2i) is capped at twice that of
+    K_(k,i_cap), which still reaches the extremal single-key monomials.  The cap
     bounds key weight only, not the embedded size: at p = 3, level 1,
     ``embed_uv`` of some draws builds numerators of 10^6 terms and more,
     and takes seconds, before any value is computed.
@@ -61,7 +61,8 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     which holds the same terms in the same order as ``K_(k,i) ** a``.
     """
     p = level.p
-    i_cap = min(i_cap, max(level.keys))
+    if max(level.keys) < i_cap:
+        raise ValueError(f"level {level.k} holds keys up to {max(level.keys)}, below i_cap {i_cap}")
 
     def key_power(i: int, a: int) -> RatFunc:
         key = level.keys[i]

@@ -18,6 +18,7 @@ from valcert.artin_schreier import (
     gap_bound_sweep,
     gap_element_certificates,
     gap_value,
+    ladder,
     verify_approximant_gap,
 )
 from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv
@@ -219,8 +220,22 @@ def test_gap_exceeds_values_a_tied_denominator(monkeypatch):
 
 def _ladder(p, k):
     cfg = EmbeddingConfig.default(p)
-    tower = build_tower(p, k, k + 3)
-    return cfg, tower, build_approximants(tower, k, cfg)[k]
+    tower, apprs = ladder(cfg, k)
+    return cfg, tower, apprs[k]
+
+
+@pytest.mark.parametrize("p,k_max", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_ladder_levels_hold_the_keys_the_sweep_samples(p, k_max):
+    # the shape is a function of the level: level j holds keys 0..j + 3 at
+    # least, whatever the deepest level, so a sweep at j never meets a short
+    # level; the approximants are those of the same tower
+    cfg = EmbeddingConfig.default(p)
+    tower, apprs = ladder(cfg, k_max)
+    assert [level.k for level in tower] == [a.k for a in apprs] == list(range(k_max + 1))
+    for j, level in enumerate(tower):
+        assert set(range(j + 4)) <= set(level.keys), j
+        random_level_element(random.Random(j), level, i_cap=j + 3)
+    assert [a.element for a in apprs] == [a.element for a in build_approximants(tower, k_max, cfg)]
 
 
 @pytest.mark.parametrize("p,k", [(2, 0), (2, 1), (3, 0)])

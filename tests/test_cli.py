@@ -161,6 +161,105 @@ def test_sampling_flag_where_not_read_exits_2(capsys, monkeypatch):
     assert run_cli(["tower"], capsys) == (0, "seed 5\n", "")
 
 
+# every run of each command, named as FLAG_READERS names runs, with argv
+# that needs no input beyond it
+RUNS = {
+    "value": ["value", "u"],
+    "expand": ["expand", "u"],
+    "tower": ["tower"],
+    "ascheck t1 without --k": ["ascheck", "t1"],
+    "ascheck t1 with --k": ["ascheck", "t1", "--k", "0"],
+    "ascheck t2 without --f": ["ascheck", "t2"],
+    "ascheck t2 with --f": ["ascheck", "t2", "--f", "u"],
+    "ascheck report": ["ascheck", "report"],
+    "fuzz": ["fuzz", "--what", "cross"],
+    "selftest": ["selftest"],
+}
+# each flag's argv and the value it sets, which no default has, and the flags
+# that may also come before the subcommand
+FLAG_VALUES = {
+    "--k": (["1"], 1),
+    "--f": (["v"], "v"),
+    "--dump-values": ([], True),
+    "--samples": (["3"], 3),
+    "--seed": (["5"], 5),
+    "--kmax": (["1"], 1),
+    "--imax": (["3"], 3),
+    "--c": (["2"], 2),
+}
+GLOBAL_FLAGS = ("--samples", "--seed", "--kmax", "--imax", "--c")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("row", cli.FLAG_READERS, ids=[flag for _, flag, _ in cli.FLAG_READERS])
+def test_each_flag_is_taken_by_exactly_its_readers(row, command, capsys, monkeypatch):
+    # a reader takes the flag on either side of the subcommand, with the same
+    # bytes; any other run exits 2 before the command runs and names the
+    # readers.  A reader is a command, a mode or a run, read here as a prefix
+    attr, flag, readers = row
+    tokens, want = FLAG_VALUES[flag]
+    given = [flag, *tokens]
+
+    def fake(cfg, args, report):
+        seen = {**cfg.echo(), attr: getattr(args, attr)}
+        report.certificates.append(Certificate(id="fake", actual=json.dumps(seen, sort_keys=True)))
+
+    monkeypatch.setitem(cli.COMMANDS, command, fake)
+    runs = {run: argv for run, argv in RUNS.items() if run.split()[0] == command}
+    reads = {run: any(run == r or run.startswith(r + " ") for r in readers) for run in runs}
+    named = [r for r in readers if r.split()[0] == command] or readers
+    for run, argv in runs.items():
+        after = ["--format", "structured", *argv, *given]
+        before = ["--format", "structured", *given, *argv]
+        placements = ([before] if flag in GLOBAL_FLAGS else []) + ([after] if any(reads.values()) else [])
+        if reads[run]:
+            code, out, err = run_cli(after, capsys)
+            assert (code, err) == (0, ""), run
+            assert json.loads(json.loads(out)["certificates"][0]["actual"])[attr] == want
+            assert all(run_cli(argv, capsys) == (0, out, "") for argv in placements), run
+            continue
+        for argv in placements:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), run
+            assert err.startswith(f"error: {flag} is read only by ") and all(r in err for r in named), err
+            assert err.rstrip("\n").rsplit(", not by ", 1)[1] in (run, run.split(" with")[0]), err
+    if not any(reads.values()):
+        # no run of the command reads the flag, so it is no option after it
+        for argv in runs.values():
+            with pytest.raises(SystemExit) as info:
+                main([*argv, *given])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
+
+
+def test_flags_outside_their_readers_exit_2(capsys):
+    # each used to run with exit 0, the flag dropped or, for --imax, the
+    # ladder's sampled family reshaped
+    ladder_runs = "ascheck t1 without --k, ascheck t2 without --f and ascheck report"
+    for argv, line in (
+        ("--imax 9 --kmax 5 value u", f"--kmax is read only by tower, selftest, {ladder_runs}, not by value"),
+        ("--c 3 expand v", "--c is read only by value, ascheck and fuzz, not by expand"),
+        ("--c 3 tower", "--c is read only by value, ascheck and fuzz, not by tower"),
+        ("--kmax 7 fuzz --what cross", f"--kmax is read only by tower, selftest, {ladder_runs}, not by fuzz"),
+        ("--kmax 1 ascheck t1 --k 1", f"--kmax is read only by {ladder_runs}, not by ascheck t1 with --k"),
+        ("--imax 2 ascheck t1 --k 1", "--imax is read only by tower, not by ascheck t1"),
+        ("--imax 2 --budget 800 ascheck t1 --k 1 --samples 5", "--imax is read only by tower, not by ascheck t1"),
+        ("--imax 4 ascheck report", "--imax is read only by tower, not by ascheck report"),
+        ("--imax 4 ascheck t2 --f u", "--imax is read only by tower, not by ascheck t2"),
+    ):
+        assert run_cli(argv.split(), capsys) == (2, "", f"error: {line}\n"), argv
+
+
+def test_a_global_flag_after_the_subcommand_prints_the_same_bytes(capsys):
+    # the same run of a real command, with --kmax and --samples on either
+    # side of the subcommand
+    before = run_cli(["--format", "structured", "--kmax", "1", "--samples", "8", "ascheck", "report"], capsys)
+    after = run_cli(["--format", "structured", "ascheck", "report", "--kmax", "1", "--samples", "8"], capsys)
+    assert before == after and before[0] == 0
+    report = json.loads(before[1][before[1].index("{") :])
+    assert report["config"]["kmax"] == 1 and [c["status"] for c in report["certificates"]] == ["pass"]
+
+
 P_RULE = "p must be a prime <= 7, got {}"
 C_RULE = "c must be a positive multiple of p-1, got {}"
 

@@ -739,7 +739,6 @@ def test_power_memo_is_keyed_on_the_budget_limit():
 def _reference_level_element(rng, level, i_cap):
     # random_level_element with its key powers built as K ** a
     p = level.p
-    i_cap = min(i_cap, max(level.keys))
     out = RatFunc(Poly.zero(level.u.ring))
     for _ in range(rng.randint(1, 3)):
         part = RatFunc(Poly.const(level.u.ring, rng.randint(1, p - 1)))
@@ -782,6 +781,16 @@ def test_level_sampler_key_powers_match_the_reference(level):
         warm = _draw(random_level_element, level, seed)
         for got in (cold, warm):
             assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den), seed
+
+
+def test_level_sampler_rejects_a_level_below_its_cap():
+    # a level whose top key is below i_cap used to be sampled to its top key
+    # instead, under the same certificate id and params
+    level = build_tower(2, 1, 3)[1]
+    assert max(level.keys) == 3
+    with pytest.raises(ValueError, match="level 1 holds keys up to 3, below i_cap 4"):
+        random_level_element(random.Random(0), level, i_cap=4)
+    assert random_level_element(random.Random(0), level, i_cap=3)
 
 
 def test_level_sampler_budget_does_not_depend_on_the_memo():
