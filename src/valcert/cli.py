@@ -11,7 +11,8 @@ Subcommands:
     selftest   the full acceptance suite
 
 A flag that some runs ignore (FLAG_READERS) may follow the subcommand of any
-command that reads it; given to a run that does not read it, it exits 2.
+command that reads it, except --p, which comes before it only; given to a
+run that does not read it, it exits 2.
 
 Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
@@ -105,9 +106,9 @@ def nonnegative_int(text: str) -> int:
 
 
 # The runs that read each flag some runs ignore: a command, an ascheck mode,
-# or an ascheck run told apart by --k or --f.  ascheck t1 sweeps at --k, else
-# builds the ladder to --kmax; t2 samples a ladder's family unless --f names
-# one element.  tower reads its own --dump-values, False when not given.
+# or a run told apart by --k, --f, --ring or --what.  ascheck t1 sweeps at
+# --k, else builds the ladder to --kmax; t2 samples a ladder's family unless
+# --f names one element.  tower reads its own --dump-values, False if unset.
 _SWEEPS = ("fuzz", "ascheck t1 with --k", "ascheck t2 without --f", "ascheck report")
 FLAG_READERS = (
     ("k", "--k", ("ascheck t1",)),
@@ -117,7 +118,8 @@ FLAG_READERS = (
     ("seed", "--seed", ("selftest", *_SWEEPS)),
     ("kmax", "--kmax", ("tower", "selftest", "ascheck t1 without --k", "ascheck t2 without --f", "ascheck report")),
     ("imax", "--imax", ("tower",)),
-    ("c", "--c", ("value", "ascheck", "fuzz")),
+    ("c", "--c", ("value --ring xy", "value --ring xv", "ascheck", "fuzz --what cross")),
+    ("p", "--p", ("value", "expand", "tower", "ascheck", "fuzz")),
 )
 
 
@@ -126,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="valcert", description="exact valuation engine and dependence certificates", allow_abbrev=False
     )
-    ap.add_argument("--p", type=int, default=2, help="characteristic (prime <= 7)")
+    ap.add_argument("--p", type=int, default=None, help="characteristic (prime <= 7, default 2)")
     shared = {  # the global flags that some runs ignore
         "--c": "mixed-term exponent, multiple of p-1 (default p-1)",
         "--kmax": "deepest tower level (default 2)",
@@ -175,16 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     # a flag given to a run that does not read it is an error; an unset flag
     # is None, so --k 0 counts.  A run reads it when its command, mode or run
-    # is a reader; the error names the command's own readers if any, else all
+    # is a reader; the error names the command's own readers if any, else
+    # all, and the run as finely as they do
     mode = f"ascheck {args.what}" if args.command == "ascheck" else args.command
     run = mode + {
         "ascheck t1": " with --k" if getattr(args, "k", None) is not None else " without --k",
         "ascheck t2": " with --f" if getattr(args, "f", None) is not None else " without --f",
+        "value": f" --ring {getattr(args, 'ring', '')}",
+        "fuzz": f" --what {getattr(args, 'what', '')}",
     }.get(mode, "")
     for attr, flag, readers in FLAG_READERS:
-        name = run if any(" with" in r for r in readers) else mode  # as fine as its readers
         if getattr(args, attr, None) is not None and {args.command, mode, run}.isdisjoint(readers):
             named = [r for r in readers if r.split()[0] == args.command] or readers
+            name = run if any(r.startswith(mode + " ") for r in named) else mode
             listed = ", ".join(named[:-1]) + " and " + named[-1] if len(named) > 1 else named[0]
             raise ValueError(f"{flag} is read only by {listed}, not by {name}")
 
@@ -326,9 +331,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        p = 2 if args.p is None else args.p
         cfg = RunConfig(
-            p=args.p,
-            c=EmbeddingConfig.default(args.p).c if args.c is None else args.c,
+            p=p,
+            c=EmbeddingConfig.default(p).c if args.c is None else args.c,
             kmax=2 if args.kmax is None else args.kmax,
             imax=4 if args.imax is None else args.imax,
             samples=100 if args.samples is None else args.samples,

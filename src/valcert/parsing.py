@@ -9,9 +9,10 @@ fraction):
     factor   :=  atom [ '^' INT ]
     atom     :=  INT  |  VAR  |  '(' sum ')'
 
-Coefficients are reduced mod p; exponents must be non-negative integers.
-Errors carry the offset of the offending token.  The canonical rendering
-produced by Poly/RatFunc round-trips through this parser.
+Coefficients are reduced mod p; exponents must be non-negative integers;
+parentheses nest at most MAX_DEPTH deep.  Errors carry the offset of the
+offending token.  The canonical rendering produced by Poly/RatFunc
+round-trips through this parser.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from __future__ import annotations
 from .polys import Poly, RatFunc, Ring
 
 __all__ = ["ParseError", "parse_expr", "tokenize"]
+
+# each open parenthesis costs four stack frames (sum, term, factor, atom)
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -67,7 +71,7 @@ class _Parser:
         self.text = text
         self.ring = ring
         self.tokens = tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0  # the next token; the parentheses open
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -77,6 +81,7 @@ class _Parser:
     def take(self):
         tok = self.peek()
         self.pos += 1
+        self.depth += (tok[0] == "(") - (tok[0] == ")")
         return tok
 
     def fraction(self) -> Poly | RatFunc:
@@ -144,6 +149,8 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", off)
             return Poly.var(self.ring, val)
         if kind == "(":
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", off)
             inner = self.sum()
             kind2, val2, off2 = self.take()
             if kind2 != ")":

@@ -396,21 +396,6 @@ def _mul_dict(a: dict, b: dict, p: int) -> dict:
     return t
 
 
-def _xor_product(big: dict, small: dict, s: int) -> set:
-    # The product over F_2 as a set of packed exponents, for RatFunc.__eq__,
-    # which compares two of them and needs no term order: each pair
-    # (e1, e2) becomes e1 << s | e2, with s wide enough for any e2 sum, so
-    # adding the packed ints adds both exponents.  Every coefficient is 1
-    # and addition is XOR, so each small term XORs its shifted copy of big
-    # into one set, which holds one partial sum at a time, never the list
-    # of all products.
-    keys = [e1 << s | e2 for e1, e2 in big]
-    acc: set = set()
-    for a1, a2 in small:
-        acc ^= set(map((a1 << s | a2).__add__, keys))
-    return acc
-
-
 def _key_data(key: Poly) -> tuple[int, list[tuple[tuple[int, int], int]]]:
     # a monic key as (its y-degree, its other terms as ((b1, b2), c))
     deg = key.deg2()
@@ -473,8 +458,7 @@ class RatFunc:
 
     Common monomial content of numerator and denominator is cancelled and
     the denominator is scaled monic-leading; no other reduction is done.
-    Equality is exact, by cross-multiplication; over F_2 the two cross
-    products are compared as sets of packed exponents (_xor_product).
+    Equality is exact, by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -587,20 +571,7 @@ class RatFunc:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        if self.ring.p != 2:
-            return self.num * g.den == g.num * self.den
-        # over F_2 the two cross products are compared as packed sets, so
-        # neither is built as a Poly; one shift serves both, and each is
-        # budget-checked as its Poly would be; a zero numerator's deg2 of
-        # -1 only narrows s for its empty set
-        s = max(self.num.deg2() + g.den.deg2(), g.num.deg2() + self.den.deg2()).bit_length()
-
-        def product(a: dict, b: dict) -> set:
-            t = _xor_product(a, b, s) if len(a) > len(b) else _xor_product(b, a, s)
-            _check_budget(len(t))
-            return t
-
-        return product(self.num._t, g.den._t) == product(g.num._t, self.den._t)
+        return self.num * g.den == g.num * self.den
 
     __hash__ = None  # cross-multiplied equality has no cheap consistent hash
 

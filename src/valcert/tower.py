@@ -7,8 +7,9 @@ unit factors of the twisted key recursion, and the drift terms of the
 untwisted recursion.  Keeping one common ring makes every claimed identity
 checkable as an exact cross-multiplied polynomial equality.  K_(k,i),
 K_(k,i-1)^(p^2) and the unit factor share one denominator at every level,
-so the twisted and drift recursions are compared through the difference
-K_(k,i) - K_(k,i-1)^(p^2), which builds no product.
+so the twisted recursion is compared through the difference
+K_(k,i) - K_(k,i-1)^(p^2), which builds no product, and through each
+level's link to the one below it the drift recursion follows from it.
 
 Level recursion (k >= 1, from level k-1):
 
@@ -59,6 +60,7 @@ class TowerLevel:
     keys: dict[int, RatFunc] = field(default_factory=dict)
     unit_factors: dict[int, RatFunc] = field(default_factory=dict)  # i >= 2
     drifts: dict[int, RatFunc] = field(default_factory=dict)  # i >= 2
+    prev: TowerLevel | None = field(default=None, repr=False, compare=False)  # level k - 1
 
     @property
     def p(self) -> int:
@@ -118,6 +120,7 @@ def _next_level(prev: TowerLevel, i_top: int) -> TowerLevel:
         keys=keys,
         unit_factors=gammas,
         drifts=drifts,
+        prev=prev,
     )
 
 
@@ -142,9 +145,7 @@ def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certifi
     base_u = RatFunc(seq.poly(0))
 
     def run():
-        lhs = base_u
-        rhs = level.u ** (p ** (2 * k)) * level.descent_unit
-        identity = lhs == rhs
+        identity = base_u == level.u.frob(2 * k) * level.descent_unit
         unit_val = value(level.descent_unit, seq)
         ok = identity and unit_val == 0
         expected = "identity; unit value 0"
@@ -158,10 +159,23 @@ def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certifi
 
 def _twist_base(level: TowerLevel, i: int) -> RatFunc:
     """m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2), a factor of both recursions (K_(k,0) at i = 2)."""
-    keys = level.keys
     if i == 2:
-        return keys[0]
-    return keys[0] ** (level.p ** (2 * (i - 2))) * keys[i - 2]
+        return level.keys[0]
+    return level.keys[0].frob(2 * (i - 2)) * level.keys[i - 2]
+
+
+def _twisted(level: TowerLevel, i: int, gamma: RatFunc, m: RatFunc) -> bool:
+    """K_(k,i) - K_(k,i-1)^(p^2) == -gamma * m, with m = _twist_base(level, i).
+
+    When K_(k,i), K_(k,i-1)^(p^2) and gamma share one denominator D, as on
+    every intact level, multiplying both sides by D leaves the numerators'
+    identity K_(k,i).num - K_(k,i-1)^(p^2).num == -gamma.num * m.  Otherwise
+    (only on corrupted input) the fractions themselves are compared.
+    """
+    key, prior = level.keys[i], level.keys[i - 1].frob(2)
+    if key.den == prior.den == gamma.den:
+        return RatFunc(key.num - prior.num) == RatFunc(-gamma.num) * m
+    return key - prior == -(gamma * m)
 
 
 def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
@@ -171,12 +185,6 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
                         K_(k,i) = K_(k,i-1)^(p^2) - gamma * K_(k,0)^(p^(2(i-2))) * K_(k,i-2)
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
-
-    With m = K_(k,0)^(p^(2(i-2))) * K_(k,i-2): when K_(k,i), K_(k,i-1)^(p^2)
-    and gamma share one denominator D, as on every intact level, multiplying
-    both sides by D leaves the numerators' identity
-    K_(k,i).num - K_(k,i-1)^(p^2).num == -gamma.num * m.  Otherwise (only on
-    corrupted input) it is compared as K_(k,i) - K_(k,i-1)^(p^2) == -(gamma * m).
     """
     if i < 2:
         raise ValueError("twisted recursion starts at index 2")
@@ -184,12 +192,8 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     p, k = level.p, level.k
 
     def run():
-        gamma, key, prior = level.unit_factors[i], level.keys[i], level.keys[i - 1].frob(2)
-        m = _twist_base(level, i)
-        if key.den == prior.den == gamma.den:
-            identity = RatFunc(key.num - prior.num) == RatFunc(-gamma.num) * m
-        else:
-            identity = key - prior == -(gamma * m)
+        gamma = level.unit_factors[i]
+        identity = _twisted(level, i, gamma, _twist_base(level, i))
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
         floor = Fraction(2, p ** (2 * (k + 1)))
@@ -204,14 +208,26 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     return check(f"tower/twisted-recursion/k={k}/i={i}", {"p": p, "k": k, "i": i}, run)
 
 
+def _drift_route(level: TowerLevel, i: int, m: RatFunc) -> bool:
+    """True proves the drift identity through the twisted one; see verify_drift_recursion."""
+    if level.prev is None:
+        return False
+    w, twin = level.v.frob(2 * i - 2), level.prev.keys[i - 1]
+    d, built = level.drifts[i], w * twin
+    return d.den == built.den and d.num == built.num and m == twin and _twisted(level, i, 1 - w, m)
+
+
 def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
     """The untwisted key recursion with drift, and the drift value bound.
 
     Identity (exact):   K_(k,2) = K_(k,1)^(p^2) - K_(k,0) + drift
                         K_(k,i) = K_(k,i-1)^(p^2) - K_(k,0)^(p^(2(i-2))) * K_(k,i-2) + drift
     Bound: v(drift) >= sum_(j=1..i-1) p^(4j-2i-2k) + p^(4-2i-2k).
-    For i >= 3 it is compared as K_(k,i) - K_(k,i-1)^(p^2) - drift = -K_(k,0)^...,
-    so no sum takes the product; at i = 2, with no product, the written form is faster.
+    With m = _twist_base(level, i), c = K_(k,i-1)^(p^2), w = v_k^(p^(2(i-1)))
+    and P = K_(k-1,i-1) on the linked level, three exact checks (_drift_route)
+    prove it: drift is w * P as _next_level builds it, Poly for Poly; m == P;
+    and K_(k,i) - c == -(1 - w) * m.  So K_(k,i) - c - drift == -m.  Where a
+    check fails (level 0 has no P) that difference is compared with -m.
     """
     if i < 2:
         raise ValueError("drift recursion starts at index 2")
@@ -219,11 +235,8 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
     p, k = level.p, level.k
 
     def run():
-        drift, keys = level.drifts[i], level.keys
-        if i == 2:
-            identity = keys[2] == keys[1].frob(2) - keys[0] + drift
-        else:
-            identity = keys[i] - keys[i - 1].frob(2) - drift == -_twist_base(level, i)
+        drift, keys, m = level.drifts[i], level.keys, _twist_base(level, i)
+        identity = _drift_route(level, i, m) or keys[i] - keys[i - 1].frob(2) - drift == -m
         dval = value(drift, seq)
         bound = drift_bound(p, k, i)
         ok = identity and dval >= bound

@@ -114,6 +114,11 @@ def test_malformed_input_exit_2(capsys, tmp_path):
         (["value", "u^v"], "expected integer exponent, got 'v' at offset 2"),
     ):
         assert run_cli(argv, capsys) == (2, "", f"error: {line}\n")
+    # 5,000 nested parentheses used to end in a RecursionError; the error
+    # names the parenthesis that passes the limit
+    deep = "(" * 5000 + "u" + ")" * 5000
+    for argv in (["value", deep], ["ascheck", "t2", "--f", deep]):
+        assert run_cli(argv, capsys) == (2, "", f"error: parentheses nested deeper than 100 at offset 100\n")
 
 
 def test_ascheck_flag_outside_its_mode_exits_2(capsys, monkeypatch):
@@ -164,7 +169,9 @@ def test_sampling_flag_where_not_read_exits_2(capsys, monkeypatch):
 # every run of each command, named as FLAG_READERS names runs, with argv
 # that needs no input beyond it
 RUNS = {
-    "value": ["value", "u"],
+    "value --ring uv": ["value", "u"],
+    "value --ring xy": ["value", "--ring", "xy", "x"],
+    "value --ring xv": ["value", "--ring", "xv", "x"],
     "expand": ["expand", "u"],
     "tower": ["tower"],
     "ascheck t1 without --k": ["ascheck", "t1"],
@@ -172,7 +179,9 @@ RUNS = {
     "ascheck t2 without --f": ["ascheck", "t2"],
     "ascheck t2 with --f": ["ascheck", "t2", "--f", "u"],
     "ascheck report": ["ascheck", "report"],
-    "fuzz": ["fuzz", "--what", "cross"],
+    "fuzz --what mult": ["fuzz", "--what", "mult"],
+    "fuzz --what ultra": ["fuzz", "--what", "ultra"],
+    "fuzz --what cross": ["fuzz", "--what", "cross"],
     "selftest": ["selftest"],
 }
 # each flag's argv and the value it sets, which no default has, and the flags
@@ -186,16 +195,20 @@ FLAG_VALUES = {
     "--kmax": (["1"], 1),
     "--imax": (["3"], 3),
     "--c": (["2"], 2),
+    "--p": (["3"], 3),
 }
-GLOBAL_FLAGS = ("--samples", "--seed", "--kmax", "--imax", "--c")
+GLOBAL_FLAGS = ("--samples", "--seed", "--kmax", "--imax", "--c", "--p")
+BEFORE_ONLY = ("--p",)
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 @pytest.mark.parametrize("row", cli.FLAG_READERS, ids=[flag for _, flag, _ in cli.FLAG_READERS])
 def test_each_flag_is_taken_by_exactly_its_readers(row, command, capsys, monkeypatch):
     # a reader takes the flag on either side of the subcommand, with the same
-    # bytes; any other run exits 2 before the command runs and names the
-    # readers.  A reader is a command, a mode or a run, read here as a prefix
+    # bytes, or before it alone for a flag in BEFORE_ONLY; any other run
+    # exits 2 before the command runs and names the readers, and the run as
+    # a whole or by its mode (its command and ascheck's mode).  A reader is
+    # a command, a mode or a run, read here as a prefix
     attr, flag, readers = row
     tokens, want = FLAG_VALUES[flag]
     given = [flag, *tokens]
@@ -211,9 +224,10 @@ def test_each_flag_is_taken_by_exactly_its_readers(row, command, capsys, monkeyp
     for run, argv in runs.items():
         after = ["--format", "structured", *argv, *given]
         before = ["--format", "structured", *given, *argv]
-        placements = ([before] if flag in GLOBAL_FLAGS else []) + ([after] if any(reads.values()) else [])
+        placements = [before] if flag in GLOBAL_FLAGS else []
+        placements += [after] if any(reads.values()) and flag not in BEFORE_ONLY else []
         if reads[run]:
-            code, out, err = run_cli(after, capsys)
+            code, out, err = run_cli(placements[0], capsys)
             assert (code, err) == (0, ""), run
             assert json.loads(json.loads(out)["certificates"][0]["actual"])[attr] == want
             assert all(run_cli(argv, capsys) == (0, out, "") for argv in placements), run
@@ -222,9 +236,10 @@ def test_each_flag_is_taken_by_exactly_its_readers(row, command, capsys, monkeyp
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (2, ""), run
             assert err.startswith(f"error: {flag} is read only by ") and all(r in err for r in named), err
-            assert err.rstrip("\n").rsplit(", not by ", 1)[1] in (run, run.split(" with")[0]), err
-    if not any(reads.values()):
-        # no run of the command reads the flag, so it is no option after it
+            assert err.rstrip("\n").rsplit(", not by ", 1)[1] in (run, run.split(" with")[0].split(" --")[0]), err
+    if not any(reads.values()) or flag in BEFORE_ONLY:
+        # no run of the command reads the flag, or it comes before the
+        # subcommand only, so it is no option after it
         for argv in runs.values():
             with pytest.raises(SystemExit) as info:
                 main([*argv, *given])
@@ -236,10 +251,15 @@ def test_flags_outside_their_readers_exit_2(capsys):
     # each used to run with exit 0, the flag dropped or, for --imax, the
     # ladder's sampled family reshaped
     ladder_runs = "ascheck t1 without --k, ascheck t2 without --f and ascheck report"
+    c_runs = "value --ring xy, value --ring xv, ascheck and fuzz --what cross"
     for argv, line in (
         ("--imax 9 --kmax 5 value u", f"--kmax is read only by tower, selftest, {ladder_runs}, not by value"),
-        ("--c 3 expand v", "--c is read only by value, ascheck and fuzz, not by expand"),
-        ("--c 3 tower", "--c is read only by value, ascheck and fuzz, not by tower"),
+        ("--c 3 expand v", f"--c is read only by {c_runs}, not by expand"),
+        ("--c 3 tower", f"--c is read only by {c_runs}, not by tower"),
+        ("--c 3 value u", "--c is read only by value --ring xy and value --ring xv, not by value --ring uv"),
+        ("--c 3 fuzz --what mult --samples 2", "--c is read only by fuzz --what cross, not by fuzz --what mult"),
+        ("--c 3 fuzz --what ultra", "--c is read only by fuzz --what cross, not by fuzz --what ultra"),
+        ("--p 5 --kmax 0 selftest", "--p is read only by value, expand, tower, ascheck and fuzz, not by selftest"),
         ("--kmax 7 fuzz --what cross", f"--kmax is read only by tower, selftest, {ladder_runs}, not by fuzz"),
         ("--kmax 1 ascheck t1 --k 1", f"--kmax is read only by {ladder_runs}, not by ascheck t1 with --k"),
         ("--imax 2 ascheck t1 --k 1", "--imax is read only by tower, not by ascheck t1"),
@@ -248,6 +268,10 @@ def test_flags_outside_their_readers_exit_2(capsys):
         ("--imax 4 ascheck t2 --f u", "--imax is read only by tower, not by ascheck t2"),
     ):
         assert run_cli(argv.split(), capsys) == (2, "", f"error: {line}\n"), argv
+    # the runs that embed still read --c, and the default p is 2
+    assert run_cli("--c 3 value --ring xy x".split(), capsys) == (0, "1/2\n", "")
+    code, out, _ = run_cli("--format structured --c 2 fuzz --what cross --samples 2".split(), capsys)
+    assert code == 0 and json.loads(out)["config"]["p"] == 2
 
 
 def test_a_global_flag_after_the_subcommand_prints_the_same_bytes(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from valcert.parsing import ParseError, parse_expr
+from valcert.parsing import MAX_DEPTH, ParseError, parse_expr
 from valcert.polys import Poly, RatFunc, ring_uv, ring_xy
 
 R2 = ring_uv(2)
@@ -78,6 +78,21 @@ def test_trailing_garbage():
         parse_expr("", R2)
     with pytest.raises(ParseError):
         parse_expr("u @ v", R2)
+
+
+def test_nesting_depth_is_bounded():
+    # MAX_DEPTH nested parentheses parse; one more is a ParseError at the
+    # parenthesis that passes the limit, in a sum, a power, a fraction's
+    # denominator or far past the limit, never a RecursionError
+    u = Poly.var(R2, "u")
+    assert parse_expr("(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH, R2) == u
+    assert parse_expr("*".join(["(u)"] * 500), R2) == u**500  # siblings do not nest
+    for prefix, n in (("", MAX_DEPTH + 1), ("v + ", MAX_DEPTH + 1), ("u/", MAX_DEPTH + 1), ("", 100_000)):
+        text = prefix + "(" * n + "u" + ")" * n + "^2"
+        with pytest.raises(ParseError) as info:
+            parse_expr(text, R2)
+        assert info.value.position == len(prefix) + MAX_DEPTH
+        assert str(info.value) == f"parentheses nested deeper than {MAX_DEPTH} at offset {len(prefix) + MAX_DEPTH}"
 
 
 def rnd_poly(rng, ring):

@@ -217,32 +217,10 @@ def _tower_parts() -> list[Poly]:
     return [f for f in parts if f.support_size >= 32]
 
 
-def test_gf2_product_matches_dict_loop_and_sympy():
-    # _xor_product, the packed F_2 product RatFunc.__eq__ compares, unpacked
-    # against the dict loop's support and against sympy: on the sparse
-    # tower operands, and on dense ones whose products cancel so often that
-    # terms leave and re-enter the dict loop's result
-    from valcert.polys import _mul_dict, _xor_product
-
-    parts = _tower_parts()
-    assert len(parts) >= 4 and max(f.support_size for f in parts) > 300
-    pairs = list(zip(parts, parts[1:] + parts[:1]))
-    rng = random.Random("gf2-order")
-    for _ in range(20):
-        f, g = (Poly(R2, {(rng.randrange(9), rng.randrange(7)): 1 for _ in range(60)}) for _ in "fg")
-        pairs.append((f, g))
-    for f, g in pairs:
-        big, small = (f._t, g._t) if len(f._t) > len(g._t) else (g._t, f._t)
-        s = (f.deg2() + g.deg2()).bit_length()
-        mask = (1 << s) - 1
-        packed = {(k >> s, k & mask) for k in _xor_product(big, small, s)}
-        assert packed == set(_mul_dict(big, small, 2))
-        assert _sympy(Poly(f.ring, dict.fromkeys(packed, 1))) == _sympy(f) * _sympy(g)
-
-
 def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
     # the two sides of every k = 4 twisted- and drift-recursion identity of
-    # build_tower(2, 4, 4) in the compared arrangements, built here rather
+    # build_tower(2, 4, 4) in the arrangements the certificates compared
+    # before the drift was proved through the twisted one, built here rather
     # than spied from the certificates, so that a certificate that proves
     # an identity another way leaves these operands as they are:
     # K_i - K_(i-1)^(p^2) against -gamma * K_0^(p^(2(i-2))) * K_(i-2) for
@@ -273,9 +251,9 @@ def _toggled(f: RatFunc) -> RatFunc:
     return RatFunc(f.num + Poly.monomial(f.ring, 1, e1, e2), f.den)
 
 
-def test_packed_equality_matches_poly_products():
-    # at p = 2 RatFunc.__eq__ compares packed sets; the Poly products it
-    # replaces are the oracle, on equal, unequal, mixed-size and zero pairs
+def test_fraction_equality_matches_poly_products():
+    # RatFunc.__eq__ against its two cross products compared by hand, on
+    # equal, unequal, mixed-size and zero pairs
     sides = _recursion_sides()
     assert len(sides) == 6
     pairs = [*sides, *((a, _toggled(b)) for a, b in sides)]
@@ -288,8 +266,7 @@ def test_packed_equality_matches_poly_products():
     pairs += [mixed, (mixed[0], _toggled(mixed[1]))]
     zero = RatFunc(Poly.zero(R2))
     pairs += [(zero, zero), (zero, sides[0][0]), (sides[0][1], zero), (zero, RatFunc(Poly.zero(R2), V2 + U2))]
-    # the shift must cover the right cross product too, or u + 1 and v + 1
-    # pack alike
+    # two fractions that differ only in their variable
     pairs.append((RatFunc(U2 + 1), RatFunc(V2 + 1)))
     for a, b in pairs:
         want = a.num * b.den == b.num * a.den
@@ -298,7 +275,7 @@ def test_packed_equality_matches_poly_products():
     assert zero == 0 and not sides[0][0] == 0
 
 
-def test_packed_equality_budget_names_the_poly_product_sizes():
+def test_fraction_equality_budget_names_the_poly_product_sizes():
     # under a budget, == raises with the size the Poly products would name,
     # the left one first: below both sizes, and between them either way.
     # The last pair is the drift identity at i = 4
@@ -312,33 +289,27 @@ def test_packed_equality_budget_names_the_poly_product_sizes():
     ):
         with support_limit(limit):
             for x, y, size in ((a, b, first), (b, a, second)):
-                with pytest.raises(BudgetExceededError) as packed:
+                with pytest.raises(BudgetExceededError) as equality:
                     x == y
                 with pytest.raises(BudgetExceededError) as oracle:
                     x.num * y.den == y.num * x.den
-                assert packed.value.size == oracle.value.size == size
-                assert packed.value.limit == limit
+                assert equality.value.size == oracle.value.size == size
+                assert equality.value.limit == limit
 
 
 def test_ratfunc_equality_routes_by_characteristic(monkeypatch):
-    # at p = 2 the equality builds two _xor_product sets and no Poly
-    # product; at p = 3 it still multiplies
-    from valcert import polys
-
+    # one cross-multiplication at every p: two Poly products, left one first
     f2 = RatFunc(U2 * V2 + 1, V2**3 + U2)
     g2 = RatFunc((U2 * V2 + 1) * (V2 + 1), (V2**3 + U2) * (V2 + 1))
     f3 = RatFunc(U3 * V3 + 1, V3**3 + U3)
     g3 = RatFunc(2 * U3 * V3 + 2, 2 * V3**3 + 2 * U3)
     routed = []
     mul = Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__", lambda *args: routed.append("Poly.__mul__") or mul(*args))
-    xor = polys._xor_product
-    monkeypatch.setattr(polys, "_xor_product", lambda *args: routed.append("_xor_product") or xor(*args))
-    assert f2 == g2
-    assert routed == ["_xor_product", "_xor_product"]
-    routed.clear()
-    assert f3 == g3
-    assert routed == ["Poly.__mul__", "Poly.__mul__"]
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: routed.append((a, b)) or mul(a, b))
+    for f, g in ((f2, g2), (f3, g3)):
+        routed.clear()
+        assert f == g
+        assert routed == [(f.num, g.den), (g.num, f.den)]
 
 
 @settings(max_examples=60)

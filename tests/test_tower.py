@@ -249,22 +249,64 @@ def _textbook_drift(level, i):
     return keys[i] == keys[i - 1].frob(2) - keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2] + drift
 
 
+def _drift_bent(level, i):
+    # level with one corrupted input of the index-i drift identity: the
+    # drift with one numerator term toggled (level 0's is zero, so it
+    # becomes 1), each corruption of _bent, and at k >= 1 the inputs only
+    # the drift route reads, v_k and K_(k-1,i-1) on the linked level, each
+    # with one numerator term toggled; last, that toggled K_(k-1,i-1) with
+    # the drift rebuilt from it, which passes the route's check of how the
+    # drift was built, so that its check m == K_(k-1,i-1) must decline
+    drift = level.drifts[i]
+    e1, e2 = drift.num.terms()[0][0] if drift else (0, 0)
+    yield replace(level, drifts={**level.drifts, i: RatFunc(drift.num + Poly.monomial(drift.ring, 1, e1, e2), drift.den)})
+    yield from _bent(level, i)
+    if level.prev is not None:
+        prev, twin = level.prev, _toggled(level.prev.keys[i - 1])
+        linked = replace(prev, keys={**prev.keys, i - 1: twin})
+        yield replace(level, v=_toggled(level.v))
+        yield replace(level, prev=linked)
+        yield replace(level, prev=linked, drifts={**level.drifts, i: level.v.frob(2 * i - 2) * twin})
+
+
 def test_drift_recursion(tower4, tower3_deep):
-    # every certificate agrees with the textbook arrangement, with the drift
-    # intact and with one numerator term of it toggled
+    # every certificate agrees with the textbook arrangement on the intact
+    # level and on each corruption of it.  The identity holds on the intact
+    # level and with gamma, v_k or K_(k-1,i-1) toggled, none of which it
+    # reads, and breaks with the drift or a key corrupted
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
-                drift = level.drifts[i]
-                terms = drift.num.terms()  # none at level 0
-                e1, e2 = terms[0][0] if terms else (0, 0)
-                toggled = RatFunc(drift.num + Poly.monomial(drift.ring, 1, e1, e2), drift.den)
-                for d, holds in ((drift, True), (toggled, False)):
-                    bent = replace(level, drifts={**level.drifts, i: d})
-                    assert _textbook_drift(bent, i) is holds, (level.k, i)
+                bents = [level, *_drift_bent(level, i)]
+                assert len(bents) == (8 if level.k else 5)
+                for n, bent in enumerate(bents):
+                    holds = _textbook_drift(bent, i)
+                    assert holds is (n in (0, 2, 5, 6)), (level.k, i, n)
                     cert = verify_drift_recursion(bent, i)
-                    assert cert.passed is holds, (level.k, i, cert.actual)
-                    assert cert.actual.startswith("identity;") is holds, (level.k, i, cert.actual)
+                    assert cert.passed is holds, (level.k, i, n, cert.actual)
+                    assert cert.actual.startswith("identity;") is holds, (level.k, i, n, cert.actual)
+
+
+def test_drift_route_decides_every_intact_level(tower4, tower3_deep, monkeypatch):
+    # on every level k >= 1, at every index, the route proves the identity
+    # and the compared fallback never runs: its two fraction subtractions
+    # are the only ones the certificate makes.  Level 0 links to no level,
+    # so there the route declines and the fallback decides
+    from valcert import tower
+
+    route, sub = tower._drift_route, RatFunc.__sub__
+    decided, subtracted = [], []
+    monkeypatch.setattr(tower, "_drift_route", lambda *args: decided.append(route(*args)) or decided[-1])
+    monkeypatch.setattr(RatFunc, "__sub__", lambda a, b: subtracted.append(b) or sub(a, b))
+    for tw in (tower4, tower3_deep):
+        assert all(level.prev is below for below, level in zip([None, *tw], tw))
+        for level in tw:
+            for i in range(2, len(level.keys)):
+                decided.clear()
+                subtracted.clear()
+                assert verify_drift_recursion(level, i).passed, (level.k, i)
+                assert decided == [level.k >= 1], (level.k, i)
+                assert len(subtracted) == (0 if level.k else 2), (level.k, i)
 
 
 def test_drift_exact_value_k1_i2(tower2):
