@@ -93,7 +93,7 @@ def criterion_4_drift_bound(seed=0, k_max=2) -> list[Certificate]:
     if len(tower) > 1:
 
         def run():
-            got = value(tower[1].drifts[2], seq)
+            got = value(tower[1].drift(2), seq)
             bound = drift_bound(2, 1, 2)
             ok = got == Fraction(1, 2) and bound == Fraction(1, 2)
             return f"value 1/2, bound {bound}", f"value {got}", ok

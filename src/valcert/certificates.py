@@ -82,9 +82,11 @@ def failures(samples: int, draw, fails) -> tuple[int, str]:
 
     ``draw()`` returns one sample as a dict of named elements, and
     ``fails(**sample)`` says whether it breaks the checked property.  The
-    first failure is "" when none failed, else its index and elements,
-    which parse_expr reads back, so that `valcert value` or
-    `ascheck t2 --f` can replay it.
+    first failure is "" when none failed, else its index and elements.
+    An element of at most 400 characters is printed whole, in a form
+    parse_expr reads back; a longer one is cut there and ends " ...".
+    Only `valcert value` and `ascheck t2 --f` replay an element, and no
+    command forms a gap-sweep sample's g - x.
     """
     count, first = 0, ""
     for n in range(samples):

@@ -1,15 +1,17 @@
 """The tower of free quadratic transforms, as explicit rational functions.
 
 Every level-k object lives in the single ambient fraction field of (u,v):
-the regular parameters u_k, v_k, the shifted chart coordinate s_k, the
-descent unit in u = u_k^(p^(2k)) * unit, the level's key polynomials, the
-unit factors of the twisted key recursion, and the drift terms of the
-untwisted recursion.  Keeping one common ring makes every claimed identity
-checkable as an exact cross-multiplied polynomial equality.  K_(k,i),
-K_(k,i-1)^(p^2) and the unit factor share one denominator at every level,
-so the twisted recursion is compared through the difference
-K_(k,i) - K_(k,i-1)^(p^2), which builds no product, and through each
-level's link to the one below it the drift recursion follows from it.
+the level's key polynomials, whose K_(k,0) = u_k and K_(k,1) = v_k are its
+regular parameters, and the descent unit in u = u_k^(p^(2k)) * unit.  The
+unit factors of the twisted key recursion and the drift terms of the
+untwisted one are closed forms in v_k and the keys of level k - 1, built
+where a certificate reads them.  Keeping one common ring makes every
+claimed identity checkable as an exact cross-multiplied polynomial
+equality.  K_(k,i), K_(k,i-1)^(p^2) and the unit factor share one
+denominator at every level, so the twisted recursion is compared through
+the difference K_(k,i) - K_(k,i-1)^(p^2), which builds no product.  The
+drift is w * K_(k-1,i-1) by construction, so the drift recursion follows
+from the twisted one and the level's link to the one below it.
 
 Level recursion (k >= 1, from level k-1):
 
@@ -50,50 +52,49 @@ __all__ = [
 
 @dataclass
 class TowerLevel:
-    """All level-k data, realized over the ambient (u,v) fraction field."""
+    """Level k's keys and descent unit, over the ambient (u,v) fraction field."""
 
     k: int
-    u: RatFunc
-    v: RatFunc
-    chart_shift: RatFunc | None  # s_k; None at level 0
+    keys: dict[int, RatFunc]  # K_(k,i); K_(k,0) = u_k and K_(k,1) = v_k
     descent_unit: RatFunc  # the unit in u = u_k^(p^(2k)) * unit
-    keys: dict[int, RatFunc] = field(default_factory=dict)
-    unit_factors: dict[int, RatFunc] = field(default_factory=dict)  # i >= 2
-    drifts: dict[int, RatFunc] = field(default_factory=dict)  # i >= 2
     prev: TowerLevel | None = field(default=None, repr=False, compare=False)  # level k - 1
+
+    @property
+    def u(self) -> RatFunc:
+        return self.keys[0]
+
+    @property
+    def v(self) -> RatFunc:
+        return self.keys[1]
 
     @property
     def p(self) -> int:
         return self.u.ring.p
+
+    def unit_factor(self, i: int) -> RatFunc:
+        """gamma_(k,i) = 1 - v_k^(p^(2(i-1))); 1 at level 0."""
+        return self.u**0 if self.prev is None else 1 - self.v.frob(2 * i - 2)
+
+    def drift(self, i: int) -> RatFunc:
+        """drift_(k,i) = v_k^(p^(2(i-1))) * K_(k-1,i-1); 0 at level 0."""
+        return 0 * self.u if self.prev is None else self.v.frob(2 * i - 2) * self.prev.keys[i - 1]
 
 
 def build_tower(p: int, k_max: int, i_max: int) -> list[TowerLevel]:
     """Levels 0..k_max, each carrying key polynomials up to index i_max.
 
     Intermediate levels carry extra indices (level j holds i_max + k_max - j
-    of them) because every recursion step consumes one index.  Run it inside
-    ``support_limit`` to abort with BudgetExceededError instead of growing
-    without bound.
+    of them) because every recursion step consumes one index.  Only keys and
+    descent units are built.  Run it inside ``support_limit`` to abort with
+    BudgetExceededError instead of growing without bound.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
     seq = p_sequence(p)
-    one = RatFunc(Poly.one(seq.ring))
-    zero = RatFunc(Poly.zero(seq.ring))
-    top = i_max + k_max
-    level0 = TowerLevel(
-        k=0,
-        u=RatFunc(seq.poly(0)),
-        v=RatFunc(seq.poly(1)),
-        chart_shift=None,
-        descent_unit=one,
-        keys={i: RatFunc(seq.poly(i)) for i in range(top + 1)},
-        unit_factors={i: one for i in range(2, top + 2)},
-        drifts={i: zero for i in range(2, top + 2)},
-    )
-    levels = [level0]
+    keys = {i: RatFunc(seq.poly(i)) for i in range(i_max + k_max + 1)}
+    levels = [TowerLevel(k=0, keys=keys, descent_unit=RatFunc(Poly.one(seq.ring)))]
     for k in range(1, k_max + 1):
         levels.append(_next_level(levels[-1], i_max + k_max - k))
     return levels
@@ -103,25 +104,12 @@ def _next_level(prev: TowerLevel, i_top: int) -> TowerLevel:
     p = prev.p
     k = prev.k + 1
     u_k = prev.keys[1]
-    v_k = prev.keys[2] / u_k ** (p**2)
+    keys = {0: u_k, 1: prev.keys[2] / u_k ** (p**2)}
     s_k = prev.u / u_k ** (p**2) - 1
     unit = (s_k ** (p ** (2 * (k - 1))) + 1) * prev.descent_unit
-    keys = {0: u_k, 1: v_k}
     for i in range(2, i_top + 1):
         keys[i] = prev.keys[i + 1] / u_k ** (p ** (2 * i))
-    gammas = {i: 1 - v_k.frob(2 * i - 2) for i in range(2, i_top + 1)}
-    drifts = {i: v_k.frob(2 * i - 2) * prev.keys[i - 1] for i in range(2, i_top + 1)}
-    return TowerLevel(
-        k=k,
-        u=u_k,
-        v=v_k,
-        chart_shift=s_k,
-        descent_unit=unit,
-        keys=keys,
-        unit_factors=gammas,
-        drifts=drifts,
-        prev=prev,
-    )
+    return TowerLevel(k=k, keys=keys, descent_unit=unit, prev=prev)
 
 
 def key_value_formula(p: int, k: int, i: int) -> Fraction:
@@ -136,6 +124,14 @@ def drift_bound(p: int, k: int, i: int) -> Fraction:
     """Lower bound sum_(j=1..i-1) p^(4j-2i-2k) + p^(4-2i-2k) for drift values."""
     series = (p ** (4 * i) - p**4) // (p**4 - 1)  # sum of p^(4j), j = 1..i-1
     return Fraction(series + p**4, p ** (2 * i + 2 * k))
+
+
+def _check_index(level: TowerLevel, i: int, first: int, what: str) -> None:
+    """Raise ValueError unless first <= i <= the top index of the level's keys."""
+    if i < first:
+        raise ValueError(f"{what} starts at index {first}")
+    if i > max(level.keys):
+        raise ValueError(f"level {level.k} holds keys 0..{max(level.keys)}; {what} has no index {i}")
 
 
 def verify_unit_descent(level: TowerLevel, seq: GenSeq | None = None) -> Certificate:
@@ -186,13 +182,12 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
     """
-    if i < 2:
-        raise ValueError("twisted recursion starts at index 2")
+    _check_index(level, i, 2, "twisted recursion")
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 
     def run():
-        gamma = level.unit_factors[i]
+        gamma = level.unit_factor(i)
         identity = _twisted(level, i, gamma, _twist_base(level, i))
         unit_val = value(gamma, seq)
         dist = value(gamma - 1, seq)
@@ -212,9 +207,7 @@ def _drift_route(level: TowerLevel, i: int, m: RatFunc) -> bool:
     """True proves the drift identity through the twisted one; see verify_drift_recursion."""
     if level.prev is None:
         return False
-    w, twin = level.v.frob(2 * i - 2), level.prev.keys[i - 1]
-    d, built = level.drifts[i], w * twin
-    return d.den == built.den and d.num == built.num and m == twin and _twisted(level, i, 1 - w, m)
+    return m == level.prev.keys[i - 1] and _twisted(level, i, level.unit_factor(i), m)
 
 
 def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
@@ -224,18 +217,18 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
                         K_(k,i) = K_(k,i-1)^(p^2) - K_(k,0)^(p^(2(i-2))) * K_(k,i-2) + drift
     Bound: v(drift) >= sum_(j=1..i-1) p^(4j-2i-2k) + p^(4-2i-2k).
     With m = _twist_base(level, i), c = K_(k,i-1)^(p^2), w = v_k^(p^(2(i-1)))
-    and P = K_(k-1,i-1) on the linked level, three exact checks (_drift_route)
-    prove it: drift is w * P as _next_level builds it, Poly for Poly; m == P;
-    and K_(k,i) - c == -(1 - w) * m.  So K_(k,i) - c - drift == -m.  Where a
-    check fails (level 0 has no P) that difference is compared with -m.
+    and P = K_(k-1,i-1) on the linked level, the drift is w * P by
+    construction (TowerLevel.drift), and two exact checks (_drift_route)
+    prove it: m == P, and K_(k,i) - c == -(1 - w) * m.  So
+    K_(k,i) - c - drift == -m.  Where a check fails (level 0 has no P) that
+    difference is compared with -m.
     """
-    if i < 2:
-        raise ValueError("drift recursion starts at index 2")
+    _check_index(level, i, 2, "drift recursion")
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 
     def run():
-        drift, keys, m = level.drifts[i], level.keys, _twist_base(level, i)
+        drift, keys, m = level.drift(i), level.keys, _twist_base(level, i)
         identity = _drift_route(level, i, m) or keys[i] - keys[i - 1].frob(2) - drift == -m
         dval = value(drift, seq)
         bound = drift_bound(p, k, i)
@@ -249,6 +242,7 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
 
 def verify_value_formula(level: TowerLevel, i: int, seq: GenSeq | None = None) -> Certificate:
     """Engine value of the level-k key polynomial against the closed form."""
+    _check_index(level, i, 0, "value formula")
     seq = seq or p_sequence(level.p)
     p, k = level.p, level.k
 

@@ -200,19 +200,21 @@ def _tower_parts() -> list[Poly]:
     # tower's identity checks, with the twisted recursion's right side as
     # written, gamma * K_0^(p^(2(i-2))) * K_(i-2), for the largest of them.
     # Each gamma is built by its level recursion from level 0's ones,
-    # gamma_(k,i) = gamma_(k-1,i+1) * (s_k^(p^(2(i-1))) + 1), whose fractions
-    # are larger than the closed form the tower holds
+    # gamma_(k,i) = gamma_(k-1,i+1) * (s_k^(p^(2(i-1))) + 1) with
+    # s_k = u_(k-1) / u_k^(p^2) - 1, whose fractions are larger than the
+    # closed form TowerLevel.unit_factor builds
     from valcert.tower import build_tower
 
     parts, gammas = [], {}
     for level in build_tower(2, 4, 4):
-        keys, s = level.keys, level.chart_shift
+        keys, indices = level.keys, range(2, len(level.keys))
         if level.k == 0:
-            gammas = level.unit_factors
+            gammas = {i: level.unit_factor(i) for i in indices}
         else:
-            gammas = {i: gammas[i + 1] * (s ** (2 ** (2 * (i - 1))) + 1) for i in level.unit_factors}
+            s = level.prev.u / level.u**4 - 1
+            gammas = {i: gammas[i + 1] * (s ** (2 ** (2 * (i - 1))) + 1) for i in indices}
         twists = [g * keys[0] ** (2 ** (2 * (i - 2))) * keys[i - 2] for i, g in gammas.items() if i > 2]
-        for f in (*keys.values(), *gammas.values(), *level.drifts.values(), *twists):
+        for f in (*keys.values(), *gammas.values(), *map(level.drift, indices), *twists):
             parts += [f.num, f.den]
     return [f for f in parts if f.support_size >= 32]
 
@@ -233,7 +235,7 @@ def _recursion_sides() -> list[tuple[RatFunc, RatFunc]]:
     keys = level.keys
     sides = []
     for i in range(2, 5):
-        gamma, drift = level.unit_factors[i], level.drifts[i]
+        gamma, drift = level.unit_factor(i), level.drift(i)
         lhs = keys[i] - keys[i - 1].frob(2)
         if i == 2:
             sides.append((lhs, -(gamma * keys[0])))

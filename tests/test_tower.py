@@ -1,6 +1,6 @@
 """Tower construction: exact identities, value formulas, bounds."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +10,7 @@ from valcert.keyseq import p_sequence
 from valcert.parsing import parse_expr
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, support_limit
 from valcert.tower import (
+    TowerLevel,
     build_tower,
     drift_bound,
     key_value_formula,
@@ -40,21 +41,39 @@ def tower3_deep():
     return build_tower(3, 3, 4)
 
 
+def _chart_shift(level):
+    # s_k = u_(k-1) / u_k^(p^2) - 1, the chart coordinate of level k >= 1
+    return level.prev.u / level.u ** (level.p**2) - 1
+
+
 def test_level_one_explicit(tower2):
     R = ring_uv(2)
     L1 = tower2[1]
     assert L1.u == RatFunc(parse_expr("v", R))
     assert L1.v == parse_expr("(v^4 + u)/(v^4)", R)
-    assert L1.chart_shift == parse_expr("(u + v^4)/(v^4)", R)  # u/v^4 + 1 over F_2
+    assert _chart_shift(L1) == parse_expr("(u + v^4)/(v^4)", R)  # u/v^4 + 1 over F_2
     assert L1.descent_unit == parse_expr("(u)/(v^4)", R)
 
 
 def test_level_one_unit_factors(tower2):
     # one recursion step from all-ones: gamma_(1,i) = s_1^(p^(2(i-1))) + 1
     L1 = tower2[1]
-    s1 = L1.chart_shift
+    s1 = _chart_shift(L1)
     for i in (2, 3, 4):
-        assert L1.unit_factors[i] == s1 ** (2 ** (2 * (i - 1))) + 1
+        assert L1.unit_factor(i) == s1 ** (2 ** (2 * (i - 1))) + 1
+
+
+def test_tower_build_holds_no_derived_objects():
+    # a level holds its keys, its descent unit and its link; unit factors
+    # and drifts are built by the certificates that read them.  So under a
+    # budget of 8 terms build_tower(2, 2, 4) fits, and the two drift
+    # certificates whose drifts outgrow it each record their own overflow
+    assert [f.name for f in fields(TowerLevel)] == ["k", "keys", "descent_unit", "prev"]
+    with support_limit(8):
+        tower = build_tower(2, 2, 4)
+        certs = [verify_drift_recursion(level, i) for level in tower for i in (2, 3, 4)]
+    assert [c.status for c in certs] == ["pass"] * 7 + ["budget-exceeded"] * 2
+    assert [c.id for c in certs[7:]] == ["tower/drift-recursion/k=2/i=3", "tower/drift-recursion/k=2/i=4"]
 
 
 def test_unit_descent(tower2, tower3):
@@ -68,7 +87,7 @@ def _textbook_twisted(level, i):
     # the recursion as written, K_i == K_(i-1)^(p^2) - gamma * ..., with
     # both values taken on gamma as the level holds it: the oracle of
     # verify_twisted_recursion's verdict and actual text
-    p, k, keys, gamma = level.p, level.k, level.keys, level.unit_factors[i]
+    p, k, keys, gamma = level.p, level.k, level.keys, level.unit_factor(i)
     if i == 2:
         identity = keys[2] == keys[1].frob(2) - gamma * keys[0]
     else:
@@ -83,7 +102,7 @@ def _compared_twisted(level, i):
     # K_i - K_(i-1)^(p^2) == -gamma * ..., which verify_twisted_recursion
     # compares when the denominators differ: the oracle of the budget of
     # its numerators' comparison
-    p, keys, gamma = level.p, level.keys, level.unit_factors[i]
+    p, keys, gamma = level.p, level.keys, level.unit_factor(i)
     twist = gamma * keys[0] if i == 2 else gamma * keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2]
     return keys[i] - keys[i - 1].frob(2) == -twist
 
@@ -95,28 +114,36 @@ def _toggled(f):
 
 
 def _bent(level, i):
-    # level with one corrupted input of the index-i identity: gamma_(k,i) or
-    # K_(k,i) with one numerator term toggled, or K_(k,i-1) with one term
-    # added to its denominator, which leaves every numerator of the
-    # identity as it was
+    # level with one corrupted input of the index-i identity: K_(k,i) with
+    # one numerator term toggled; K_(k,i-1) with one term added to its
+    # denominator, which leaves every numerator of the identity as it was;
+    # and K_(k,1) = v_k with one numerator term toggled, which at k >= 1
+    # corrupts the unit factor and the drift built from it
     prior = level.keys[i - 1]
     grown = RatFunc(prior.num, prior.den + Poly.monomial(prior.ring, 1, prior.den.deg1() + 1, 0))
-    yield replace(level, unit_factors={**level.unit_factors, i: _toggled(level.unit_factors[i])})
     yield replace(level, keys={**level.keys, i: _toggled(level.keys[i])})
     yield replace(level, keys={**level.keys, i - 1: grown})
+    yield replace(level, keys={**level.keys, 1: _toggled(level.keys[1])})
+
+
+def _reads_v(level, i):
+    # whether the index-i identities read K_(k,1): through the unit factor
+    # and the drift at k >= 1, and as K_(i-1) or K_(i-2) at i <= 3
+    return level.k >= 1 or i <= 3
 
 
 def test_twisted_recursion(tower4, tower3):
     # every certificate agrees with the textbook arrangement, verdict and
-    # actual text, on the intact level and on each corruption of it
+    # actual text, on the intact level and on each corruption of it.  Only
+    # a toggled K_(k,1) that the identity does not read leaves it holding
     for tw, i_max in ((tower4, 4), (tower3, 3)):
         for level in tw:
             for i in range(2, i_max + 1):
-                for bent in (level, *_bent(level, i)):
+                for n, bent in enumerate((level, *_bent(level, i))):
                     want = _textbook_twisted(bent, i)
                     cert = verify_twisted_recursion(bent, i)
                     assert (cert.passed, cert.actual) == want, (level.k, i, cert.actual)
-                    assert want[0] is (bent is level), (level.k, i)
+                    assert want[0] is (n == 0 or (n == 3 and not _reads_v(level, i))), (level.k, i, n)
 
 
 def test_closed_form_route(tower4, tower3_deep, monkeypatch):
@@ -124,10 +151,9 @@ def test_closed_form_route(tower4, tower3_deep, monkeypatch):
     # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which builds
     # two fractions, decides exactly when K_i, K_(i-1)^(p^2) and gamma share
     # one denominator: on every intact level, level 0 included, at both
-    # characteristics.  The grown prior denominator, the last corruption,
-    # takes the fallback, which builds none; so does a toggled gamma whose
-    # normalization cancels a monomial.  Either way the certificate agrees
-    # with the textbook arrangement
+    # characteristics, and under a toggled K_i or K_(k,1).  The grown prior
+    # denominator takes the fallback, which builds none.  Either way the
+    # certificate agrees with the textbook arrangement
     from valcert import tower
 
     built = []
@@ -136,16 +162,15 @@ def test_closed_form_route(tower4, tower3_deep, monkeypatch):
         for level in tw:
             for i in range(2, 5):
                 if level.k >= 1:
-                    key, gamma, w = level.keys[i], level.unit_factors[i], level.v.frob(2 * i - 2)
+                    key, gamma, w = level.keys[i], level.unit_factor(i), level.v.frob(2 * i - 2)
                     assert key.den == level.keys[i - 1].frob(2).den == w.den == gamma.den, (level.k, i)
                     assert gamma - 1 == -w, (level.k, i)
                 for n, bent in enumerate((level, *_bent(level, i))):
                     built.clear()
                     cert = verify_twisted_recursion(bent, i)
-                    shared = bent.keys[i].den == bent.keys[i - 1].frob(2).den == bent.unit_factors[i].den
+                    shared = bent.keys[i].den == bent.keys[i - 1].frob(2).den == bent.unit_factor(i).den
+                    assert shared is (n != 2), (level.k, i, n)
                     assert len(built) == (2 if shared else 0), (level.k, i, n)
-                    if n in (0, 3):
-                        assert shared is (n == 0), (level.k, i, n)
                     assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i, n)
 
 
@@ -160,7 +185,7 @@ def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
     # show here
     from valcert import tower
 
-    assert [_terms(level.unit_factors[2]) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
+    assert [_terms(level.unit_factor(2)) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
     built = []
     monkeypatch.setattr(tower, "RatFunc", lambda *args: built.append(args) or RatFunc(*args))
     taken = []
@@ -197,22 +222,22 @@ def test_closed_form_route_fits_a_budget_the_compared_arrangement_overflows(towe
 def test_twisted_recursion_offset_value(tower2):
     # v(gamma_(1,2) - 1) = v(s_1^4) = 4 * 1/16 = 1/4, above the floor 1/8
     seq = p_sequence(2)
-    gamma = tower2[1].unit_factors[2]
+    gamma = tower2[1].unit_factor(2)
     assert value(gamma - 1, seq) == Fraction(1, 4)
 
 
 def _recursion_unit(prev, level, i):
     # the unit factor as the level step derives it: level k-1's at index i+1
     # times s_k^(p^(2(i-1))) + 1.  It is the oracle of the closed form
-    # build_tower uses
-    return prev.unit_factors[i + 1] * (level.chart_shift ** (level.p ** (2 * (i - 1))) + 1)
+    # TowerLevel.unit_factor builds
+    return prev.unit_factor(i + 1) * (_chart_shift(level) ** (level.p ** (2 * (i - 1))) + 1)
 
 
 def test_unit_closed_form_matches_recursion(tower4, tower3_deep):
     for tw in (tower4, tower3_deep):
         for prev, level in zip(tw, tw[1:]):
-            assert sorted(level.unit_factors) == list(range(2, len(level.keys)))
-            for i, gamma in level.unit_factors.items():
+            for i in range(2, len(level.keys)):
+                gamma = level.unit_factor(i)
                 assert _recursion_unit(prev, level, i) == gamma, (level.k, i)
                 assert gamma.den == level.keys[i].den, (level.k, i)
 
@@ -220,9 +245,9 @@ def test_unit_closed_form_matches_recursion(tower4, tower3_deep):
 def _recursion_drift(prev, level, i):
     # the drift as the level step derives it, fresh - carried: level k-1's
     # recursion at index i+1 divided by u_k^(p^(2i)).  It is the oracle of
-    # the closed form build_tower uses, and carried must be zero
+    # the closed form TowerLevel.drift builds, and carried must be zero
     p, u_k, v_k = level.p, level.keys[0], level.keys[1]
-    carried = (prev.drifts[2].frob(2 * i - 2) * prev.keys[i - 1] - prev.drifts[i + 1]) / u_k ** (p ** (2 * i))
+    carried = (prev.drift(2).frob(2 * i - 2) * prev.keys[i - 1] - prev.drift(i + 1)) / u_k ** (p ** (2 * i))
     if i == 2:
         fresh = u_k * v_k.frob(2)
     else:
@@ -233,55 +258,44 @@ def _recursion_drift(prev, level, i):
 def test_drift_closed_form_matches_recursion(tower4, tower3_deep):
     for tw in (tower4, tower3_deep):
         for prev, level in zip(tw, tw[1:]):
-            assert sorted(level.drifts) == list(range(2, len(level.keys)))
-            for i, drift in level.drifts.items():
+            for i in range(2, len(level.keys)):
                 fresh, carried = _recursion_drift(prev, level, i)
                 assert carried.num.is_zero(), (level.k, i)
-                assert fresh - carried == drift, (level.k, i)
+                assert fresh - carried == level.drift(i), (level.k, i)
 
 
 def _textbook_drift(level, i):
     # the recursion as written, K_i == K_(i-1)^(p^2) - K_0^... * K_(i-2) +
     # drift: the oracle of the arrangement verify_drift_recursion compares
-    p, keys, drift = level.p, level.keys, level.drifts[i]
+    p, keys, drift = level.p, level.keys, level.drift(i)
     if i == 2:
         return keys[2] == keys[1].frob(2) - keys[0] + drift
     return keys[i] == keys[i - 1].frob(2) - keys[0] ** (p ** (2 * (i - 2))) * keys[i - 2] + drift
 
 
 def _drift_bent(level, i):
-    # level with one corrupted input of the index-i drift identity: the
-    # drift with one numerator term toggled (level 0's is zero, so it
-    # becomes 1), each corruption of _bent, and at k >= 1 the inputs only
-    # the drift route reads, v_k and K_(k-1,i-1) on the linked level, each
-    # with one numerator term toggled; last, that toggled K_(k-1,i-1) with
-    # the drift rebuilt from it, which passes the route's check of how the
-    # drift was built, so that its check m == K_(k-1,i-1) must decline
-    drift = level.drifts[i]
-    e1, e2 = drift.num.terms()[0][0] if drift else (0, 0)
-    yield replace(level, drifts={**level.drifts, i: RatFunc(drift.num + Poly.monomial(drift.ring, 1, e1, e2), drift.den)})
+    # level with one corrupted input of the index-i drift identity: each
+    # corruption of _bent, and at k >= 1 K_(k-1,i-1) on the linked level
+    # with one numerator term toggled, which the drift is built from and
+    # the route's check m == K_(k-1,i-1) reads
     yield from _bent(level, i)
     if level.prev is not None:
-        prev, twin = level.prev, _toggled(level.prev.keys[i - 1])
-        linked = replace(prev, keys={**prev.keys, i - 1: twin})
-        yield replace(level, v=_toggled(level.v))
-        yield replace(level, prev=linked)
-        yield replace(level, prev=linked, drifts={**level.drifts, i: level.v.frob(2 * i - 2) * twin})
+        prev = level.prev
+        yield replace(level, prev=replace(prev, keys={**prev.keys, i - 1: _toggled(prev.keys[i - 1])}))
 
 
 def test_drift_recursion(tower4, tower3_deep):
     # every certificate agrees with the textbook arrangement on the intact
-    # level and on each corruption of it.  The identity holds on the intact
-    # level and with gamma, v_k or K_(k-1,i-1) toggled, none of which it
-    # reads, and breaks with the drift or a key corrupted
+    # level and on each corruption of it.  The identity breaks under every
+    # corruption but a toggled K_(k,1) that it does not read
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
                 bents = [level, *_drift_bent(level, i)]
-                assert len(bents) == (8 if level.k else 5)
+                assert len(bents) == (5 if level.k else 4)
                 for n, bent in enumerate(bents):
                     holds = _textbook_drift(bent, i)
-                    assert holds is (n in (0, 2, 5, 6)), (level.k, i, n)
+                    assert holds is (n == 0 or (n == 3 and not _reads_v(level, i))), (level.k, i, n)
                     cert = verify_drift_recursion(bent, i)
                     assert cert.passed is holds, (level.k, i, n, cert.actual)
                     assert cert.actual.startswith("identity;") is holds, (level.k, i, n, cert.actual)
@@ -313,8 +327,8 @@ def test_drift_exact_value_k1_i2(tower2):
     # drift_(1,2) = u_1 * v_1^(p^2), value 1/4 + 4/16 = 1/2, equal to the bound
     seq = p_sequence(2)
     L1 = tower2[1]
-    assert L1.drifts[2] == L1.u * L1.v.frob(2)
-    assert value(L1.drifts[2], seq) == Fraction(1, 2)
+    assert L1.drift(2) == L1.u * L1.v.frob(2)
+    assert value(L1.drift(2), seq) == Fraction(1, 2)
     assert drift_bound(2, 1, 2) == Fraction(1, 2)
 
 
@@ -337,7 +351,7 @@ def test_chart_shift_positive_value(tower2, tower3):
     for tw in (tower2, tower3):
         seq = p_sequence(tw[0].p)
         for level in tw[1:]:
-            assert value(level.chart_shift, seq) > 0
+            assert value(_chart_shift(level), seq) > 0
 
 
 def test_value_collapse_across_levels(tower2):
@@ -379,3 +393,15 @@ def test_build_validation(tower2):
         verify_twisted_recursion(tower2[1], 1)
     with pytest.raises(ValueError, match="drift recursion starts at index 2"):
         verify_drift_recursion(tower2[1], 1)
+    with pytest.raises(ValueError, match="value formula starts at index 0"):
+        verify_value_formula(tower2[1], -1)
+    # level 0 of build_tower(2, 1, 3) holds keys 0..4, one past i_max
+    level = build_tower(2, 1, 3)[0]
+    for verify, what in (
+        (verify_value_formula, "value formula"),
+        (verify_twisted_recursion, "twisted recursion"),
+        (verify_drift_recursion, "drift recursion"),
+    ):
+        assert verify(level, 4).passed
+        with pytest.raises(ValueError, match=rf"^level 0 holds keys 0\.\.4; {what} has no index 5$"):
+            verify(level, 5)
