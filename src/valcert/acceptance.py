@@ -33,6 +33,7 @@ from .polys import ring_uv
 from .tower import (
     build_tower,
     drift_bound,
+    root_value,
     verify_drift_recursion,
     verify_twisted_recursion,
     verify_unit_descent,
@@ -93,7 +94,7 @@ def criterion_4_drift_bound(seed=0, k_max=2) -> list[Certificate]:
     if len(tower) > 1:
 
         def run():
-            got = value(tower[1].drift(2), seq)
+            got = root_value(tower[1].drift(2), seq)
             bound = drift_bound(2, 1, 2)
             ok = got == Fraction(1, 2) and bound == Fraction(1, 2)
             return f"value 1/2, bound {bound}", f"value {got}", ok

@@ -59,6 +59,7 @@ from .parsing import ParseError, parse_expr
 from .polys import RatFunc, ring_uv, ring_xv, ring_xy, support_limit
 from .tower import (
     build_tower,
+    root_value,
     verify_drift_recursion,
     verify_twisted_recursion,
     verify_unit_descent,
@@ -238,7 +239,7 @@ def cmd_tower(cfg: RunConfig, args, report: Report) -> str | None:
         for i in range(cfg.imax + 1):
             report.certificates.append(verify_value_formula(level, i, seq))
             if args.dump_values:
-                extra.append(f"k={level.k} i={i} value {value(level.keys[i], seq)}")
+                extra.append(f"k={level.k} i={i} value {root_value(level.keys[i], seq)}")
         for i in range(2, cfg.imax + 1):
             report.certificates.append(verify_twisted_recursion(level, i, seq))
             report.certificates.append(verify_drift_recursion(level, i, seq))

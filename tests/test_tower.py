@@ -83,6 +83,96 @@ def test_unit_descent(tower2, tower3):
             assert cert.passed, cert.actual
 
 
+def _direct_unit(level):
+    # u == u_k^(p^(2k)) * unit and the unit valued whole: the oracle of the
+    # chart chain, and the text verify_unit_descent prints when it declines
+    seq = p_sequence(level.p)
+    identity = RatFunc(seq.poly(0)) == level.u.frob(2 * level.k) * level.descent_unit
+    return identity, value(level.descent_unit, seq)
+
+
+def _unit_text(identity, unit_val):
+    return f"{'identity' if identity else 'mismatch'}; unit value {unit_val}"
+
+
+def _chain(level):
+    from valcert import tower
+
+    seq = p_sequence(level.p)
+    return tower._unit_chain(level, RatFunc(seq.poly(0)), seq)
+
+
+def test_unit_chain_matches_direct_check(tower3_deep):
+    # on every intact level the chart chain proves the identity the direct
+    # check compares and gives the value the whole unit has
+    for tw in (build_tower(2, 5, 2), tower3_deep):
+        for level in tw:
+            assert _direct_unit(level) == (True, 0), (level.p, level.k)
+            assert _chain(level) == 0, (level.p, level.k)
+
+
+def test_unit_chain_values_a_rerooted_tower():
+    # a chain of levels with other parameters u_j, each descent unit built
+    # as r_j^(p^(2(j-1))) * unit_(j-1), so every chain step holds but the
+    # units have nonzero values, which weight each v(r_j) by p^(2(j-1))
+    for p in (2, 3):
+        R = ring_uv(p)
+        level = TowerLevel(k=0, keys={0: RatFunc(parse_expr("u", R))}, descent_unit=RatFunc(Poly.one(R)))
+        for k, u_k in enumerate(("v^2", "v", "v^3 + u"), start=1):
+            u_k = RatFunc(parse_expr(u_k, R))
+            r = level.u / u_k ** (p**2)
+            level = TowerLevel(k=k, keys={0: u_k}, descent_unit=r.frob(2 * (k - 1)) * level.descent_unit, prev=level)
+            identity, unit_val = _direct_unit(level)
+            assert identity and unit_val != 0, (p, k)
+            assert _chain(level) == unit_val, (p, k)
+
+
+def _relinked(level, j, change):
+    # the tower below level with level j replaced by change(level j), every
+    # level above it relinked to the replacement
+    if level.k == j:
+        return change(level)
+    return replace(level, prev=_relinked(level.prev, j, change))
+
+
+def _unit_corruptions(level):
+    # (name, corrupted level, whether the direct identity still holds): a
+    # toggled term in the stored descent unit of level k or of the level
+    # below, and u_k or u_(k-1) replaced by itself with a toggled term.  A
+    # change below level k leaves its direct identity, which reads only u_k
+    # and unit_k, holding
+    def unit(lv):
+        return replace(lv, descent_unit=_toggled(lv.descent_unit))
+
+    def u(lv):
+        return replace(lv, keys={**lv.keys, 0: _toggled(lv.keys[0])})
+
+    yield "unit", _relinked(level, level.k, unit), False
+    yield "u", _relinked(level, level.k, u), False
+    if level.k:
+        yield "unit below", _relinked(level, level.k - 1, unit), True
+        yield "u below", _relinked(level, level.k - 1, u), True
+
+
+def test_unit_chain_declines_on_corruption(tower4, tower3_deep):
+    # a toggled unit term or a replaced u_j breaks a chain step, so the
+    # certificate falls back to the direct check and prints its text
+    for tw in (tower4, tower3_deep):
+        for level in tw:
+            for name, bent, holds in _unit_corruptions(level):
+                assert _chain(bent) is None, (level.p, level.k, name)
+                identity, unit_val = _direct_unit(bent)
+                assert identity is holds, (level.p, level.k, name)
+                cert = verify_unit_descent(bent)
+                assert cert.actual == _unit_text(identity, unit_val), (level.p, level.k, name)
+                assert cert.passed is (identity and unit_val == 0), (level.p, level.k, name)
+        # level 0 labelled level 1 holds u and the unit 1, but a one-level
+        # chain proves only u = u_0 * 1, not u = u_1^(p^2) * 1
+        bent = replace(tw[0], k=1)
+        assert _chain(bent) is None
+        assert verify_unit_descent(bent).actual == _unit_text(*_direct_unit(bent)) == "mismatch; unit value 0"
+
+
 def _textbook_twisted(level, i):
     # the recursion as written, K_i == K_(i-1)^(p^2) - gamma * ..., with
     # both values taken on gamma as the level holds it: the oracle of
@@ -330,6 +420,50 @@ def test_drift_exact_value_k1_i2(tower2):
     assert L1.drift(2) == L1.u * L1.v.frob(2)
     assert value(L1.drift(2), seq) == Fraction(1, 2)
     assert drift_bound(2, 1, 2) == Fraction(1, 2)
+
+
+def _tower_objects(level):
+    # every key, unit factor, unit factor - 1, drift and the descent unit
+    indices = range(2, len(level.keys))
+    gammas = [level.unit_factor(i) for i in indices]
+    return [*level.keys.values(), *gammas, *(g - 1 for g in gammas), *map(level.drift, indices), level.descent_unit]
+
+
+def test_root_value_matches_value():
+    # the Frobenius-root value of each side of every tower object against
+    # value() of that side, which reads no Frobenius structure
+    from valcert.tower import root_value
+
+    for p, k_max, i_max in ((2, 5, 6), (3, 2, 4)):
+        seq = p_sequence(p)
+        sides = {f for level in build_tower(p, k_max, i_max) for g in _tower_objects(level) for f in (g.num, g.den)}
+        roots = 0
+        for f in sides:
+            assert root_value(f, seq) == value(f, seq), (p, str(f)[:80])
+            roots += f.support_size > 1 and all(e % p == 0 for term in f._t for e in term)
+        assert roots >= 10, (p, roots)
+    # t = 0: a corrupted denominator with a term of exponent 1, and constants
+    seq = p_sequence(2)
+    key = build_tower(2, 2, 4)[2].keys[3]
+    bent = RatFunc(key.num, key.den + Poly.monomial(key.ring, 1, 1, 0))
+    assert root_value(bent, seq) == value(bent, seq)
+    assert root_value(bent.den, seq) == value(bent.den, seq)
+    for c in (1, 0):
+        f = Poly.const(key.ring, c)
+        assert root_value(f, seq) == value(f, seq)
+        assert root_value(RatFunc(f), seq) == value(RatFunc(f), seq)
+
+
+def test_drift_value_matches_value(tower4, tower3_deep):
+    # the value of a drift from its two factors against the drift valued
+    # whole, on every level: at level 0 the drift is zero
+    from valcert.tower import _drift_value
+
+    for tw in (tower4, tower3_deep):
+        seq = p_sequence(tw[0].p)
+        for level in tw:
+            for i in range(2, len(level.keys)):
+                assert _drift_value(level, i, seq) == value(level.drift(i), seq), (level.p, level.k, i)
 
 
 def test_value_formulas(tower2, tower3):
