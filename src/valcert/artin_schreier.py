@@ -31,10 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certificates import Certificate, check, failures
-from .embeddings import EmbeddingConfig, embed, embed_uv, xv_images
+from .embeddings import EmbeddingConfig, embed, embed_uv, uv_images, xv_images
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _budget_memo, ring_uv
+from .polys import Poly, RatFunc, _budget_memo, _check_budget, _mul_cut, _power, _substitute_terms, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel, build_tower
 from .values import INFINITY, omega
@@ -160,23 +160,56 @@ def _frobenius_gap(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Frac
 
 
 def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fraction) -> bool:
-    """Whether _frobenius_gap(g) > bound, valuing only low-weight terms of g - x.
+    """Whether _frobenius_gap(g) > bound, building only low-weight terms of g - x.
 
     Since x = S_0 and y = S_1, x^a * y^b has the exact value a*v(x) + b*v(y),
-    its weight.  With g - x = N/D the question is v(N) > T = v(D) + bound/p.
-    Let N_T be the terms of N of weight <= T: v(N) = v(N_T) if v(N_T) <= T,
-    and v(N) > T otherwise.  v(D) is D's least weight when one term alone
-    has it.
+    its weight, and both weights are positive.  Write g = a/b and let the
+    embedding send a to n1/d1 and b to n2/d2 (``_substitute_terms``); then
+    g - x = N/D with N = n1*d2 - x*d1*n2 and D = d1*n2, and the question is
+    v(N) > T = v(D) + bound/p.  A scalar or a monomial common to N and D
+    shifts both sides alike, so the unnormalized pair decides it as the
+    normalized one would.
+
+    v(D) is the sum of d1's and n2's least weights when each has one term
+    alone of least weight, since the least-weight part of a product is the
+    product of the factors' parts; otherwise it is value(D) of the full
+    product.  Let N_T be the terms of N of weight <= T: v(N) = v(N_T) if
+    v(N_T) <= T, and v(N) > T otherwise.  Dropping the terms above T is a
+    ring homomorphism, so N_T is built with every product and sum truncated
+    as it is formed; b is substituted in full.
     """
-    diff = embed_uv(g, cfg) - xv_images(cfg)["x"]
-    den, (wx, wy) = seq.value_coefs(1)  # weights as integers over den
-    weights = [wx * a + wy * b for a, b in diff.den._t]
-    least = min(weights)
-    v_den = Fraction(least, den) if weights.count(least) == 1 else value(diff.den, seq)
-    t = v_den + Fraction(bound, cfg.p)
-    cut = math.floor(t * den)
-    low = {e: c for e, c in diff.num._t.items() if wx * e[0] + wy * e[1] <= cut}
-    return not low or value(Poly(seq.ring, low), seq) > t
+    g = g if isinstance(g, RatFunc) else RatFunc(g)
+    a, b = g.num, g.den
+    p = cfg.p
+    images = uv_images(cfg)
+    scale, (wx, wy) = seq.value_coefs(1)  # weights as integers over scale
+    n2, d2 = _substitute_terms(b, images)
+    # the shared denominator _substitute_terms clears a to
+    d1 = _power(images["u"].den, a.deg1()) * _power(images["v"].den, a.deg2()) if a else Poly.one(seq.ring)
+    least = []
+    for f in (d1, n2):
+        weights = [wx * e1 + wy * e2 for e1, e2 in f._t]
+        lw = min(weights)
+        least.append(lw if weights.count(lw) == 1 else None)
+    v_den = Fraction(sum(least), scale) if None not in least else value(d1 * n2, seq)
+    t = v_den + Fraction(bound, p)
+    cut = math.floor(t * scale)
+    if cut < 0:
+        return True  # every weight is >= 0 > T, so N_T is empty
+    n1 = _substitute_terms(a, images, (wx, wy, cut))[0]
+    low = _mul_cut(n1._t, d2._t, p, wx, wy, cut)
+    _check_budget(len(low))
+    x_d1 = {(e1 + 1, e2): c for (e1, e2), c in d1._t.items()}
+    low_x = _mul_cut(x_d1, n2._t, p, wx, wy, cut)
+    _check_budget(len(low_x))
+    for e, c in low_x.items():
+        s = (low.get(e, 0) - c) % p
+        if s:
+            low[e] = s
+        else:
+            del low[e]
+    _check_budget(len(low))
+    return not low or value(Poly._make(seq.ring, low), seq) > t
 
 
 # Each entry holds the gap p * v(h - x) of one approximant h = num/den.  A

@@ -396,6 +396,32 @@ def _mul_dict(a: dict, b: dict, p: int) -> dict:
     return t
 
 
+def _mul_cut(a: dict, b: dict, p: int, wx: int, wy: int, cut: int) -> dict:
+    # the terms of weight wx * e1 + wy * e2 <= cut of the product of two
+    # term dicts over F_p, for positive weights wx and wy, as _mul_dict
+    # filtered.  The smaller factor's terms, sorted by weight, run in the
+    # inner loop, which stops at its first pair above the cut, so no pair
+    # above it is formed
+    big, small = (a, b) if len(a) > len(b) else (b, a)
+    rows = sorted((wx * b1 + wy * b2, b1, b2, d) for (b1, b2), d in small.items())
+    least = rows[0][0] if rows else cut + 1
+    t: dict = {}
+    for (a1, a2), c in big.items():
+        room = cut - wx * a1 - wy * a2
+        if room < least:
+            continue
+        for w, b1, b2, d in rows:
+            if w > room:
+                break
+            e = (a1 + b1, a2 + b2)
+            s = (t.get(e, 0) + c * d) % p
+            if s:
+                t[e] = s
+            elif e in t:
+                del t[e]
+    return t
+
+
 def _key_data(key: Poly) -> tuple[int, list[tuple[tuple[int, int], int]]]:
     # a monic key as (its y-degree, its other terms as ((b1, b2), c))
     deg = key.deg2()
@@ -634,7 +660,9 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     return RatFunc(*_substitute_terms(f, images))
 
 
-def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Poly]:
+def _substitute_terms(
+    f: Poly, images: Mapping[str, RatFunc], cut: tuple[int, int, int] | None = None
+) -> tuple[Poly, Poly]:
     """f under the images as (numerator, denominator), neither normalized.
 
     Each term c * u^e1 * v^e2 becomes the part c * n1^e1 * d1^(max1 - e1)
@@ -648,6 +676,15 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
     product has the size of the part it multiplies, which was checked
     already.  A zero numerator comes with the denominator one, as a zero
     RatFunc has.  Powers of the images come from the memo _power.
+
+    With cut = (wx, wy, c), for positive integer weights wx and wy of the
+    target's variables and c >= 0, the numerator holds only the terms of
+    weight wx * e1 + wy * e2 <= c of the full one.  The monomials above c span an
+    ideal, so dropping them commutes with every product and sum: each
+    product is formed by _mul_cut, which forms no pair above c, and the
+    budget checks it and each partial sum at the truncated size.  The terms
+    come out in another order than the full build gives, and the
+    denominator is built in full.
     """
     v1, v2 = f.ring.vars
     try:
@@ -671,10 +708,22 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
         _check_budget(len(t))
         return t
 
+    if cut is None:
+        mul = times
+    else:
+        wx, wy, top = cut
+
+        def mul(part: dict, base: Poly, e: int) -> dict:
+            if e == 0 or base._t == _ONE:
+                return part
+            t = _mul_cut(part, _power(base, e)._t, p, wx, wy, top)
+            _check_budget(len(t))
+            return t
+
     num: dict = {}
     for (e1, e2), c in f._t.items():
-        part = times(times({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
-        for e, d in times(times(part, img2.num, e2), img2.den, max2 - e2).items():
+        part = mul(mul({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
+        for e, d in mul(mul(part, img2.num, e2), img2.den, max2 - e2).items():
             s = (num.get(e, 0) + d) % p
             if s:
                 num[e] = s
@@ -682,4 +731,4 @@ def _substitute_terms(f: Poly, images: Mapping[str, RatFunc]) -> tuple[Poly, Pol
                 del num[e]
         _check_budget(len(num))
     den = times(times({(0, 0): 1}, img1.den, max1), img2.den, max2)
-    return Poly._make(target, num), Poly._make(target, den) if num else Poly.one(target)
+    return Poly._make(target, num), Poly._make(target, den) if num or cut else Poly.one(target)

@@ -54,7 +54,8 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     K_(k,i_cap), which still reaches the extremal single-key monomials.  The cap
     bounds key weight only, not the embedded size: at p = 3, level 1,
     ``embed_uv`` of some draws builds numerators of 10^6 terms and more,
-    and takes seconds, before any value is computed.
+    and takes seconds.  The gap-bound sweep does not embed a draw whole; it
+    builds only the low-weight terms of g - x that its bound reads.
 
     The numerator and denominator of each key power K_(k,i)^a come from
     ``polys._power``, the memo ``substitute`` keeps its image powers in,

@@ -1,5 +1,6 @@
 """The degree-p extension: generator, ladder, ceiling, dependence evidence."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -218,6 +219,54 @@ def test_gap_exceeds_values_a_tied_denominator(monkeypatch):
         assert valued[0] == den
 
 
+def _gap_exceeds_full(g, cfg, seq, bound):
+    # the sweep's decision by the full route: embed g whole, subtract x,
+    # then keep the terms of weight <= T of the normalized numerator
+    diff = embed_uv(g, cfg) - RatFunc(Poly.var(ring_xy(cfg.p), "x"))
+    den, (wx, wy) = seq.value_coefs(1)
+    weights = [wx * a + wy * b for a, b in diff.den._t]
+    least = min(weights)
+    v_den = Fraction(least, den) if weights.count(least) == 1 else value(diff.den, seq)
+    t = v_den + Fraction(bound, cfg.p)
+    cut = math.floor(t * den)
+    low = {e: c for e, c in diff.num._t.items() if wx * e[0] + wy * e[1] <= cut}
+    return not low or value(Poly(seq.ring, low), seq) > t
+
+
+# At p = 3, level 1, the full route of most of the sweep's draws builds
+# polynomials of 10^5 terms and more, and some embed to 10^6 terms in
+# seconds.  The slow oracle is what limits the comparison there, so it runs
+# only on the draws whose full route fits this many terms: 12 of the first
+# 40 at seed 0
+_ORACLE_TERMS = 20_000
+
+
+@pytest.mark.parametrize("p,k,draws", [(2, 0, 30), (2, 1, 30), (3, 0, 30), (3, 1, 40)])
+def test_gap_exceeds_matches_the_full_route(p, k, draws):
+    # the truncated build against the full one on the draws of the sweep at
+    # seed 0, at the ladder bound and at bounds around each draw's gap
+    cfg, tower, _ = _ladder(p, k)
+    host = q_sequence(p)
+    rng = random.Random(f"0:gapbound:k={k}")
+    ladder_bound = gap_value(p, k)
+    answers, compared = set(), 0
+    for _ in range(draws):
+        g = random_level_element(rng, tower[k], i_cap=k + 3)
+        try:
+            with support_limit(_ORACLE_TERMS):
+                gap = _frobenius_gap(g, cfg, host)
+        except BudgetExceededError:
+            continue
+        tiny = Fraction(1, p**12)
+        for bound in (Fraction(-1), Fraction(0), gap - tiny, gap, gap + tiny, ladder_bound):
+            got = _gap_exceeds(g, cfg, host, bound)
+            assert got == _gap_exceeds_full(g, cfg, host, bound) == (gap > bound), (str(g), bound)
+            answers.add(got)
+        compared += 1
+    assert compared >= 10
+    assert answers == {True, False}
+
+
 def _ladder(p, k):
     cfg = EmbeddingConfig.default(p)
     tower, apprs = ladder(cfg, k)
@@ -271,14 +320,15 @@ def _sweep_record(ladder, seed, limit):
         return gap_bound_sweep(tower[appr.k], appr, cfg, samples=1, seed=seed).to_record()
 
 
-@pytest.mark.parametrize("p,k,seed", [(2, 0, 1), (2, 1, 1), (3, 0, 3)])
+@pytest.mark.parametrize("p,k,seed", [(2, 0, 1), (2, 1, 6), (3, 0, 3)])
 def test_gap_bound_sweep_budget_does_not_depend_on_the_memo(p, k, seed):
     # support_limit empties the attained-gap memo whenever the limit
     # changes, and a computation that raised leaves no entry: at every limit
     # a cold memo, one warmed with no limit, and one warmed in the same
     # limit block all finish or name the same size.  Both regimes occur: an
     # overflow in the approximant's own gap, which then has no entry, and
-    # one in the sample after it
+    # one in the sample after it.  Each seed draws a sample whose truncated
+    # build outgrows some limit the approximant's gap fits
     ladder = _ladder(p, k)
     stored_on_overflow = set()
     limit = 1

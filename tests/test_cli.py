@@ -547,7 +547,7 @@ def test_budget_selftest_after_a_default_one_prints_the_fresh_bytes(capsys):
     certs = json.loads(out[out.index("{") :])["certificates"]
     assert [c["id"] for c in certs][-1] == "accept10/corrupted-table-aborts"
     assert "selftest" not in [c["id"] for c in certs]
-    assert hashlib.sha256(out.encode()).hexdigest() == "45d54bf9d0b0dc82073a370e6ba2d84644629e1c95a3555909c20f4709b27706"
+    assert hashlib.sha256(out.encode()).hexdigest() == "855a40b80a70b843dc6320d7dd1b2f824b575b1486258ae1fa644c89e81ede3a"
 
 
 def test_report_exit_code_logic():
@@ -577,9 +577,11 @@ STRUCTURED_DIGESTS = {
     "fuzz --what cross": "c899bbe8efe01ced8f96aaf4699045dce80c55e47bb8ec1b2391ffb4a2f04313",
     "fuzz --what mult": "84bac240ccb89b1f7b4d76fc63be33af5fde1bb4784e6214df4b54c71e3cc344",
     "fuzz --what ultra": "416d173c5751876a174dea0b8ae2e00ec03abb975b5e1076db7c0c73a9ce26ca",
-    # recorded at commit c439328, where this sweep overflowed on a 989-term
-    # embedded sample, an overflow that weight truncation leaves in place
-    "--budget 800 ascheck t1 --k 1 --samples 5": "c22a78fc3a1dd4a10356c22de12ac84aa55f97b0dba2621ce62c56f34d56dbd3",
+    # re-recorded when the sweep stopped embedding each sample whole: at
+    # commit c439328 (c22a78fc3a1d...) it overflowed on a 989-term embedded
+    # sample, and now that the low-weight terms of g - x are built truncated
+    # it passes
+    "--budget 800 ascheck t1 --k 1 --samples 5": "5485f1a243dd7e5abc25e5486daab33e46887a1c3979304e934af41ab887dbb4",
     # re-recorded when the sweep stopped valuing each sample's full g - x:
     # at commit c439328 (850588053c09...) it overflowed on a 1669-term
     # division inside that value, and now it passes
@@ -591,8 +593,13 @@ STRUCTURED_DIGESTS = {
     "expand ((u+v+1)^15+u^3*v)*((u^2+v+1)^15+v)": "4de778eb1fa57f3e3e59113d58058ba9f38c3d3b34b3a05505f6b3d7f2ca1bdf",
     # recorded when build_tower stopped building unit factors and drifts:
     # every criterion now runs and records its own overflows, where before
-    # the build of criterion 2's tower overflowed and ended the command
-    "--budget 8 selftest": "45d54bf9d0b0dc82073a370e6ba2d84644629e1c95a3555909c20f4709b27706",
+    # the build of criterion 2's tower overflowed and ended the command.
+    # Re-recorded (from 45d54bf9d0b0...) when the sweep stopped embedding
+    # each sample whole: the p = 2, level-0 sweep overflowed at 12 terms
+    # inside the embedding of its second sample, and now its first 17
+    # samples decide within the budget and the sampler's own 9-term sum of
+    # the 18th overflows
+    "--budget 8 selftest": "855a40b80a70b843dc6320d7dd1b2f824b575b1486258ae1fa644c89e81ede3a",
 }
 
 

@@ -15,9 +15,11 @@ from valcert.polys import (
     RatFunc,
     Ring,
     RingMismatchError,
+    _mul_cut,
     _mul_dict,
     _power,
     _same_ring,
+    _substitute_terms,
     ring_uv,
     ring_xv,
     ring_xy,
@@ -163,6 +165,48 @@ def test_monomial_product_matches_the_general_loop(ring, e, data):
         g = Poly._make(ring, small)
         for product in (Poly._make(ring, big) * g, g * Poly._make(ring, big)):
             assert list(product._t.items()) == list(want.items())
+
+
+def _weight_filter(t: dict, wx: int, wy: int, cut: int) -> dict:
+    # the terms of t of weight wx * e1 + wy * e2 <= cut
+    return {(e1, e2): c for (e1, e2), c in t.items() if wx * e1 + wy * e2 <= cut}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([R2, R3]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-1, max_value=40),
+    st.data(),
+)
+def test_truncated_product_matches_the_filtered_product(ring, wx, wy, cut, data):
+    # _mul_cut against _mul_dict filtered to weight <= cut, as dicts, from
+    # the weights at which each factor stops to those past every term
+    p = ring.p
+    a = data.draw(poly_strategy(ring, max_deg=6, max_terms=8))._t
+    b = data.draw(poly_strategy(ring, max_deg=6, max_terms=8))._t
+    for f, g in ((a, b), (b, a), (a, {(0, 0): 1}), ({(1, 2): p - 1}, b)):
+        assert _mul_cut(f, g, p, wx, wy, cut) == _weight_filter(_mul_dict(f, g, p), wx, wy, cut)
+
+
+@pytest.mark.parametrize("ring", [R2, R3], ids=["p2", "p3"])
+def test_truncated_product_cancels_like_the_full_one(ring):
+    # (u + v)(u + (p - 1) v) = u^2 - v^2: the two u*v products, with
+    # coefficients 1 and p - 1, cancel below the cut as in the full
+    # product, and a pair exactly at the cut is kept while one past it is
+    # not formed
+    p = ring.p
+    a, b = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): p - 1}
+    full = _mul_dict(a, b, p)
+    assert full == {(2, 0): 1, (0, 2): p - 1}
+    for cut in range(-1, 8):
+        got = _mul_cut(a, b, p, 2, 3, cut)
+        assert got == _weight_filter(full, 2, 3, cut), cut
+        assert (1, 1) not in got
+    assert _mul_cut(a, b, p, 2, 3, 4) == {(2, 0): 1}
+    assert _mul_cut(a, b, p, 2, 3, 5) == {(2, 0): 1}
+    assert _mul_cut(a, b, p, 2, 3, 6) == full
 
 
 def test_divmod_by_key_polynomials_matches_sympy():
@@ -585,6 +629,28 @@ def test_substitute_matches_the_per_call_powers(p, which, fraction, data):
         got = substitute(f, images)
         assert got.num == want.num and got.den == want.den
         assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=30),
+    st.data(),
+)
+def test_cut_substitution_matches_the_filtered_one(p, which, wx, wy, cut, data):
+    # the numerator built with every product and sum truncated holds the
+    # terms of weight <= cut of the full numerator, and the denominator is
+    # the full one, also where the truncated numerator is zero
+    ring, images = _image_sets(p)[which]
+    f = data.draw(poly_strategy(ring, max_deg=6, max_terms=5))
+    num, den = _substitute_terms(f, images)
+    got_num, got_den = _substitute_terms(f, images, (wx, wy, cut))
+    assert got_num._t == _weight_filter(num._t, wx, wy, cut)
+    if f:
+        assert got_den._t == den._t
 
 
 def test_embedding_images_are_read_only():

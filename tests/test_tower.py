@@ -236,6 +236,26 @@ def test_twisted_recursion(tower4, tower3):
                     assert want[0] is (n == 0 or (n == 3 and not _reads_v(level, i))), (level.k, i, n)
 
 
+def _count_ratfuncs(monkeypatch) -> list:
+    # the arguments of every RatFunc that tower.py constructs by name from
+    # now on.  The name is bound to a subclass that records them, so it
+    # stays a type that isinstance accepts; the fractions built inside
+    # polys, by the arithmetic, are not counted
+    from valcert import tower
+
+    built = []
+
+    class Counted(RatFunc):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tower, "RatFunc", Counted)
+    return built
+
+
 def test_closed_form_route(tower4, tower3_deep, monkeypatch):
     # gamma_(k,i) = 1 - w, w = v_k^(p^(2(i-1))), over the denominator that
     # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which builds
@@ -244,10 +264,7 @@ def test_closed_form_route(tower4, tower3_deep, monkeypatch):
     # characteristics, and under a toggled K_i or K_(k,1).  The grown prior
     # denominator takes the fallback, which builds none.  Either way the
     # certificate agrees with the textbook arrangement
-    from valcert import tower
-
-    built = []
-    monkeypatch.setattr(tower, "RatFunc", lambda *args: built.append(args) or RatFunc(*args))
+    built = _count_ratfuncs(monkeypatch)
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
@@ -273,11 +290,8 @@ def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
     # and below it does not; the numerators' comparison decides on every
     # level all the same, so a certificate that silently fell back would
     # show here
-    from valcert import tower
-
     assert [_terms(level.unit_factor(2)) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
-    built = []
-    monkeypatch.setattr(tower, "RatFunc", lambda *args: built.append(args) or RatFunc(*args))
+    built = _count_ratfuncs(monkeypatch)
     taken = []
     for level in tower4:
         for i in range(2, 5):
