@@ -34,7 +34,7 @@ from .certificates import Certificate, check, failures
 from .embeddings import EmbeddingConfig, embed, embed_uv, uv_images, xv_images
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _budget_memo, _check_budget, _mul_cut, _power, _substitute_terms, ring_uv
+from .polys import Poly, RatFunc, _budget_memo, _mul_cut, _substitute_terms, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel, build_tower
 from .values import INFINITY, omega
@@ -170,46 +170,30 @@ def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fr
     shifts both sides alike, so the unnormalized pair decides it as the
     normalized one would.
 
-    v(D) is the sum of d1's and n2's least weights when each has one term
-    alone of least weight, since the least-weight part of a product is the
-    product of the factors' parts; otherwise it is value(D) of the full
-    product.  Let N_T be the terms of N of weight <= T: v(N) = v(N_T) if
-    v(N_T) <= T, and v(N) > T otherwise.  Dropping the terms above T is a
-    ring homomorphism, so N_T is built with every product and sum truncated
-    as it is formed; b is substituted in full.
+    v's image has denominator 1, so d1 is a power of u's image denominator
+    1 - x^(p-1), whose one term of least weight is the constant 1.  So
+    v(d1) = 0 and v(D) = v(n2): n2's least weight when one term holds it
+    alone, else value(n2).  Let N_T be the terms of N of weight <= T:
+    v(N) = v(N_T) if v(N_T) <= T, and v(N) > T otherwise.  Dropping the
+    terms above T is a ring homomorphism, so N_T is built with every
+    product and sum truncated as it is formed; b is substituted in full.
     """
     g = g if isinstance(g, RatFunc) else RatFunc(g)
-    a, b = g.num, g.den
-    p = cfg.p
+    p, ring = cfg.p, seq.ring
     images = uv_images(cfg)
     scale, (wx, wy) = seq.value_coefs(1)  # weights as integers over scale
-    n2, d2 = _substitute_terms(b, images)
-    # the shared denominator _substitute_terms clears a to
-    d1 = _power(images["u"].den, a.deg1()) * _power(images["v"].den, a.deg2()) if a else Poly.one(seq.ring)
-    least = []
-    for f in (d1, n2):
-        weights = [wx * e1 + wy * e2 for e1, e2 in f._t]
-        lw = min(weights)
-        least.append(lw if weights.count(lw) == 1 else None)
-    v_den = Fraction(sum(least), scale) if None not in least else value(d1 * n2, seq)
-    t = v_den + Fraction(bound, p)
+    n2, d2 = _substitute_terms(g.den, images)
+    weights = [wx * e1 + wy * e2 for e1, e2 in n2._t]
+    least = min(weights)
+    t = (Fraction(least, scale) if weights.count(least) == 1 else value(n2, seq)) + Fraction(bound, p)
     cut = math.floor(t * scale)
     if cut < 0:
         return True  # every weight is >= 0 > T, so N_T is empty
-    n1 = _substitute_terms(a, images, (wx, wy, cut))[0]
-    low = _mul_cut(n1._t, d2._t, p, wx, wy, cut)
-    _check_budget(len(low))
+    n1, d1 = _substitute_terms(g.num, images, (wx, wy, cut))
     x_d1 = {(e1 + 1, e2): c for (e1, e2), c in d1._t.items()}
-    low_x = _mul_cut(x_d1, n2._t, p, wx, wy, cut)
-    _check_budget(len(low_x))
-    for e, c in low_x.items():
-        s = (low.get(e, 0) - c) % p
-        if s:
-            low[e] = s
-        else:
-            del low[e]
-    _check_budget(len(low))
-    return not low or value(Poly._make(seq.ring, low), seq) > t
+    low = Poly._make(ring, _mul_cut(n1._t, d2._t, p, wx, wy, cut))
+    low -= Poly._make(ring, _mul_cut(x_d1, n2._t, p, wx, wy, cut))
+    return low.is_zero() or value(low, seq) > t
 
 
 # Each entry holds the gap p * v(h - x) of one approximant h = num/den.  A

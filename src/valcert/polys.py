@@ -683,8 +683,9 @@ def _substitute_terms(
     ideal, so dropping them commutes with every product and sum: each
     product is formed by _mul_cut, which forms no pair above c, and the
     budget checks it and each partial sum at the truncated size.  The terms
-    come out in another order than the full build gives, and the
-    denominator is built in full.
+    come out in another order than the full build gives.  The denominator
+    is built in full, as without a cut, so a caller that needs it whole
+    reads it from here.
     """
     v1, v2 = f.ring.vars
     try:
@@ -701,34 +702,23 @@ def _substitute_terms(
     max1 = f.deg1()
     max2 = f.deg2()
 
-    def times(part: dict, base: Poly, e: int) -> dict:
+    def times(part: dict, base: Poly, e: int, cut=cut) -> dict:
         if e == 0 or base._t == _ONE:
             return part
-        t = _mul_dict(part, _power(base, e)._t, p)
+        power = _power(base, e)._t
+        t = _mul_dict(part, power, p) if cut is None else _mul_cut(part, power, p, *cut)
         _check_budget(len(t))
         return t
 
-    if cut is None:
-        mul = times
-    else:
-        wx, wy, top = cut
-
-        def mul(part: dict, base: Poly, e: int) -> dict:
-            if e == 0 or base._t == _ONE:
-                return part
-            t = _mul_cut(part, _power(base, e)._t, p, wx, wy, top)
-            _check_budget(len(t))
-            return t
-
     num: dict = {}
     for (e1, e2), c in f._t.items():
-        part = mul(mul({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
-        for e, d in mul(mul(part, img2.num, e2), img2.den, max2 - e2).items():
+        part = times(times({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
+        for e, d in times(times(part, img2.num, e2), img2.den, max2 - e2).items():
             s = (num.get(e, 0) + d) % p
             if s:
                 num[e] = s
             elif e in num:
                 del num[e]
         _check_budget(len(num))
-    den = times(times({(0, 0): 1}, img1.den, max1), img2.den, max2)
+    den = times(times({(0, 0): 1}, img1.den, max1, None), img2.den, max2, None)
     return Poly._make(target, num), Poly._make(target, den) if num or cut else Poly.one(target)

@@ -22,10 +22,21 @@ from valcert.artin_schreier import (
     ladder,
     verify_approximant_gap,
 )
-from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv
+from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv, uv_images
 from valcert.engine import value
 from valcert.keyseq import p_sequence, q_sequence
-from valcert.polys import BudgetExceededError, Poly, RatFunc, Ring, _power, ring_uv, ring_xv, ring_xy, support_limit
+from valcert.polys import (
+    BudgetExceededError,
+    Poly,
+    RatFunc,
+    Ring,
+    _power,
+    _substitute_terms,
+    ring_uv,
+    ring_xv,
+    ring_xy,
+    support_limit,
+)
 from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import omega
@@ -219,9 +230,25 @@ def test_gap_exceeds_values_a_tied_denominator(monkeypatch):
         assert valued[0] == den
 
 
-def _gap_exceeds_full(g, cfg, seq, bound):
-    # the sweep's decision by the full route: embed g whole, subtract x,
-    # then keep the terms of weight <= T of the normalized numerator
+@pytest.mark.parametrize("p,c", [(p, m * (p - 1)) for p in (2, 3, 5, 7) for m in (1, 2)])
+def test_gap_exceeds_premise_the_cleared_denominator_has_value_zero(p, c):
+    # _gap_exceeds takes v(D) = v(n2) because d1, what a numerator clears
+    # to, has value 0: v's image has denominator 1, so d1 is a power of u's
+    # image denominator, whose constant is its one term of least weight
+    cfg = EmbeddingConfig(p, c)
+    images = uv_images(cfg)
+    host = q_sequence(p)
+    _, (wx, wy) = host.value_coefs(1)
+    assert images["v"].den == 1
+    den = images["u"].den
+    weights = sorted((wx * a + wy * b, (a, b)) for a, b in den._t)
+    assert weights[0] == (0, (0, 0)) and weights[1][0] > 0
+    assert value(den, host) == 0
+
+
+def _full_route(g, cfg, seq, bound):
+    # g - x embedded whole, T, and the terms of weight <= T of its
+    # normalized numerator
     diff = embed_uv(g, cfg) - RatFunc(Poly.var(ring_xy(cfg.p), "x"))
     den, (wx, wy) = seq.value_coefs(1)
     weights = [wx * a + wy * b for a, b in diff.den._t]
@@ -230,7 +257,13 @@ def _gap_exceeds_full(g, cfg, seq, bound):
     t = v_den + Fraction(bound, cfg.p)
     cut = math.floor(t * den)
     low = {e: c for e, c in diff.num._t.items() if wx * e[0] + wy * e[1] <= cut}
-    return not low or value(Poly(seq.ring, low), seq) > t
+    return diff, t, Poly(seq.ring, low)
+
+
+def _gap_exceeds_full(g, cfg, seq, bound):
+    # the sweep's decision by the full route
+    _, t, low = _full_route(g, cfg, seq, bound)
+    return low.is_zero() or value(low, seq) > t
 
 
 # At p = 3, level 1, the full route of most of the sweep's draws builds
@@ -241,15 +274,22 @@ def _gap_exceeds_full(g, cfg, seq, bound):
 _ORACLE_TERMS = 20_000
 
 
-@pytest.mark.parametrize("p,k,draws", [(2, 0, 30), (2, 1, 30), (3, 0, 30), (3, 1, 40)])
+@pytest.mark.parametrize("p,k,draws", [(2, 0, 30), (2, 1, 30), (3, 0, 30), (3, 1, 40), (2, 2, 14)])
 def test_gap_exceeds_matches_the_full_route(p, k, draws):
     # the truncated build against the full one on the draws of the sweep at
-    # seed 0, at the ladder bound and at bounds around each draw's gap
+    # seed 0, at the ladder bound and at bounds around each draw's gap.  At
+    # p = 2, level 2 most draws have a numerator of positive u-degree, so
+    # d1 != 1, over a denominator whose image n2 has two terms of least
+    # weight: 7 of the 11 of the first 14 draws that fit the oracle.  Only
+    # such draws value v(D) = v(n2) by value() while d1 is not one, and no
+    # other level here has them
     cfg, tower, _ = _ladder(p, k)
     host = q_sequence(p)
+    images = uv_images(cfg)
+    _, (wx, wy) = host.value_coefs(1)
     rng = random.Random(f"0:gapbound:k={k}")
     ladder_bound = gap_value(p, k)
-    answers, compared = set(), 0
+    answers, compared, compared_tied = set(), 0, 0
     for _ in range(draws):
         g = random_level_element(rng, tower[k], i_cap=k + 3)
         try:
@@ -263,8 +303,41 @@ def test_gap_exceeds_matches_the_full_route(p, k, draws):
             assert got == _gap_exceeds_full(g, cfg, host, bound) == (gap > bound), (str(g), bound)
             answers.add(got)
         compared += 1
+        weights = [wx * a + wy * b for a, b in _substitute_terms(g.den, images)[0]._t]
+        d1 = _substitute_terms(g.num, images)[1]
+        compared_tied += weights.count(min(weights)) > 1 and d1 != 1
     assert compared >= 10
+    assert compared_tied >= (3 if (p, k) == (2, 2) else 0)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p,k", [(2, 0), (2, 1), (3, 0)])
+def test_gap_exceeds_values_the_low_part_of_the_full_numerator(p, k, monkeypatch):
+    # the numerator the truncated build values, over D = d1 * n2, against
+    # the full route's low part over its normalized denominator.  d1 and d2
+    # agree modulo x^(p-1), and x^p has value 1 > v(g - x) for every g of
+    # the base field, so a build that mixes them up still decides every
+    # bound alike; only its terms above v(D) + 1, which a bound >= p
+    # keeps, show it
+    cfg, tower, appr = _ladder(p, k)
+    host = q_sequence(p)
+    images = uv_images(cfg)
+    rng = random.Random(f"0:gapbound:k={k}")
+    valued = _spy_values(monkeypatch)
+    compared = 0
+    for g in [appr.element] + [random_level_element(rng, tower[k], i_cap=k + 3) for _ in range(8)]:
+        d = _substitute_terms(g.num, images)[1] * _substitute_terms(g.den, images)[0]
+        for bound in (gap_value(p, k), Fraction(p), Fraction(2 * p)):
+            try:
+                with support_limit(_ORACLE_TERMS):
+                    diff, _, low = _full_route(g, cfg, host, bound)
+            except BudgetExceededError:
+                continue
+            valued.clear()
+            _gap_exceeds(g, cfg, host, bound)
+            assert RatFunc(valued[-1], d) == RatFunc(low, diff.den), (str(g), bound)
+            compared += 1
+    assert compared >= 15, compared
 
 
 def _ladder(p, k):
