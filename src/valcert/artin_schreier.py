@@ -34,7 +34,7 @@ from .certificates import Certificate, check, failures
 from .embeddings import EmbeddingConfig, embed, embed_uv, uv_images, xv_images
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _budget_memo, _mul_cut, _substitute_terms, ring_uv
+from .polys import Poly, RatFunc, _budget_memo, _cleared, _mul_cut, _substitute_terms, ring_uv
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel, build_tower
 from .values import INFINITY, omega
@@ -206,8 +206,15 @@ def _attained_gap(num: Poly, den: Poly, cfg: EmbeddingConfig, seq: GenSeq) -> Fr
 
 
 def _ceiling_value(f: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
-    # v(1/x - f) for a base-field element f, the value the ceiling bounds
-    return value(1 / xv_images(cfg)["x"] - embed_uv(f, cfg), seq)
+    # v(1/x - f) for a base-field element f, the value the ceiling bounds.
+    # With f's image cleared to N/D (polys._cleared), 1/x - f is
+    # (D - x*N)/(x*D), so its value is v(D - x*N) - v(x) - v(D), where
+    # v(x) = v(S_0) is the scale and x*N is an exponent shift.  Each side
+    # is valued unnormalized: the value is multiplicative, and a common
+    # monomial or scalar moves both sides alike
+    num, den = _cleared(f, uv_images(cfg))
+    x_num = Poly._make(den.ring, {(e1 + 1, e2): c for (e1, e2), c in num._t.items()})
+    return value(den - x_num, seq) - seq.scale - value(den, seq)
 
 
 def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate, _clip, check, failures
-from .embeddings import EmbeddingConfig, embed_uv
+from .embeddings import EmbeddingConfig, uv_images
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _divmod_buckets
+from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _cleared, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -268,20 +268,29 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
     raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
+def _host_value(f: Poly | RatFunc, cfg: EmbeddingConfig) -> Fraction:
+    # value(embed_uv(f, cfg), q_sequence(p)), taken on the cleared pair
+    # N/D (polys._cleared) as value(N) - value(D): the value is
+    # multiplicative, so the normalization embed_uv would add moves nothing.
+    # A zero N comes with D = 1, so the difference is INFINITY
+    num, den = _cleared(f, uv_images(cfg))
+    host = q_sequence(cfg.p)
+    return value(num, host) - value(den, host)
+
+
 def cross_check(f: Poly | RatFunc, c: int) -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
     The host valuation restricts to the base one, so the two independently
-    computed values must agree exactly.
+    computed values must agree exactly.  The host side values the image's
+    cleared numerator and denominator (``_host_value``), unnormalized.
     """
-    if isinstance(f, Poly):
-        f = RatFunc(f)
     p = f.ring.p
     ident = str(f)
 
     def run():
         base = value(f, p_sequence(p))
-        host = value(embed_uv(f, EmbeddingConfig(p, c)), q_sequence(p))
+        host = _host_value(f, EmbeddingConfig(p, c))
         return str(base), str(host), base == host
 
     return check(f"engine/restriction/c={c}/{ident}", {"p": p, "c": c, "f": ident}, run)
@@ -336,16 +345,20 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 
 
 def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
-    """Cross-engine agreement on seeded random base-field elements."""
+    """Cross-engine agreement on seeded random base-field elements.
+
+    Each host value is taken on the image's cleared pair (``_host_value``),
+    as ``cross_check`` takes it.
+    """
 
     def run():
         rng = random.Random(f"{seed}:cross:{c}")
-        seq, host = p_sequence(p), q_sequence(p)
+        seq = p_sequence(p)
         cfg = EmbeddingConfig(p, c)
         bad, first = failures(
             samples,
             lambda: {"f": random_ratfunc(rng, seq.ring)},
-            lambda f: value(f, seq) != value(embed_uv(f, cfg), host),
+            lambda f: value(f, seq) != _host_value(f, cfg),
         )
         want = f"{samples} restrictions agree"
         return want, f"{samples - bad} agree; {first}" if bad else want, bad == 0

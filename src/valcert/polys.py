@@ -642,22 +642,35 @@ def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     common target ring.  The result is exact; a zero denominator cannot
     arise because the image denominators are nonzero polynomials.
 
+    The result is RatFunc(*_cleared(f, images)): the cleared pair,
+    normalized once.
+    """
+    return RatFunc(*_cleared(f, images))
+
+
+def _cleared(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> tuple[Poly, Poly]:
+    """f under the images as (numerator, denominator), neither normalized.
+
     A polynomial is cleared to one numerator over one denominator by
     _substitute_terms, on raw term dicts.  A fraction's numerator and
-    denominator are cleared alike, to n1/d1 and n2/d2, and the result is
-    RatFunc(n1 * d2, d1 * n2), the products num / den takes on their
-    RatFuncs.  Building them from the unnormalized pairs changes no term
-    of the result: a content shift of a factor shifts its products, and a
-    scalar scales them, by the same amount on both sides, which the final
-    normalization removes; neither changes a size or a term order.
+    denominator are cleared alike, to n1/d1 and n2/d2, and the pair is
+    (n1 * d2, d1 * n2), the products num / den takes on their RatFuncs.
+    Building them from the unnormalized pairs changes no term of
+    substitute's result: a content shift of a factor shifts its products,
+    and a scalar scales them, by the same amount on both sides, which the
+    final normalization removes; neither changes a size or a term order.
+
+    A valuation is multiplicative, so value(num) - value(den) of the pair
+    is the value of substitute's result: a caller that only values the
+    image takes the pair and skips the normalization.
     """
     if isinstance(f, RatFunc):
         n1, d1 = _substitute_terms(f.num, images)
         n2, d2 = _substitute_terms(f.den, images)
         if n2.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(n1 * d2, d1 * n2)
-    return RatFunc(*_substitute_terms(f, images))
+        return n1 * d2, d1 * n2
+    return _substitute_terms(f, images)
 
 
 def _substitute_terms(

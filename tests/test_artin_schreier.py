@@ -10,10 +10,12 @@ import pytest
 from valcert import artin_schreier
 from valcert.artin_schreier import (
     _attained_gap,
+    _ceiling_value,
     _frobenius_gap,
     _gap_exceeds,
     build_approximants,
     ceiling_check,
+    ceiling_family,
     dependence_report,
     extended_value,
     gap_bound_sweep,
@@ -22,8 +24,8 @@ from valcert.artin_schreier import (
     ladder,
     verify_approximant_gap,
 )
-from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv, uv_images
-from valcert.engine import value
+from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv, uv_images, xv_images
+from valcert.engine import _host_value, value
 from valcert.keyseq import p_sequence, q_sequence
 from valcert.polys import (
     BudgetExceededError,
@@ -465,6 +467,64 @@ def test_ceiling_frozen_values(setup2):
         got, cert = ceiling_check(f, cfg, label, host)
         assert cert.passed, cert.actual
         assert str(got) == want
+
+
+def _ceiling_oracle(f, cfg, seq):
+    # v(1/x - f) by RatFunc arithmetic on the normalized image: the oracle
+    # of _ceiling_value, which values the cleared pair
+    return value(1 / xv_images(cfg)["x"] - embed_uv(f, cfg), seq)
+
+
+def _outcome(route, limit):
+    # the route's value under the limit, or the size its overflow names
+    with support_limit(limit):
+        try:
+            return route()
+        except BudgetExceededError as err:
+            return ("overflow", err.size)
+
+
+def _same_at_every_limit(route, oracle, label):
+    # at every limit from 1 to the first that passes, route overflows at
+    # the size oracle names, and there both give the same value.  Each
+    # runs in its own limit block, so each starts from an empty power memo
+    limit = 1
+    while True:
+        got = _outcome(route, limit)
+        assert got == _outcome(oracle, limit), (label, limit)
+        if not isinstance(got, tuple):
+            return got
+        limit += 1
+
+
+@pytest.mark.parametrize("p,c", [(p, m * (p - 1)) for p in (2, 3, 5, 7) for m in (1, 2)])
+def test_cleared_routes_match_the_ratfunc_routes(p, c):
+    # the ceiling values D - x*N and D, and the cross-check N and D, with
+    # N/D the image cleared by polys._cleared and never normalized; the
+    # oracles value embed_uv's normalized image.  The elements are the
+    # ceiling family of a level-1 ladder (f = 0, both approximant
+    # reciprocals, two pinned and two generic draws) and the key
+    # polynomial K_2 as one Poly input.  The images are built once per
+    # process, on first use, so both sets are built first: the ceiling's
+    # oracle reads x's, which the cleared routes never build
+    cfg = EmbeddingConfig(p, c)
+    seq, base = q_sequence(p), p_sequence(p)
+    uv_images(cfg), xv_images(cfg)
+    apprs = build_approximants(build_tower(p, 1, 3), 1, cfg)
+    family = ceiling_family(random.Random(f"cleared:{p}:{c}"), apprs, 2, 2) + [("K2", base.poly(2))]
+    for label, f in family:
+        got = _same_at_every_limit(lambda: _ceiling_value(f, cfg, seq), lambda: _ceiling_oracle(f, cfg, seq), label)
+        assert got == _ceiling_oracle(f, cfg, seq), label
+        got = _same_at_every_limit(lambda: _host_value(f, cfg), lambda: value(embed_uv(f, cfg), seq), label)
+        assert got == value(embed_uv(f, cfg), seq) == value(f, base), label
+    # closed forms: v(1/x) = -v(x) = -1/p, and 1/x - 1/h_k has the value
+    # gap_k/p - 2/p, where 1/x - f cancels, so a slip in the sign of x*N
+    # shows at odd p
+    family = dict(family)
+    assert _ceiling_value(family["0"], cfg, seq) == Fraction(-1, p)
+    for k in (0, 1):
+        got = _ceiling_value(family[f"1/approximant[{k}]"], cfg, seq)
+        assert got == gap_value(p, k) / p - Fraction(2, p)
 
 
 def test_ceiling_chain_identity(setup2):

@@ -550,6 +550,24 @@ def test_budget_selftest_after_a_default_one_prints_the_fresh_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "855a40b80a70b843dc6320d7dd1b2f824b575b1486258ae1fa644c89e81ede3a"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["value", "--ring", "uv", "v^4+u"], ["--format", "structured", "ascheck", "t2", "--samples", "3"]],
+    ids=["value", "structured-report"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv):
+    # a reader that exits before the output is written, as `| head` does:
+    # stdout is a pipe whose read end is already closed
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(valcert.__file__))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "valcert", *argv], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 def test_report_exit_code_logic():
     report = Report(config={})
     report.certificates.append(Certificate(id="a", status="pass"))
@@ -600,6 +618,13 @@ STRUCTURED_DIGESTS = {
     # samples decide within the budget and the sampler's own 9-term sum of
     # the 18th overflows
     "--budget 8 selftest": "855a40b80a70b843dc6320d7dd1b2f824b575b1486258ae1fa644c89e81ede3a",
+    # recorded at commit 8a43aea, where the ceiling and the cross-check
+    # still valued the normalized embedded image: at odd p the sign of
+    # 1/x - f shows, which at p = 2 does not
+    "--p 3 ascheck t2 --samples 40": "684368ed8d18e0fd17c647255d977be4a8426aef0bceb1c1c16fde08735f65d5",
+    "--p 7 ascheck t2 --samples 20": "67c70b4e715f435145acd52460ad5a57acd8640196a2376fb41eb43ba0e15d89",
+    "--p 3 fuzz --what cross": "d619c09dead03c84229dba7359477631139ee94e842452120dfb363b94b6ef5f",
+    "--p 5 fuzz --what cross": "560e650ce0f989cf406aaa36249430936c14a64d20e5cc0ad7405a77300b6f00",
 }
 
 
@@ -615,6 +640,8 @@ def test_structured_output_digest(command, capsys):
 TEXT_LISTING_DIGESTS = {
     "tower --dump-values": (15, "c6d58c547d8fe73b8a8786f79fb6a2cd6d49837c01a4c0af1dd0bd3505037065"),
     "ascheck report --dump-values": (56, "d82c314e604b6c8fbcb67f6bcb42c419c7b3d7afda814e0d27b717288479dc3b"),
+    # recorded at commit 8a43aea, as the odd-p STRUCTURED_DIGESTS above
+    "--p 3 ascheck report --dump-values": (56, "e92591155690124c2fc55e909cf88341fe8e4c99541117012fa472c625af4fe6"),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcert import engine
-from valcert.embeddings import EmbeddingConfig, embed_uv
+from valcert.embeddings import EmbeddingConfig, embed_uv, uv_images
 from valcert.engine import (
     ValueTieError,
     cross_check,
@@ -21,7 +21,7 @@ from valcert.engine import (
 )
 from valcert.keyseq import GenSeq, p_sequence, q_sequence
 from valcert.polys import BudgetExceededError, Poly, RatFunc, ring_uv, ring_xy, support_limit
-from valcert.sampling import random_level_element
+from valcert.sampling import random_level_element, random_ratfunc
 from valcert.tower import build_tower
 from valcert.values import INFINITY
 
@@ -363,6 +363,32 @@ def test_cross_check_values_match_spec():
     assert cert.expected == "1"
     cert = cross_check(RatFunc(V), 1)
     assert cert.expected == "1/4"
+
+
+def test_cleared_routes_build_no_ratfunc(monkeypatch):
+    # the cross-check and the ceiling value the cleared pair, so neither
+    # normalizes a fraction on the way, and a Poly is checked as it is:
+    # its certificate is the one of the same element as a fraction.  The
+    # inputs and the images are built first
+    from valcert.artin_schreier import _ceiling_value
+
+    seq = p_sequence(3)
+    cfg = EmbeddingConfig(3, 2)
+    rng = random.Random("no-ratfunc")
+    polys = [seq.poly(2), Poly.var(seq.ring, "u")]
+    cases = [RatFunc(Poly.zero(seq.ring)), RatFunc(seq.poly(2), seq.poly(1)), *polys]
+    cases += [random_ratfunc(rng, seq.ring) for _ in range(4)]
+
+    def fields(cert):
+        return cert.id, cert.params, cert.expected, cert.actual, cert.status
+
+    as_fractions = [fields(cross_check(RatFunc(f), 2)) for f in polys]
+    uv_images(cfg)
+    monkeypatch.setattr(RatFunc, "__init__", lambda *args: pytest.fail("built a RatFunc"))
+    for f in cases:
+        assert cross_check(f, 2).passed, str(f)
+        _ceiling_value(f, cfg, q_sequence(3))
+    assert [fields(cross_check(f, 2)) for f in polys] == as_fractions
 
 
 def test_failing_sweeps_name_their_first_counterexample(monkeypatch):

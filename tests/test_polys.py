@@ -18,6 +18,7 @@ from valcert.polys import (
     _mul_cut,
     _mul_dict,
     _power,
+    _cleared,
     _same_ring,
     _substitute_terms,
     ring_uv,
@@ -651,6 +652,34 @@ def test_cut_substitution_matches_the_filtered_one(p, which, wx, wy, cut, data):
     assert got_num._t == _weight_filter(num._t, wx, wy, cut)
     if f:
         assert got_den._t == den._t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=2), st.booleans(), st.data())
+def test_cleared_pair_is_the_substituted_fraction_unnormalized(p, which, fraction, data):
+    # substitute normalizes _cleared's pair once: the same terms in the
+    # same order.  The pair is the per-call build's fraction, and a Poly
+    # clears through _substitute_terms alone
+    ring, images = _image_sets(p)[which]
+    f = data.draw(poly_strategy(ring, max_deg=6, max_terms=4))
+    if fraction:
+        den = data.draw(poly_strategy(ring, max_deg=4, max_terms=3))
+        f = RatFunc(f, den) if den else RatFunc(f)
+    num, den = _cleared(f, images)
+    got, want = substitute(f, images), RatFunc(num, den)
+    assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den)
+    oracle = _substitute_per_call(f, images)
+    assert num * oracle.den == oracle.num * den
+    if isinstance(f, Poly):
+        n, d = _substitute_terms(f, images)
+        assert _same_terms(num, n) and _same_terms(den, d)
+
+
+def test_cleared_rejects_a_denominator_that_maps_to_zero():
+    host = ring_xy(2)
+    x = RatFunc(Poly.var(host, "x"))
+    with pytest.raises(ZeroDivisionError):
+        _cleared(RatFunc(Poly.one(R2), U2 + V2), {"u": x, "v": x})
 
 
 def test_embedding_images_are_read_only():
