@@ -10,8 +10,8 @@ image of v.  One engine on (x,y) then computes all three valuations: the
 host value, its restriction to the intermediate field, and its restriction
 to the base field.
 
-The images are built once per config and shared, as read-only mappings, by
-every embedding; ``polys.substitute`` shares the powers of them it builds.
+Each image set is built once per config and budget limit and shared,
+read-only, by every embedding; ``polys.substitute`` shares its powers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
-from .polys import Poly, RatFunc, Ring, ring_xy, substitute
+from .polys import Poly, RatFunc, Ring, _budget_memo, ring_xy, substitute
 from .values import check_p
 
 __all__ = ["EmbeddingConfig", "uv_images", "xv_images", "embed_uv", "embed_xv", "embed"]
@@ -54,16 +54,18 @@ def _u_image(cfg: EmbeddingConfig, host: Ring) -> RatFunc:
     return RatFunc(Poly(host, {(p, 0): 1}), Poly(host, {(0, 0): 1, (p - 1, 0): -1}))
 
 
+@_budget_memo
 @cache
 def uv_images(cfg: EmbeddingConfig) -> Mapping[str, RatFunc]:
-    """Images of u and v in the host ring (x,y), built once per config."""
+    """Images of u and v in the host ring (x,y), built once per config and limit."""
     host = ring_xy(cfg.p)
     return MappingProxyType({"u": _u_image(cfg, host), "v": _v_image(cfg, host)})
 
 
+@_budget_memo
 @cache
 def xv_images(cfg: EmbeddingConfig) -> Mapping[str, RatFunc]:
-    """Images of x and v in the host ring (x,y), built once per config."""
+    """Images of x and v in the host ring (x,y), built once per config and limit."""
     host = ring_xy(cfg.p)
     return MappingProxyType({"x": RatFunc(Poly.var(host, "x")), "v": _v_image(cfg, host)})
 

@@ -78,12 +78,12 @@ def support_limit(max_terms: int | None):
     Exceeding the bound raises BudgetExceededError instead of silently
     truncating; ``None`` disables the check.
 
-    The memos of budget-checked builds (``_budget_memo``: the powers that
-    substitute and the level sampler take, and each approximant's own gap)
-    hold only builds that passed every check under the limit in force: a
-    build that raised leaves no entry, and each memo is emptied whenever
-    the limit changes, on entry and on exit.  So a hit skips only checks a
-    fresh build would pass, and an overflow names the size it would name.
+    The memos of budget-checked builds (``_budget_memo``: the embedding
+    images, the powers that substitute and the level sampler take, and each
+    approximant's own gap) hold only builds that passed every check under
+    the limit in force: a build that raised leaves no entry, and each memo
+    is emptied whenever the limit changes, on entry and on exit.  So a hit
+    skips only checks a fresh build would pass, and overflows name the same size.
     """
     prev = _LIMIT
     _set_limit(max_terms)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import engine  # by module: engine imports the samplers from here
 from .keyseq import GenSeq
-from .polys import Poly, RatFunc, Ring, _power
+from .polys import Poly, RatFunc, Ring, _check_budget, _mul_dict, _power
 
 __all__ = [
     "random_poly",
@@ -57,22 +57,33 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     and takes seconds.  The gap-bound sweep does not embed a draw whole; it
     builds only the low-weight terms of g - x that its bound reads.
 
-    The numerator and denominator of each key power K_(k,i)^a come from
-    ``polys._power``, the memo ``substitute`` keeps its image powers in,
-    which holds the same terms in the same order as ``K_(k,i) ** a``.
+    Each summand is built on raw term dicts: its numerator and denominator
+    are multiplied by the terms of each key power from ``polys._power`` and
+    checked against the budget, numerator first, as ``RatFunc.__mul__``
+    checks them, then normalized once, as one ``RatFunc``.  Normalization
+    divides out only a common monomial and a scalar, so each draw has the
+    terms, in the same order, and overflows at the same size as the
+    ``RatFunc`` chain ``c * K_(k,0)^a_0 * ...``.
     """
     p = level.p
     if max(level.keys) < i_cap:
         raise ValueError(f"level {level.k} holds keys up to {max(level.keys)}, below i_cap {i_cap}")
 
-    def key_power(i: int, a: int) -> RatFunc:
+    def times(num: dict, den: dict, i: int, a: int) -> tuple[dict, dict]:
         key = level.keys[i]
-        return RatFunc(_power(key.num, a), _power(key.den, a))
+        kn, kd = _power(key.num, a)._t, _power(key.den, a)._t
+        num = _mul_dict(num, kn, p)
+        _check_budget(len(num))
+        den = _mul_dict(den, kd, p)
+        _check_budget(len(den))
+        return num, den
 
-    out = RatFunc(Poly.zero(level.u.ring))
+    out = None
     for _ in range(rng.randint(1, 3)):
-        part = RatFunc(Poly.const(level.u.ring, rng.randint(1, p - 1)))
-        part = part * key_power(0, rng.randint(0, 2))
+        num, den = {(0, 0): rng.randint(1, p - 1)}, {(0, 0): 1}
+        a = rng.randint(0, 2)
+        if a:
+            num, den = times(num, den, 0, a)
         budget = 2 * p ** (2 * i_cap)
         picks = rng.sample(range(1, i_cap + 1), rng.randint(0, min(2, i_cap)))
         for i in sorted(picks, reverse=True):
@@ -82,8 +93,9 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
                 continue
             a = rng.randint(1, top)
             budget -= a * w
-            part = part * key_power(i, a)
-        out = out + part
+            num, den = times(num, den, i, a)
+        part = RatFunc(Poly._make(level.u.ring, num), Poly._make(level.u.ring, den))
+        out = part if out is None else out + part
     return out
 
 

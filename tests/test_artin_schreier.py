@@ -504,12 +504,9 @@ def test_cleared_routes_match_the_ratfunc_routes(p, c):
     # oracles value embed_uv's normalized image.  The elements are the
     # ceiling family of a level-1 ladder (f = 0, both approximant
     # reciprocals, two pinned and two generic draws) and the key
-    # polynomial K_2 as one Poly input.  The images are built once per
-    # process, on first use, so both sets are built first: the ceiling's
-    # oracle reads x's, which the cleared routes never build
+    # polynomial K_2 as one Poly input
     cfg = EmbeddingConfig(p, c)
     seq, base = q_sequence(p), p_sequence(p)
-    uv_images(cfg), xv_images(cfg)
     apprs = build_approximants(build_tower(p, 1, 3), 1, cfg)
     family = ceiling_family(random.Random(f"cleared:{p}:{c}"), apprs, 2, 2) + [("K2", base.poly(2))]
     for label, f in family:
@@ -525,6 +522,32 @@ def test_cleared_routes_match_the_ratfunc_routes(p, c):
     for k in (0, 1):
         got = _ceiling_value(family[f"1/approximant[{k}]"], cfg, seq)
         assert got == gap_value(p, k) / p - Fraction(2, p)
+
+
+def test_embedding_images_are_built_under_the_limit_in_force():
+    # the image memos are budget memos, emptied whenever the limit changes,
+    # so images built with no limit are not hit under limit 1: there the
+    # constant 1 overflows at size 2, the terms of u's denominator 1 + x,
+    # as it does cold, and each image set names the size it names cold
+    cfg = EmbeddingConfig.default(2)
+    one = Poly.const(ring_uv(2), 1)
+
+    def overflows():
+        sizes = []
+        with support_limit(1):
+            for build in (lambda: _host_value(one, cfg), lambda: uv_images(cfg), lambda: xv_images(cfg)):
+                with pytest.raises(BudgetExceededError) as info:
+                    build()
+                sizes.append(info.value.size)
+        return sizes
+
+    uv_images.cache_clear()
+    xv_images.cache_clear()
+    cold = overflows()
+    uv_images(cfg), xv_images(cfg)
+    assert overflows() == cold == [2, 2, 2]
+    # nor is anything built under the limit hit after it
+    assert _host_value(one, cfg) == 0
 
 
 def test_ceiling_chain_identity(setup2):

@@ -805,7 +805,9 @@ def test_power_memo_is_keyed_on_the_budget_limit():
 
 
 def _reference_level_element(rng, level, i_cap):
-    # random_level_element with its key powers built as K ** a
+    # the oracle of random_level_element: the same draws, with each key
+    # power built as K ** a and each summand as the RatFunc chain
+    # c * K_(k,0)^a_0 * ..., normalized after every product and added to 0
     p = level.p
     out = RatFunc(Poly.zero(level.u.ring))
     for _ in range(rng.randint(1, 3)):
@@ -825,8 +827,10 @@ def _reference_level_element(rng, level, i_cap):
     return out
 
 
-# the levels the ladder workloads sample: p = 2, level 1 and p = 3, level 0
-_SAMPLED_LEVELS = [build_tower(2, 1, 4)[1], build_tower(3, 0, 3)[0]]
+# the levels the ladder workloads sample, p = 2, level 1 and p = 3, level 0,
+# and the deepest the CLI's pinned sweeps sample, p = 2, level 2 and p = 3,
+# level 1
+_SAMPLED_LEVELS = [build_tower(2, 1, 4)[1], build_tower(3, 0, 3)[0], build_tower(2, 2, 5)[2], build_tower(3, 1, 4)[1]]
 
 
 def _draw(build, level, seed, limit=None):
@@ -838,17 +842,39 @@ def _draw(build, level, seed, limit=None):
             return err.size
 
 
-@pytest.mark.parametrize("level", _SAMPLED_LEVELS, ids=["p2-k1", "p3-k0"])
+@pytest.mark.parametrize("level", _SAMPLED_LEVELS, ids=["p2-k1", "p3-k0", "p2-k2", "p3-k1"])
 def test_level_sampler_key_powers_match_the_reference(level):
-    # the key powers come from the power memo; every draw has the terms,
-    # in the same order, of the draw built with K ** a, cold and warm
-    for seed in range(12):
-        want = _draw(_reference_level_element, level, seed)
+    # the sampler builds each summand on raw term dicts and normalizes it
+    # once; every draw has the terms, in the same order, of the reference,
+    # cold and warm.  It also leaves the rng where the reference does, so
+    # the draw stream a sweep replays from its seed stays prefix-stable
+    for seed in range(200):
+        rng = random.Random(seed)
+        want = _reference_level_element(rng, level, level.k + 3)
         _power.cache_clear()
-        cold = _draw(random_level_element, level, seed)
-        warm = _draw(random_level_element, level, seed)
-        for got in (cold, warm):
+        for _ in ("cold", "warm"):
+            mine = random.Random(seed)
+            got = random_level_element(mine, level, i_cap=level.k + 3)
             assert _same_terms(got.num, want.num) and _same_terms(got.den, want.den), seed
+            assert mine.getstate() == rng.getstate(), seed
+
+
+def test_level_sampler_normalizes_once_per_summand(monkeypatch):
+    # a draw of n summands builds n fractions and adds them with n - 1
+    # additions, each of which builds one more: 2n - 1 in all
+    built = []
+    init = RatFunc.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    for level in _SAMPLED_LEVELS:
+        for seed in range(20):
+            del built[:]
+            random_level_element(random.Random(seed), level, i_cap=level.k + 3)
+            assert len(built) == 2 * random.Random(seed).randint(1, 3) - 1, (level.p, level.k, seed)
 
 
 def test_level_sampler_rejects_a_level_below_its_cap():
@@ -862,28 +888,37 @@ def test_level_sampler_rejects_a_level_below_its_cap():
 
 
 def test_level_sampler_budget_does_not_depend_on_the_memo():
-    # at p = 2, level 1, seed 11 draws a 21-term element and names the
-    # sizes 3, 9, 18 and 21 on the way: at every limit below 21 the
+    # each seed draws an element of the final size and names the sizes
+    # listed on the way.  At every limit below the final size the
     # reference, a cold memo, one warmed with no limit and one warmed in
-    # the same limit block all name the same size
-    level = _SAMPLED_LEVELS[0]
-    named = []
-    limit = 1
-    while True:
-        want = _draw(_reference_level_element, level, 11, limit)
-        _power.cache_clear()
-        cold = _draw(random_level_element, level, 11, limit)
-        _draw(random_level_element, level, 11)
-        with support_limit(limit):
-            warm = _draw(random_level_element, level, 11, limit)
-            again = _draw(random_level_element, level, 11, limit)
-        if not isinstance(want, int):
-            assert all(_same_terms(g.num, want.num) and _same_terms(g.den, want.den) for g in (cold, warm, again))
-            break
-        assert cold == warm == again == want, limit
-        named.append(want)
-        limit += 1
-    assert limit == 21 and sorted(set(named)) == [3, 9, 18, 21]
+    # the same limit block all name the same size.  At p = 2, level 2 the
+    # keys' numerators and denominators both grow, and at seed 58 some
+    # limits sit below both of one product's sizes, so there the numerator
+    # must be checked first; other limits sit below a numerator whose
+    # product is not the summand's last, so its check must not be skipped
+    walks = [
+        (_SAMPLED_LEVELS[0], 11, [3, 9, 18, 21], 21),
+        (_SAMPLED_LEVELS[1], 27, [2, 4, 6, 10, 11], 11),
+        (_SAMPLED_LEVELS[2], 58, [3, 9, 18, 32, 34, 68, 80, 116], 116),
+    ]
+    for level, seed, sizes, final in walks:
+        named = []
+        limit = 1
+        while True:
+            want = _draw(_reference_level_element, level, seed, limit)
+            _power.cache_clear()
+            cold = _draw(random_level_element, level, seed, limit)
+            _draw(random_level_element, level, seed)
+            with support_limit(limit):
+                warm = _draw(random_level_element, level, seed, limit)
+                again = _draw(random_level_element, level, seed, limit)
+            if not isinstance(want, int):
+                assert all(_same_terms(g.num, want.num) and _same_terms(g.den, want.den) for g in (cold, warm, again))
+                break
+            assert cold == warm == again == want, (level.p, level.k, limit)
+            named.append(want)
+            limit += 1
+        assert limit == final and sorted(set(named)) == sizes, (level.p, level.k)
 
 
 def test_equal_polys_hash_alike_by_every_route():
