@@ -10,7 +10,7 @@ consistent with that extension being a dependent defect extension.
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingConfig, embed, embed_uv, embed_xv
+from .embeddings import EmbeddingConfig, embed_uv
 from .engine import Expansion, ExpansionTerm, ValueTieError, expand, value
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .parsing import ParseError, parse_expr
@@ -53,9 +53,7 @@ __all__ = [
     "expand",
     "value",
     "EmbeddingConfig",
-    "embed",
     "embed_uv",
-    "embed_xv",
     "ParseError",
     "parse_expr",
 ]

@@ -31,10 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certificates import Certificate, check, failures
-from .embeddings import EmbeddingConfig, embed, embed_uv, uv_images, xv_images
+from .embeddings import EmbeddingConfig, embed_uv, uv_images, xv_images
 from .engine import value
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, _budget_memo, _cleared, _mul_cut, _substitute_terms, ring_uv
+from .polys import Poly, RatFunc, _budget_memo, _cleared, _mul_cut, _substitute_terms
 from .sampling import random_level_element, random_ratfunc, random_value_pinned
 from .tower import TowerLevel, build_tower
 from .values import INFINITY, omega
@@ -43,7 +43,6 @@ __all__ = [
     "Approximant",
     "DefectEvidence",
     "EvidenceEntry",
-    "extended_value",
     "gap_element_certificates",
     "build_approximants",
     "ladder",
@@ -53,16 +52,6 @@ __all__ = [
     "ceiling_check",
     "dependence_report",
 ]
-
-
-def extended_value(g: Poly | RatFunc, cfg: EmbeddingConfig) -> Fraction:
-    """Value of an element of the base, intermediate or host field.
-
-    Inputs on (u,v) or (x,v) coordinates are embedded into (x,y) first;
-    one engine computes all three valuations, since each is the restriction
-    of the host value.
-    """
-    return value(embed(g, cfg), q_sequence(cfg.p))
 
 
 def gap_value(p: int, k: int) -> Fraction:
@@ -81,7 +70,7 @@ def gap_element_certificates(cfg: EmbeddingConfig) -> list[Certificate]:
     p = cfg.p
     seq = q_sequence(p)
     x = xv_images(cfg)["x"]
-    u_img = embed_uv(Poly.var(ring_uv(p), "u"), cfg)
+    u_img = uv_images(cfg)["u"]
     gap = x**p - u_img
     om = omega(p)
     certs = []
@@ -153,10 +142,18 @@ def ladder(cfg: EmbeddingConfig, k_max: int) -> tuple[list[TowerLevel], list[App
     return tower, build_approximants(tower, k_max, cfg)
 
 
+def _times_x(terms: dict) -> dict:
+    # the terms of x * f, for the terms of f: x = S_0 is one exponent shift
+    return {(e1 + 1, e2): c for (e1, e2), c in terms.items()}
+
+
 def _frobenius_gap(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Fraction:
     # v(g^p - x^p) = p * v(g - x): the Frobenius is additive in
-    # characteristic p, and g - x expands at 1/p of the depth
-    return cfg.p * value(embed_uv(g, cfg) - xv_images(cfg)["x"], seq)
+    # characteristic p, and g - x expands at 1/p of the depth.  With g's
+    # image cleared to N/D (polys._cleared), g - x is (N - x*D)/D, valued
+    # unnormalized as _ceiling_value values its pair
+    num, den = _cleared(g, uv_images(cfg))
+    return cfg.p * (value(num - Poly._make(num.ring, _times_x(den._t)), seq) - value(den, seq))
 
 
 def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fraction) -> bool:
@@ -190,9 +187,8 @@ def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fr
     if cut < 0:
         return True  # every weight is >= 0 > T, so N_T is empty
     n1, d1 = _substitute_terms(g.num, images, (wx, wy, cut))
-    x_d1 = {(e1 + 1, e2): c for (e1, e2), c in d1._t.items()}
     low = Poly._make(ring, _mul_cut(n1._t, d2._t, p, wx, wy, cut))
-    low -= Poly._make(ring, _mul_cut(x_d1, n2._t, p, wx, wy, cut))
+    low -= Poly._make(ring, _mul_cut(_times_x(d1._t), n2._t, p, wx, wy, cut))
     return low.is_zero() or value(low, seq) > t
 
 
@@ -209,12 +205,11 @@ def _ceiling_value(f: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq) -> Frac
     # v(1/x - f) for a base-field element f, the value the ceiling bounds.
     # With f's image cleared to N/D (polys._cleared), 1/x - f is
     # (D - x*N)/(x*D), so its value is v(D - x*N) - v(x) - v(D), where
-    # v(x) = v(S_0) is the scale and x*N is an exponent shift.  Each side
-    # is valued unnormalized: the value is multiplicative, and a common
-    # monomial or scalar moves both sides alike
+    # v(x) = v(S_0) is the scale.  Each side is valued unnormalized, as
+    # engine.host_value values its pair: the value is multiplicative, and
+    # a common monomial or scalar moves both sides alike
     num, den = _cleared(f, uv_images(cfg))
-    x_num = Poly._make(den.ring, {(e1 + 1, e2): c for (e1, e2), c in num._t.items()})
-    return value(den - x_num, seq) - seq.scale - value(den, seq)
+    return value(den - Poly._make(den.ring, _times_x(num._t)), seq) - seq.scale - value(den, seq)
 
 
 def verify_approximant_gap(appr: Approximant, cfg: EmbeddingConfig) -> Certificate:

@@ -40,7 +40,6 @@ from .artin_schreier import (
     ceiling_check,
     ceiling_family,
     dependence_report,
-    extended_value,
     gap_bound_sweep,
     gap_element_certificates,
     ladder,
@@ -50,6 +49,7 @@ from .certificates import BUDGET, Report, check
 from .embeddings import EmbeddingConfig
 from .engine import (
     expand,
+    host_value,
     multiplicativity_sweep,
     restriction_sweep,
     ultrametric_sweep,
@@ -120,7 +120,7 @@ FLAG_READERS = (
     ("seed", "--seed", ("selftest", *_SWEEPS)),
     ("kmax", "--kmax", ("tower", "selftest", "ascheck t1 without --k", "ascheck t2 without --f", "ascheck report")),
     ("imax", "--imax", ("tower",)),
-    ("c", "--c", ("value --ring xy", "value --ring xv", "ascheck", "fuzz --what cross")),
+    ("c", "--c", ("value --ring xv", "ascheck", "fuzz --what cross")),
     ("p", "--p", ("value", "expand", "tower", "ascheck", "fuzz")),
 )
 
@@ -214,7 +214,7 @@ def cmd_value(cfg: RunConfig, args, report: Report) -> str | None:
     if args.ring == "uv":
         got = value(f, p_sequence(cfg.p))
     else:
-        got = extended_value(f, cfg.embedding())
+        got = host_value(f, cfg.embedding())
     return f"{got}\n"
 
 

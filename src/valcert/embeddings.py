@@ -8,7 +8,10 @@ for a fixed integer c >= 1 with (p-1) | c.  The degree-p intermediate
 extension is presented on coordinates (x,v) and embeds through the same
 image of v.  One engine on (x,y) then computes all three valuations: the
 host value, its restriction to the intermediate field, and its restriction
-to the base field.
+to the base field.  ``engine.host_value`` takes each of them on the cleared
+image (``polys._cleared``); ``embed_uv`` builds the normalized image of a
+base-field element as a fraction, for arithmetic on it: an approximant's
+tail, and the tests' oracles.
 
 Each image set is built once per config and budget limit and shared,
 read-only, by every embedding; ``polys.substitute`` shares its powers.
@@ -24,7 +27,7 @@ from types import MappingProxyType
 from .polys import Poly, RatFunc, Ring, _budget_memo, ring_xy, substitute
 from .values import check_p
 
-__all__ = ["EmbeddingConfig", "uv_images", "xv_images", "embed_uv", "embed_xv", "embed"]
+__all__ = ["EmbeddingConfig", "uv_images", "xv_images", "embed_uv"]
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,3 @@ def embed_uv(f: Poly | RatFunc, cfg: EmbeddingConfig) -> RatFunc:
     """Image in (x,y) of an element written on base coordinates (u,v)."""
     return substitute(f, uv_images(cfg))
 
-
-def embed_xv(f: Poly | RatFunc, cfg: EmbeddingConfig) -> RatFunc:
-    """Image in (x,y) of an element written on intermediate coordinates (x,v)."""
-    return substitute(f, xv_images(cfg))
-
-
-def embed(f: Poly | RatFunc, cfg: EmbeddingConfig) -> RatFunc:
-    """Route any supported coordinate presentation into the host ring."""
-    vars = f.ring.vars
-    if vars == ("x", "y"):
-        return f if isinstance(f, RatFunc) else RatFunc(f)
-    if vars == ("u", "v"):
-        return embed_uv(f, cfg)
-    if vars == ("x", "v"):
-        return embed_xv(f, cfg)
-    raise ValueError(f"no embedding from ring {f.ring}")

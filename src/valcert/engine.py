@@ -41,6 +41,11 @@ polynomial of the ladder, is bucketed once as {e2: {e1: c}} for
 ``Poly.__divmod__`` wraps.  It divides the buckets in place: its quotient
 becomes the next dividend and its remainder is the digit, so no Poly is
 built per digit.  The tests check that kernel against sympy.
+
+``host_value`` is the one route from the base, intermediate and host
+fields to the host engine: it values an embedded element on its cleared
+numerator and denominator, for the cross-check, the restriction sweep and
+``valcert value --ring xy|xv``.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate, _clip, check, failures
-from .embeddings import EmbeddingConfig, uv_images
+from .embeddings import EmbeddingConfig, uv_images, xv_images
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _cleared, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
@@ -62,6 +67,7 @@ __all__ = [
     "ValueTieError",
     "expand",
     "value",
+    "host_value",
     "cross_check",
     "multiplicativity_sweep",
     "ultrametric_sweep",
@@ -268,13 +274,24 @@ def _tie_error(f: Poly, seq: GenSeq) -> ValueTieError:
     raise AssertionError(f"streamed term values of {_clip(str(f))} tied, but its expansion has no tie")
 
 
-def _host_value(f: Poly | RatFunc, cfg: EmbeddingConfig) -> Fraction:
-    # value(embed_uv(f, cfg), q_sequence(p)), taken on the cleared pair
-    # N/D (polys._cleared) as value(N) - value(D): the value is
-    # multiplicative, so the normalization embed_uv would add moves nothing.
-    # A zero N comes with D = 1, so the difference is INFINITY
-    num, den = _cleared(f, uv_images(cfg))
+def host_value(f: Poly | RatFunc, cfg: EmbeddingConfig) -> Fraction:
+    """The host value of an element of the base, intermediate or host field.
+
+    Each of the three valuations is the restriction of the host one, so
+    one engine on (x,y) computes them all.  An element on (u,v) or (x,v)
+    is cleared into (x,y) to N/D (``polys._cleared``) and valued as
+    value(N) - value(D), unnormalized: the value is multiplicative, so
+    the normalization ``embeddings.embed_uv`` would add moves nothing.  A
+    zero N comes with D = 1, so the difference is INFINITY.  An element on
+    (x,y) is valued as it is.
+    """
     host = q_sequence(cfg.p)
+    if f.ring.vars == ("x", "y"):
+        return value(f, host)
+    images = {("u", "v"): uv_images, ("x", "v"): xv_images}.get(f.ring.vars)
+    if images is None:
+        raise ValueError(f"no embedding from ring {f.ring}")
+    num, den = _cleared(f, images(cfg))
     return value(num, host) - value(den, host)
 
 
@@ -282,15 +299,14 @@ def cross_check(f: Poly | RatFunc, c: int) -> Certificate:
     """Value on (u,v) against the value of the embedded image on (x,y).
 
     The host valuation restricts to the base one, so the two independently
-    computed values must agree exactly.  The host side values the image's
-    cleared numerator and denominator (``_host_value``), unnormalized.
+    computed values must agree exactly.  The host side is ``host_value``.
     """
     p = f.ring.p
     ident = str(f)
 
     def run():
         base = value(f, p_sequence(p))
-        host = _host_value(f, EmbeddingConfig(p, c))
+        host = host_value(f, EmbeddingConfig(p, c))
         return str(base), str(host), base == host
 
     return check(f"engine/restriction/c={c}/{ident}", {"p": p, "c": c, "f": ident}, run)
@@ -347,8 +363,7 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
 def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
     """Cross-engine agreement on seeded random base-field elements.
 
-    Each host value is taken on the image's cleared pair (``_host_value``),
-    as ``cross_check`` takes it.
+    Each host value is ``host_value``'s, as in ``cross_check``.
     """
 
     def run():
@@ -358,7 +373,7 @@ def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
         bad, first = failures(
             samples,
             lambda: {"f": random_ratfunc(rng, seq.ring)},
-            lambda f: value(f, seq) != _host_value(f, cfg),
+            lambda f: value(f, seq) != host_value(f, cfg),
         )
         want = f"{samples} restrictions agree"
         return want, f"{samples - bad} agree; {first}" if bad else want, bad == 0

@@ -17,15 +17,14 @@ from valcert.artin_schreier import (
     ceiling_check,
     ceiling_family,
     dependence_report,
-    extended_value,
     gap_bound_sweep,
     gap_element_certificates,
     gap_value,
     ladder,
     verify_approximant_gap,
 )
-from valcert.embeddings import EmbeddingConfig, embed, embed_uv, embed_xv, uv_images, xv_images
-from valcert.engine import _host_value, value
+from valcert.embeddings import EmbeddingConfig, embed_uv, uv_images, xv_images
+from valcert.engine import host_value, value
 from valcert.keyseq import p_sequence, q_sequence
 from valcert.polys import (
     BudgetExceededError,
@@ -37,6 +36,7 @@ from valcert.polys import (
     ring_uv,
     ring_xv,
     ring_xy,
+    substitute,
     support_limit,
 )
 from valcert.sampling import random_level_element, random_ratfunc
@@ -76,9 +76,9 @@ def test_embeddings():
     u = Poly.var(ring_uv(2), "u")
     assert embed_uv(u, cfg) == RatFunc(x**2, Poly.one(host) + x)
     v_mid = Poly.var(ring_xv(2), "v")
-    assert embed_xv(v_mid, cfg) == RatFunc(y**2 + x * y)
+    assert substitute(v_mid, xv_images(cfg)) == RatFunc(y**2 + x * y)
     x_mid = Poly.var(ring_xv(2), "x")
-    assert embed_xv(x_mid, cfg) == RatFunc(x)
+    assert substitute(x_mid, xv_images(cfg)) == RatFunc(x)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -87,23 +87,23 @@ def test_generator(p):
     cfg = EmbeddingConfig.default(p)
     t = 1 / RatFunc(Poly.var(ring_xy(p), "x"))
     one_over_u = 1 / embed_uv(Poly.var(ring_uv(p), "u"), cfg)
-    assert extended_value(t, cfg) == Fraction(-1, p)
+    assert host_value(t, cfg) == Fraction(-1, p)
     assert (t**p - t - one_over_u).is_zero()
 
 
-def test_extended_value_examples():
+def test_host_value_examples():
     cfg = EmbeddingConfig.default(2)
     host = ring_xy(2)
     x = RatFunc(Poly.var(host, "x"))
     u_img = embed_uv(Poly.var(ring_uv(2), "u"), cfg)
-    assert extended_value(x**2, cfg) == 1
-    assert extended_value(-u_img * x, cfg) == Fraction(3, 2)  # 2 - 1/p
+    assert host_value(x**2, cfg) == 1
+    assert host_value(-u_img * x, cfg) == Fraction(3, 2)  # 2 - 1/p
     # accepts intermediate-field coordinates directly
     mid = ring_xv(2)
     f = RatFunc(Poly.one(mid), Poly.var(mid, "x"))
-    assert extended_value(f, cfg) == Fraction(-1, 2)
+    assert host_value(f, cfg) == Fraction(-1, 2)
     # and base coordinates, where it restricts to the base valuation
-    assert extended_value(Poly.var(ring_uv(2), "u"), cfg) == 1
+    assert host_value(Poly.var(ring_uv(2), "u"), cfg) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -443,14 +443,14 @@ def test_library_entry_points_reject_bad_arguments(setup2):
         build_approximants(tower[:2], 2, cfg)
     odd = Poly.var(Ring(2, ("a", "b")), "a")
     with pytest.raises(ValueError, match=r"no embedding from ring F2\[a,b\]"):
-        embed(odd, cfg)
+        host_value(odd, cfg)
 
 
 def test_gap_bound_zero_element(setup2):
     cfg, _, _ = setup2
     host = ring_xy(2)
     xp = RatFunc(Poly.var(host, "x")) ** 2
-    assert extended_value(-xp, cfg) == 1
+    assert host_value(-xp, cfg) == 1
     assert Fraction(1) <= gap_value(2, 0)
 
 
@@ -497,31 +497,66 @@ def _same_at_every_limit(route, oracle, label):
         limit += 1
 
 
+# The limit walk runs both routes once per limit up to the largest size
+# either checks, so the sampled level elements whose g - x the walk covers
+# are those that fit this many terms
+_WALK_TERMS = 100
+
+
 @pytest.mark.parametrize("p,c", [(p, m * (p - 1)) for p in (2, 3, 5, 7) for m in (1, 2)])
 def test_cleared_routes_match_the_ratfunc_routes(p, c):
-    # the ceiling values D - x*N and D, and the cross-check N and D, with
-    # N/D the image cleared by polys._cleared and never normalized; the
-    # oracles value embed_uv's normalized image.  The elements are the
-    # ceiling family of a level-1 ladder (f = 0, both approximant
-    # reciprocals, two pinned and two generic draws) and the key
-    # polynomial K_2 as one Poly input
+    # every route that values a cleared pair N/D (polys._cleared), never
+    # normalized, against the oracle that values the normalized RatFunc:
+    # the ceiling's D - x*N and D, and host_value's N and D, against
+    # embed_uv's image, on the ceiling family of a level-1 ladder (f = 0,
+    # both approximant reciprocals, two pinned and two generic draws) and
+    # the key polynomial K_2 as one Poly input; the Frobenius gap's
+    # N - x*D and D against p * value(embed_uv(g) - x), on both
+    # approximants and on level-0 and level-1 draws; and host_value on
+    # (x,v) elements against their image by substitute
     cfg = EmbeddingConfig(p, c)
     seq, base = q_sequence(p), p_sequence(p)
-    apprs = build_approximants(build_tower(p, 1, 3), 1, cfg)
+    tower = build_tower(p, 1, 3)
+    apprs = build_approximants(tower, 1, cfg)
     family = ceiling_family(random.Random(f"cleared:{p}:{c}"), apprs, 2, 2) + [("K2", base.poly(2))]
     for label, f in family:
         got = _same_at_every_limit(lambda: _ceiling_value(f, cfg, seq), lambda: _ceiling_oracle(f, cfg, seq), label)
         assert got == _ceiling_oracle(f, cfg, seq), label
-        got = _same_at_every_limit(lambda: _host_value(f, cfg), lambda: value(embed_uv(f, cfg), seq), label)
+        got = _same_at_every_limit(lambda: host_value(f, cfg), lambda: value(embed_uv(f, cfg), seq), label)
         assert got == value(embed_uv(f, cfg), seq) == value(f, base), label
+    x = xv_images(cfg)["x"]
+    rng = random.Random(f"cleared-gap:{p}:{c}")
+    draws = [random_level_element(rng, level, i_cap=1) for level in tower[:2] for _ in range(3)]
+    walked = 0
+    for g in [a.element for a in apprs] + draws:
+        def gap_oracle(g=g):
+            return p * value(embed_uv(g, cfg) - x, seq)
+
+        if isinstance(_outcome(gap_oracle, _WALK_TERMS), tuple):
+            continue
+        assert _same_at_every_limit(lambda: _frobenius_gap(g, cfg, seq), gap_oracle, str(g)) == gap_oracle()
+        walked += 1
+    assert walked >= 5, walked
+    mid = ring_xv(p)
+    rng_xv = random.Random(f"cleared-xv:{p}:{c}")
+    elements = [RatFunc(Poly.zero(mid)), Poly.var(mid, "v") ** p + Poly.var(mid, "x")]
+    elements += [1 / RatFunc(Poly.var(mid, "x")) + Poly.var(mid, "v")]
+    elements += [random_ratfunc(rng_xv, mid) for _ in range(3)]
+    for f in elements:
+        def xv_oracle(f=f):
+            return value(substitute(f, xv_images(cfg)), seq)
+
+        assert _same_at_every_limit(lambda: host_value(f, cfg), xv_oracle, str(f)) == xv_oracle()
     # closed forms: v(1/x) = -v(x) = -1/p, and 1/x - 1/h_k has the value
     # gap_k/p - 2/p, where 1/x - f cancels, so a slip in the sign of x*N
-    # shows at odd p
+    # shows at odd p; each approximant attains its ladder gap
     family = dict(family)
     assert _ceiling_value(family["0"], cfg, seq) == Fraction(-1, p)
     for k in (0, 1):
         got = _ceiling_value(family[f"1/approximant[{k}]"], cfg, seq)
         assert got == gap_value(p, k) / p - Fraction(2, p)
+        assert _frobenius_gap(apprs[k].element, cfg, seq) == gap_value(p, k)
+    assert host_value(elements[2], cfg) == -Fraction(1, p)
 
 
 def test_embedding_images_are_built_under_the_limit_in_force():
@@ -535,7 +570,7 @@ def test_embedding_images_are_built_under_the_limit_in_force():
     def overflows():
         sizes = []
         with support_limit(1):
-            for build in (lambda: _host_value(one, cfg), lambda: uv_images(cfg), lambda: xv_images(cfg)):
+            for build in (lambda: host_value(one, cfg), lambda: uv_images(cfg), lambda: xv_images(cfg)):
                 with pytest.raises(BudgetExceededError) as info:
                     build()
                 sizes.append(info.value.size)
@@ -547,7 +582,7 @@ def test_embedding_images_are_built_under_the_limit_in_force():
     uv_images(cfg), xv_images(cfg)
     assert overflows() == cold == [2, 2, 2]
     # nor is anything built under the limit hit after it
-    assert _host_value(one, cfg) == 0
+    assert host_value(one, cfg) == 0
 
 
 def test_ceiling_chain_identity(setup2):
@@ -612,4 +647,4 @@ def test_restriction_c_independence():
         base = value(f, seq)
         for c in (p - 1, 2 * (p - 1)):
             cfg = EmbeddingConfig(p, c)
-            assert extended_value(f, cfg) == base
+            assert host_value(f, cfg) == base

@@ -251,12 +251,14 @@ def test_flags_outside_their_readers_exit_2(capsys):
     # each used to run with exit 0, the flag dropped or, for --imax, the
     # ladder's sampled family reshaped
     ladder_runs = "ascheck t1 without --k, ascheck t2 without --f and ascheck report"
-    c_runs = "value --ring xy, value --ring xv, ascheck and fuzz --what cross"
+    c_runs = "value --ring xv, ascheck and fuzz --what cross"
     for argv, line in (
         ("--imax 9 --kmax 5 value u", f"--kmax is read only by tower, selftest, {ladder_runs}, not by value"),
         ("--c 3 expand v", f"--c is read only by {c_runs}, not by expand"),
         ("--c 3 tower", f"--c is read only by {c_runs}, not by tower"),
-        ("--c 3 value u", "--c is read only by value --ring xy and value --ring xv, not by value --ring uv"),
+        ("--c 3 value u", "--c is read only by value --ring xv, not by value --ring uv"),
+        # the host ring embeds nothing, so --c 1, 2 and 3 all printed 1/2
+        ("--c 3 value --ring xy x", "--c is read only by value --ring xv, not by value --ring xy"),
         ("--c 3 fuzz --what mult --samples 2", "--c is read only by fuzz --what cross, not by fuzz --what mult"),
         ("--c 3 fuzz --what ultra", "--c is read only by fuzz --what cross, not by fuzz --what ultra"),
         ("--p 5 --kmax 0 selftest", "--p is read only by value, expand, tower, ascheck and fuzz, not by selftest"),
@@ -269,7 +271,7 @@ def test_flags_outside_their_readers_exit_2(capsys):
     ):
         assert run_cli(argv.split(), capsys) == (2, "", f"error: {line}\n"), argv
     # the runs that embed still read --c, and the default p is 2
-    assert run_cli("--c 3 value --ring xy x".split(), capsys) == (0, "1/2\n", "")
+    assert run_cli("--c 3 value --ring xv v".split(), capsys) == (0, "1/4\n", "")
     code, out, _ = run_cli("--format structured --c 2 fuzz --what cross --samples 2".split(), capsys)
     assert code == 0 and json.loads(out)["config"]["p"] == 2
 

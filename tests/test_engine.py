@@ -412,10 +412,10 @@ def test_failing_sweeps_name_their_first_counterexample(monkeypatch):
     ]
     # the approximant attains the ladder value; every sample then beats it.
     # The approximant's gap is memoized, so the memo is cleared for the
-    # first patched call to be that gap; the entry it leaves is 2 * bound/2,
-    # the true gap
+    # first two patched calls to be that gap's, v(N - x*D) and v(D); the
+    # entry they leave is 2 * (bound/2 - 0), the true gap
     bound = gap_value(2, 0)
-    gaps = iter([bound / 2])
+    gaps = iter([bound / 2, 0])
     artin_schreier._attained_gap.cache_clear()
     monkeypatch.setattr(artin_schreier, "value", lambda f, seq: next(gaps, bound))
     certs.append((gap_bound_sweep(tower[0], appr, cfg, samples=3, seed=1), ring_uv(2)))
