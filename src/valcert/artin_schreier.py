@@ -41,8 +41,6 @@ from .values import INFINITY, omega
 
 __all__ = [
     "Approximant",
-    "DefectEvidence",
-    "EvidenceEntry",
     "gap_element_certificates",
     "build_approximants",
     "ladder",
@@ -50,6 +48,8 @@ __all__ = [
     "gap_bound_sweep",
     "ceiling_family",
     "ceiling_check",
+    "NOTE",
+    "verdict",
     "dependence_report",
 ]
 
@@ -326,34 +326,12 @@ def ceiling_check(
     return got, cert
 
 
-@dataclass
-class EvidenceEntry:
-    label: str
-    value: Fraction
-    below_ceiling: bool
-    below_criterion: bool
+NOTE = "finite sweep: falsifiable evidence for, not a proof of, the universally quantified criterion"
 
 
-@dataclass
-class DefectEvidence:
-    """Sweep evidence for the dependence criterion with exponent m.
-
-    The criterion asks that v(1/x - f) < -1/p^m for *every* base-field
-    element f.  A finite sweep can only falsify that, never prove it; the
-    verdict is "dependent-consistent" when no sampled element violated the
-    bound, and every entry is retained so a violation would be visible.
-    """
-
-    p: int
-    c: int
-    m: int
-    entries: list[EvidenceEntry]
-    verdict: str
-
-    note = (
-        "finite sweep: falsifiable evidence for, not a proof of, the "
-        "universally quantified criterion"
-    )
+def verdict(passed: bool) -> str:
+    """The dependence verdict of an ``as/dependence`` certificate that passed or failed."""
+    return "dependent-consistent" if passed else "criterion-violated"
 
 
 def dependence_report(
@@ -361,34 +339,32 @@ def dependence_report(
     approximants: list[Approximant],
     samples: int,
     seed: int,
-) -> tuple[DefectEvidence | None, Certificate]:
+) -> tuple[list[tuple[str, Fraction]] | None, Certificate]:
     """Run the ceiling check over the ceiling family, ``samples`` of each kind.
 
-    The criterion exponent is m = 2.  Returns the evidence with its
-    ``as/dependence`` certificate; the evidence is None when the
+    The criterion asks that v(1/x - f) < -1/p^m, m = 2, for *every*
+    base-field element f.  A finite sweep can only falsify that, never
+    prove it (``NOTE``): the ``as/dependence`` certificate passes, with the
+    verdict "dependent-consistent", when no sampled element violated the
+    bound.  Returns every (label, v(1/x - f)) entry, so a violation would be
+    visible, with the certificate; the entries are None when the
     certificate is budget-exceeded.
     """
     p = cfg.p
     m = 2
     seq = q_sequence(p)
     crit = Fraction(-1, p**m)
-    bound = ceiling(p)
-    evidence = None
+    entries = None
 
     def run():
-        nonlocal evidence
+        nonlocal entries
         rng = random.Random(f"{seed}:dependence")
         family = ceiling_family(rng, approximants, samples, samples)
-        entries = []
-        for label, f in family:
-            got = _ceiling_value(f, cfg, seq)
-            entries.append(EvidenceEntry(label, got, got < bound, got < crit))
-        ok = all(e.below_criterion for e in entries)
-        verdict = "dependent-consistent" if ok else "criterion-violated"
-        evidence = DefectEvidence(p, cfg.c, m, entries, verdict)
-        worst = max((e.value for e in entries if e.value is not INFINITY), default=None)
-        return f"all sampled values < -1/p^{m}", f"verdict {verdict}; supremum observed {worst}", ok
+        entries = [(label, _ceiling_value(f, cfg, seq)) for label, f in family]
+        ok = all(got < crit for _, got in entries)
+        worst = max((got for _, got in entries if got is not INFINITY), default=None)
+        return f"all sampled values < -1/p^{m}", f"verdict {verdict(ok)}; supremum observed {worst}", ok
 
     params = {"p": p, "c": cfg.c, "m": m, "entries": 1 + len(approximants) + 2 * samples}
     cert = check("as/dependence", params, run)
-    return evidence, cert
+    return entries, cert

@@ -2,19 +2,21 @@
 
 ``check`` runs one exact check as a timed certificate, and ``failures``
 runs the sampled sweep inside one: it counts the samples that fail and names
-the first in a form the command line can replay.
+the first in a form the command line can replay.  ``sweep`` is the two in
+one, for a sweep whose report is its count alone.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass, field
 
 from . import __version__
 from .polys import BudgetExceededError
 
-__all__ = ["Certificate", "Report", "check", "failures", "PASS", "FAIL", "BUDGET"]
+__all__ = ["Certificate", "Report", "check", "failures", "sweep", "PASS", "FAIL", "BUDGET"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -97,6 +99,24 @@ def failures(samples: int, draw, fails) -> tuple[int, str]:
                 shown = ", ".join(f"{name} = {_clip(str(x))}" for name, x in sample.items())
                 first = f"first failure: sample {n}, {shown}"
     return count, first
+
+
+def sweep(id_: str, params: dict, samples: int, rng_key: str, draw, fails, claim: str) -> Certificate:
+    """Run ``failures`` as the certificate ``id_``, drawing from one seeded rng.
+
+    ``draw(rng)`` returns one sample from the rng seeded with ``rng_key``
+    inside the check.  Both sides read "<samples> <claim>" when no sample
+    fails; else the actual reads "<passed> <last word of claim>; " and the
+    first failure.
+    """
+
+    def run():
+        rng = random.Random(rng_key)
+        bad, first = failures(samples, lambda: draw(rng), fails)
+        want = f"{samples} {claim}"
+        return want, f"{samples - bad} {claim.split()[-1]}; {first}" if bad else want, bad == 0
+
+    return check(id_, params, run)
 
 
 def _clip(text: str) -> str:

@@ -20,9 +20,9 @@ with a warning in the report), 1 any certificate failed, 2 malformed input
 --k, a flag given to a run that does not read it, expand of zero, an --out
 that cannot be opened), named in an "error:" line.  A reader that closes
 stdout early changes no exit code and prints no traceback.
-An --out whose directory is missing, that names a directory, or that cannot
-be written (an existing file that is read-only, or a new file in a read-only
-directory) exits 2 before the command runs.
+An --out that is empty, whose directory is missing, that names a directory,
+or that cannot be written (an existing file that is read-only, or a new file
+in a read-only directory) exits 2 before the command runs.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ from dataclasses import asdict, dataclass
 
 from .acceptance import run_all
 from .artin_schreier import (
+    NOTE,
     ceiling_check,
     ceiling_family,
     dependence_report,
     gap_bound_sweep,
     gap_element_certificates,
     ladder,
+    verdict,
     verify_approximant_gap,
 )
 from .certificates import BUDGET, Report, check
@@ -272,14 +274,13 @@ def cmd_ascheck(cfg: RunConfig, args, report: Report) -> str | None:
         return None
     # report
     _, apprs = ladder(cfg.embedding(), cfg.kmax)
-    evidence, cert = dependence_report(cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed)
+    entries, cert = dependence_report(cfg.embedding(), apprs, samples=max(cfg.samples // 4, 10), seed=cfg.seed)
     report.certificates.append(cert)
-    if evidence is None:
+    if entries is None:
         return None
-    lines = [f"verdict: {evidence.verdict} (m={evidence.m})", f"note: {evidence.note}"]
+    lines = [f"verdict: {verdict(cert.passed)} (m={cert.params['m']})", f"note: {NOTE}"]
     if args.dump_values:
-        for e in evidence.entries:
-            lines.append(f"{e.label:<24} value {e.value}")
+        lines += [f"{label:<24} value {got}" for label, got in entries]
     return "\n".join(lines) + "\n"
 
 
@@ -316,11 +317,11 @@ COMMANDS = {
 def _out_error(path: str) -> OSError | None:
     # why --out cannot be written, found before the command runs and
     # without opening the file, which would truncate it even when the
-    # command then fails to parse its input
+    # command then fails to parse its input.  An empty path names no file
     if os.path.isdir(path):
         return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(parent):
+    if not path or not os.path.isdir(parent):
         return FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     # an existing file is written in place, so its own mode decides; only
     # a file still to be created needs a writable directory
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    unwritable = _out_error(args.out) if args.out else None
+    unwritable = _out_error(args.out) if args.out is not None else None
     if unwritable is not None:
         print(f"error: {unwritable}", file=sys.stderr)
         return 2
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     if whole.status == BUDGET:
         report.certificates.append(whole)
     try:
-        sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+        sink = open(args.out, "w") if args.out is not None else nullcontext(sys.stdout)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
         # exits with its own code.  stdout is pointed at the null device, so
         # the interpreter's final flush of what is still buffered cannot
         # raise again
-        if not args.out:
+        if args.out is None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import Certificate, _clip, check, failures
+from .certificates import Certificate, _clip, check, sweep
 from .embeddings import EmbeddingConfig, uv_images, xv_images
 from .keyseq import GenSeq, p_sequence, q_sequence
 from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _cleared, _divmod_buckets
@@ -319,21 +319,14 @@ def _pair(rng: random.Random, ring: Ring) -> dict:
 
 def multiplicativity_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
     """value(f*g) == value(f) + value(g) over seeded random pairs."""
-
-    def run():
-        rng = random.Random(f"{seed}:mult:{seq.name}")
-        bad, first = failures(
-            samples,
-            lambda: _pair(rng, seq.ring),
-            lambda f, g: value(f * g, seq) != value(f, seq) + value(g, seq),
-        )
-        want = f"{samples} products split"
-        return want, f"{samples - bad} split; {first}" if bad else want, bad == 0
-
-    return check(
+    return sweep(
         f"engine/multiplicative/engine={seq.name}",
         {"engine": seq.name, "p": seq.p, "samples": samples, "seed": seed},
-        run,
+        samples,
+        f"{seed}:mult:{seq.name}",
+        lambda rng: _pair(rng, seq.ring),
+        lambda f, g: value(f * g, seq) != value(f, seq) + value(g, seq),
+        "products split",
     )
 
 
@@ -347,16 +340,14 @@ def ultrametric_sweep(seq: GenSeq, samples: int, seed: int) -> Certificate:
         vs = value(s, seq)
         return vs < lo or (vf != vg and vs != lo)
 
-    def run():
-        rng = random.Random(f"{seed}:ultra:{seq.name}")
-        bad, first = failures(samples, lambda: _pair(rng, seq.ring), fails)
-        want = f"{samples} sums dominated"
-        return want, f"{samples - bad} dominated; {first}" if bad else want, bad == 0
-
-    return check(
+    return sweep(
         f"engine/ultrametric/engine={seq.name}",
         {"engine": seq.name, "p": seq.p, "samples": samples, "seed": seed},
-        run,
+        samples,
+        f"{seed}:ultra:{seq.name}",
+        lambda rng: _pair(rng, seq.ring),
+        fails,
+        "sums dominated",
     )
 
 
@@ -365,21 +356,14 @@ def restriction_sweep(p: int, c: int, samples: int, seed: int) -> Certificate:
 
     Each host value is ``host_value``'s, as in ``cross_check``.
     """
-
-    def run():
-        rng = random.Random(f"{seed}:cross:{c}")
-        seq = p_sequence(p)
-        cfg = EmbeddingConfig(p, c)
-        bad, first = failures(
-            samples,
-            lambda: {"f": random_ratfunc(rng, seq.ring)},
-            lambda f: value(f, seq) != host_value(f, cfg),
-        )
-        want = f"{samples} restrictions agree"
-        return want, f"{samples - bad} agree; {first}" if bad else want, bad == 0
-
-    return check(
+    seq = p_sequence(p)
+    cfg = EmbeddingConfig(p, c)
+    return sweep(
         f"engine/restriction-sweep/c={c}",
         {"p": p, "c": c, "samples": samples, "seed": seed},
-        run,
+        samples,
+        f"{seed}:cross:{c}",
+        lambda rng: {"f": random_ratfunc(rng, seq.ring)},
+        lambda f: value(f, seq) != host_value(f, cfg),
+        "restrictions agree",
     )

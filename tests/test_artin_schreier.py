@@ -614,13 +614,14 @@ def test_dependence_report(p):
     k_max = 2 if p == 2 else 1
     tower = build_tower(p, k_max, k_max + 2)
     apprs = build_approximants(tower, k_max, cfg)
-    report, cert = dependence_report(cfg, apprs, samples=10, seed=11)
-    assert report.verdict == "dependent-consistent"
-    assert report.m == 2
-    assert all(e.below_ceiling and e.below_criterion for e in report.entries)
+    entries, cert = dependence_report(cfg, apprs, samples=10, seed=11)
     assert cert.passed
-    assert cert.params == {"p": p, "c": cfg.c, "m": 2, "entries": len(report.entries)}
-    assert "falsifiable" in report.note
+    assert cert.actual.startswith(f"verdict {artin_schreier.verdict(True)}; ")
+    assert cert.params == {"p": p, "c": cfg.c, "m": 2, "entries": len(entries)}
+    ceiling = Fraction(-2, p) + omega(p) / p
+    assert all(got < ceiling < Fraction(-1, p * p) for _, got in entries)
+    assert [label for label, _ in entries][: k_max + 2] == ["0", *(f"1/approximant[{k}]" for k in range(k_max + 1))]
+    assert "falsifiable" in artin_schreier.NOTE
 
 
 def test_dependence_budget_is_per_certificate():
@@ -629,8 +630,8 @@ def test_dependence_budget_is_per_certificate():
     cfg = EmbeddingConfig.default(2)
     apprs = build_approximants(build_tower(2, 0, 2), 0, cfg)
     with support_limit(30):
-        report, cert = dependence_report(cfg, apprs, samples=5, seed=0)
-    assert report is None
+        entries, cert = dependence_report(cfg, apprs, samples=5, seed=0)
+    assert entries is None
     assert cert.id == "as/dependence"
     assert cert.status == "budget-exceeded"
     assert cert.params == {"p": 2, "c": 1, "m": 2, "entries": 12}

@@ -319,13 +319,15 @@ def test_p_and_c_rules_have_one_message(p, c, error, capsys):
 
 def test_unwritable_out_exits_2_before_the_command_runs(capsys, monkeypatch, tmp_path):
     # a missing directory or a directory as --out used to surface only
-    # after the whole command had run; a file that exists is never opened
-    # before the run, so a parse error leaves it as it was
+    # after the whole command had run, and an empty --out wrote to stdout;
+    # a file that exists is never opened before the run, so a parse error
+    # leaves it as it was
     def never(*args):
         raise AssertionError("the command ran")
 
     monkeypatch.setitem(cli.COMMANDS, "selftest", never)
-    for path, reason in ((tmp_path / "no-such-dir" / "r.json", "No such file or directory"), (tmp_path, "Is a directory")):
+    missing = "No such file or directory"
+    for path, reason in ((tmp_path / "no-such-dir" / "r.json", missing), (tmp_path, "Is a directory"), ("", missing)):
         code, out, err = run_cli(["--out", str(path), "selftest"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and reason in err and str(path) in err

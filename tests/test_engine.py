@@ -185,9 +185,14 @@ def test_ultrametric_seeded():
 
 
 def test_sweep_certificates():
-    assert multiplicativity_sweep(p_sequence(2), 50, seed=1).passed
-    assert ultrametric_sweep(q_sequence(2), 50, seed=1).passed
-    assert restriction_sweep(3, 2, 20, seed=1).passed
+    # a passing sweep reads "<samples> <claim>" on both sides
+    for cert, want in (
+        (multiplicativity_sweep(p_sequence(2), 50, seed=1), "50 products split"),
+        (ultrametric_sweep(q_sequence(2), 50, seed=1), "50 sums dominated"),
+        (restriction_sweep(3, 2, 20, seed=1), "20 restrictions agree"),
+    ):
+        assert cert.passed
+        assert (cert.expected, cert.actual) == (want, want)
 
 
 def test_distinct_values_exhaustive_small():
@@ -410,6 +415,10 @@ def test_failing_sweeps_name_their_first_counterexample(monkeypatch):
         (ultrametric_sweep(q_sequence(3), 3, seed=1), ring_xy(3)),
         (restriction_sweep(3, 2, 3, seed=1), ring_uv(3)),
     ]
+    # each engine sweep keeps its claim and counts the samples that held it
+    for (cert, _), claim in zip(certs, ("products split", "sums dominated", "restrictions agree")):
+        assert cert.expected == f"3 {claim}"
+        assert cert.actual.startswith(f"0 {claim.split()[-1]}; first failure: sample 0, "), cert.actual
     # the approximant attains the ladder value; every sample then beats it.
     # The approximant's gap is memoized, so the memo is cleared for the
     # first two patched calls to be that gap's, v(N - x*D) and v(D); the
