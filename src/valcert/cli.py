@@ -18,8 +18,9 @@ Exit codes: 0 all certificates passed (budget-exceeded alone still exits 0,
 with a warning in the report), 1 any certificate failed, 2 malformed input
 (a usage, parse or configuration error, a non-integer VALCERT_SEED, a negative
 --k, a flag given to a run that does not read it, expand of zero, an --out
-that cannot be opened), named in an "error:" line.  A reader that closes
-stdout early changes no exit code and prints no traceback.
+that cannot be opened, an output that cannot be written, such as a full
+disk), named in an "error:" line.  A reader that closes stdout early
+changes no exit code and prints no traceback.
 An --out that is empty, whose directory is missing, that names a directory,
 or that cannot be written (an existing file that is read-only, or a new file
 in a read-only directory) exits 2 before the command runs.
@@ -383,15 +384,19 @@ def main(argv=None) -> int:
             if report.certificates:
                 out.write(report.to_json() if args.format == "structured" else report.to_text())
             out.flush()
-    except BrokenPipeError:
-        # the reader closed its end early, as `| head` does: the run still
-        # exits with its own code.  stdout is pointed at the null device, so
-        # the interpreter's final flush of what is still buffered cannot
-        # raise again
+    except OSError as e:
+        # a reader that closed its end early, as `| head` does, leaves the
+        # run its own exit code; any other write error, such as a full
+        # disk, exits 2.  stdout is pointed at the null device, so the
+        # interpreter's final flush of what is still buffered cannot raise
+        # again
         if args.out is None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write to {args.out or '<stdout>'}: {e.strerror or e}", file=sys.stderr)
+            return 2
     return report.exit_code()
 
 

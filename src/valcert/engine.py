@@ -40,7 +40,9 @@ polynomial of the ladder, is bucketed once as {e2: {e1: c}} for
 ``polys._divmod_buckets``, the one dict division kernel, which
 ``Poly.__divmod__`` wraps.  It divides the buckets in place: its quotient
 becomes the next dividend and its remainder is the digit, so no Poly is
-built per digit.  The tests check that kernel against sympy.
+built per digit.  It checks the quotient, then the remainder, against the
+budget, so ``value()`` overflows at the size ``expand()``'s division names.
+The tests check that kernel against sympy.
 
 ``host_value`` is the one route from the base, intermediate and host
 fields to the host engine: it values an embedded element on its cleared
@@ -57,7 +59,7 @@ from fractions import Fraction
 from .certificates import Certificate, _clip, check, sweep
 from .embeddings import EmbeddingConfig, uv_images, xv_images
 from .keyseq import GenSeq, p_sequence, q_sequence
-from .polys import Poly, RatFunc, Ring, _bucket, _check_budget, _cleared, _divmod_buckets
+from .polys import Poly, RatFunc, Ring, _bucket, _cleared, _divmod_buckets
 from .sampling import random_poly, random_ratfunc
 from .values import INFINITY
 
@@ -244,13 +246,11 @@ def _digits(levels: dict, deg: int, low: list, p: int):
     # The digits of nonzero bucketed terms in base y^deg + low, lowest
     # first, some of them empty: the remainder of each division, then the
     # last quotient, whose y-degree is below deg, without a division that
-    # would only copy it.  Each division consumes its dividend, and the
-    # budget checks its quotient, then its remainder, as Poly.__divmod__
-    # does.
+    # would only copy it.  Each division consumes its dividend, and
+    # _divmod_buckets checks its quotient, then its remainder, against the
+    # budget, for Poly.__divmod__ and here alike.
     while max(levels) >= deg:
         levels, digit = _divmod_buckets(levels, deg, low, p)
-        _check_budget(sum(map(len, levels.values())))
-        _check_budget(sum(map(len, digit.values())))
         yield digit
     yield levels
 

@@ -251,15 +251,7 @@ class Poly:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        p = self.ring.p
-        t = dict(self._t)
-        for e, c in g._t.items():
-            s = (t.get(e, 0) + c) % p
-            if s:
-                t[e] = s
-            elif e in t:
-                del t[e]
-        return Poly._make(self.ring, t)
+        return Poly._make(self.ring, _add_into(dict(self._t), g._t, self.ring.p))
 
     __radd__ = __add__
 
@@ -396,6 +388,18 @@ def _mul_dict(a: dict, b: dict, p: int) -> dict:
     return t
 
 
+def _add_into(t: dict, other: dict, p: int) -> dict:
+    # t + other over F_p, summed into t in place and returned: the one sum
+    # loop, whose inserts and deletes fix the order of the terms
+    for e, c in other.items():
+        s = (t.get(e, 0) + c) % p
+        if s:
+            t[e] = s
+        elif e in t:
+            del t[e]
+    return t
+
+
 def _mul_cut(a: dict, b: dict, p: int, wx: int, wy: int, cut: int) -> dict:
     # the terms of weight wx * e1 + wy * e2 <= cut of the product of two
     # term dicts over F_p, for positive weights wx and wy, as _mul_dict
@@ -448,7 +452,8 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
     Each step clears one whole row: it moves the row into the quotient, then
     subtracts it, times each term of low, from the lower row that term lands
     on.  levels is consumed: it becomes the remainder.  Returns (quotient,
-    remainder), both bucketed and without empty rows.
+    remainder), both bucketed and without empty rows, once the budget has
+    checked the quotient, then the remainder, for every caller alike.
     """
     heap = [-e2 for e2 in levels if e2 >= deg]
     heapq.heapify(heap)
@@ -476,6 +481,8 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
                     del lv[e1n]
     for e2 in [e2 for e2, bucket in levels.items() if not bucket]:
         del levels[e2]
+    _check_budget(sum(map(len, q.values())))
+    _check_budget(sum(map(len, levels.values())))
     return q, levels
 
 
@@ -610,21 +617,18 @@ class RatFunc:
         return f"RatFunc({self.ring}, {self})"
 
 
-# the term dict of the polynomial 1; _substitute_terms compares an image's
-# terms with it, since base == 1 would build a Poly and check its size
-# against the budget
-_ONE = {(0, 0): 1}
+_ONE = {(0, 0): 1}  # the terms of 1: base == 1 would build a Poly and check it
 
 
 # Each entry holds one power of one polynomial: a numerator or
 # denominator of an embedding image (substitute) or of a tower level's key
-# (sampling.random_level_element).  The set-up and
-# one round of a benchmark workload build 57 (oracle-mix) to 345
-# (ladder-sweep-p2-l1) distinct powers, of 139 to 4,214 terms in all; the
-# level keys' powers are 28 of the 345 (63 terms) and 30 of the 166 of
-# ladder-sweep-p3-l0 (64 terms).  The embeddings' images have at most two
-# terms, so an e-th power has at most e + 1: with the exponents up to 729
-# of those inputs, 512 entries hold at worst about 3.7 * 10^5 terms.  A
+# (sampling.random_level_element).  The set-up and one round of a
+# benchmark workload at seed 0 build 48 (oracle-mix) to 341
+# (ladder-sweep-p2-l1) distinct powers, of 121 to 4,210 terms in all; the
+# level keys' powers are 24 of the 341 (59 terms) and 20 of the 156 of
+# ladder-sweep-p3-l0 (54 terms).  The embeddings' images have at most two
+# terms, so an e-th power has at most e + 1: with the exponents, at most
+# 514 in those workloads, 512 entries hold at worst about 2.6 * 10^5 terms.  A
 # t-term key raised to a < p^2 has at most C(t + a - 1, a) terms: the
 # ladder workloads' keys have at most 4 terms at p = 2 (a <= 3) and 3 at
 # p = 3 (a <= 8), so at most 20 and 45, within that bound.  Other images
@@ -633,6 +637,19 @@ _ONE = {(0, 0): 1}
 @lru_cache(maxsize=512)
 def _power(base: Poly, e: int) -> Poly:
     return base**e
+
+
+def _times(part: dict, base: Poly, e: int, cut: tuple[int, int, int] | None = None) -> dict:
+    # the term dict part times base^e from the memo _power: by _mul_dict,
+    # as Poly.__mul__ forms it, or under cut = (wx, wy, c) by _mul_cut,
+    # then checked against the budget.  A factor of one (e = 0, or a base
+    # of one) returns part itself, whose size was checked already
+    if e == 0 or base._t == _ONE:
+        return part
+    power, p = _power(base, e)._t, base.ring.p
+    t = _mul_dict(part, power, p) if cut is None else _mul_cut(part, power, p, *cut)
+    _check_budget(len(t))
+    return t
 
 
 def substitute(f: Poly | RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
@@ -680,21 +697,18 @@ def _substitute_terms(
 
     Each term c * u^e1 * v^e2 becomes the part c * n1^e1 * d1^(max1 - e1)
     * n2^e2 * d2^(max2 - e2), over the shared denominator
-    d1^max1 * d2^max2.  Each product is part * power by _mul_dict, as
-    Poly.__mul__ forms it, and the parts are added into one dict with the
-    inserts and deletes of Poly.__add__, so every term comes out in the
-    order the Poly operations give, and the budget checks each product and
-    each partial sum at the size the Poly operations check.  A factor of
-    one (exponent 0, or an image denominator of one) is skipped: its
-    product has the size of the part it multiplies, which was checked
-    already.  A zero numerator comes with the denominator one, as a zero
-    RatFunc has.  Powers of the images come from the memo _power.
+    d1^max1 * d2^max2.  Each factor is multiplied in by _times, with
+    Poly.__mul__'s product and a budget check, and the parts are summed
+    into one dict by _add_into, Poly.__add__'s sum, so every term comes
+    out in the order the Poly operations give, and the budget checks each
+    product and each partial sum at the size the Poly operations check.  A
+    zero numerator comes with the denominator one, as a zero RatFunc has.
 
     With cut = (wx, wy, c), for positive integer weights wx and wy of the
     target's variables and c >= 0, the numerator holds only the terms of
     weight wx * e1 + wy * e2 <= c of the full one.  The monomials above c span an
-    ideal, so dropping them commutes with every product and sum: each
-    product is formed by _mul_cut, which forms no pair above c, and the
+    ideal, so dropping them commutes with every product and sum: _times
+    forms each product by _mul_cut, which forms no pair above c, and the
     budget checks it and each partial sum at the truncated size.  The terms
     come out in another order than the full build gives.  The denominator
     is built in full, as without a cut, so a caller that needs it whole
@@ -715,23 +729,10 @@ def _substitute_terms(
     max1 = f.deg1()
     max2 = f.deg2()
 
-    def times(part: dict, base: Poly, e: int, cut=cut) -> dict:
-        if e == 0 or base._t == _ONE:
-            return part
-        power = _power(base, e)._t
-        t = _mul_dict(part, power, p) if cut is None else _mul_cut(part, power, p, *cut)
-        _check_budget(len(t))
-        return t
-
     num: dict = {}
     for (e1, e2), c in f._t.items():
-        part = times(times({(0, 0): c}, img1.num, e1), img1.den, max1 - e1)
-        for e, d in times(times(part, img2.num, e2), img2.den, max2 - e2).items():
-            s = (num.get(e, 0) + d) % p
-            if s:
-                num[e] = s
-            elif e in num:
-                del num[e]
+        part = _times(_times({(0, 0): c}, img1.num, e1, cut), img1.den, max1 - e1, cut)
+        _add_into(num, _times(_times(part, img2.num, e2, cut), img2.den, max2 - e2, cut), p)
         _check_budget(len(num))
-    den = times(times({(0, 0): 1}, img1.den, max1, None), img2.den, max2, None)
+    den = _times(_times({(0, 0): 1}, img1.den, max1), img2.den, max2)
     return Poly._make(target, num), Poly._make(target, den) if num or cut else Poly.one(target)

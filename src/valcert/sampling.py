@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import engine  # by module: engine imports the samplers from here
 from .keyseq import GenSeq
-from .polys import Poly, RatFunc, Ring, _check_budget, _mul_dict, _power
+from .polys import Poly, RatFunc, Ring, _times
 
 __all__ = [
     "random_poly",
@@ -57,10 +57,10 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     and takes seconds.  The gap-bound sweep does not embed a draw whole; it
     builds only the low-weight terms of g - x that its bound reads.
 
-    Each summand is built on raw term dicts: its numerator and denominator
-    are multiplied by the terms of each key power from ``polys._power`` and
-    checked against the budget, numerator first, as ``RatFunc.__mul__``
-    checks them, then normalized once, as one ``RatFunc``.  Normalization
+    Each summand is built on raw term dicts: ``polys._times`` multiplies
+    its numerator, then its denominator, by each key power and checks each
+    product against the budget, as ``RatFunc.__mul__`` checks them, and the
+    summand is normalized once, as one ``RatFunc``.  Normalization
     divides out only a common monomial and a scalar, so each draw has the
     terms, in the same order, and overflows at the same size as the
     ``RatFunc`` chain ``c * K_(k,0)^a_0 * ...``.
@@ -68,22 +68,12 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
     p = level.p
     if max(level.keys) < i_cap:
         raise ValueError(f"level {level.k} holds keys up to {max(level.keys)}, below i_cap {i_cap}")
-
-    def times(num: dict, den: dict, i: int, a: int) -> tuple[dict, dict]:
-        key = level.keys[i]
-        kn, kd = _power(key.num, a)._t, _power(key.den, a)._t
-        num = _mul_dict(num, kn, p)
-        _check_budget(len(num))
-        den = _mul_dict(den, kd, p)
-        _check_budget(len(den))
-        return num, den
-
     out = None
     for _ in range(rng.randint(1, 3)):
         num, den = {(0, 0): rng.randint(1, p - 1)}, {(0, 0): 1}
         a = rng.randint(0, 2)
-        if a:
-            num, den = times(num, den, 0, a)
+        key = level.keys[0]
+        num, den = _times(num, key.num, a), _times(den, key.den, a)
         budget = 2 * p ** (2 * i_cap)
         picks = rng.sample(range(1, i_cap + 1), rng.randint(0, min(2, i_cap)))
         for i in sorted(picks, reverse=True):
@@ -93,7 +83,8 @@ def random_level_element(rng: random.Random, level, i_cap: int) -> RatFunc:
                 continue
             a = rng.randint(1, top)
             budget -= a * w
-            num, den = times(num, den, i, a)
+            key = level.keys[i]
+            num, den = _times(num, key.num, a), _times(den, key.den, a)
         part = RatFunc(Poly._make(level.u.ring, num), Poly._make(level.u.ring, den))
         out = part if out is None else out + part
     return out

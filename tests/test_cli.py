@@ -572,6 +572,21 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv):
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("to", ["stdout", "--out"])
+def test_unwritable_output_exits_2_with_one_error_line(to):
+    # a write that fails, here on a device that is always full, is an
+    # "error:" line and exit 2, not a traceback and exit 1, the code of a
+    # failed certificate
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(valcert.__file__))}
+    argv = [sys.executable, "-m", "valcert", *(["--out", "/dev/full"] if to == "--out" else []), "value", "u"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, stdout=full if to == "stdout" else subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    where = "<stdout>" if to == "stdout" else "/dev/full"
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == [f"error: cannot write to {where}: No space left on device"]
+
+
 def test_report_exit_code_logic():
     report = Report(config={})
     report.certificates.append(Certificate(id="a", status="pass"))

@@ -294,12 +294,15 @@ def test_value_budget_checks_both_radix_stages():
     # value() first divides f by S_3^2, then that remainder D_0 by S_3, and
     # checks each quotient, then each remainder.  On this input the four
     # sizes rise, so each limit below reaches one more check, and value()
-    # must name the size Poly.__divmod__ gives for that division.
+    # must name the size Poly.__divmod__ gives for that division.  At the
+    # same limits each of the two divisions, as expand() runs them, names
+    # its quotient's size before its remainder's, or passes.
     seq = q_sequence(2)
     f = Y**32 + Y**31 * (X + X**3 + X**6)
     assert seq.index_for_degree(f.deg2()) == 3
     key = seq.poly(3)
-    q1, d0 = divmod(f, key**2)
+    square = key**2
+    q1, d0 = divmod(f, square)
     q2, r2 = divmod(d0, key)
     sizes = [len(g.terms()) for g in (q1, d0, q2, r2)]
     assert sizes == sorted(set(sizes))
@@ -307,6 +310,15 @@ def test_value_budget_checks_both_radix_stages():
         with support_limit(limit), pytest.raises(BudgetExceededError) as info:
             value(f, seq)
         assert info.value.size == want, limit
+        for dividend, divisor, parts in ((f, square, (q1, d0)), (d0, key, (q2, r2))):
+            first = next((g.support_size for g in parts if g.support_size > limit), None)
+            named = None
+            with support_limit(limit):
+                try:
+                    divmod(dividend, divisor)
+                except BudgetExceededError as err:
+                    named = err.size
+            assert named == first, (limit, str(divisor))
 
 
 def test_key_index_one_too_low_raises_on_the_digit_exponent(monkeypatch):
