@@ -23,26 +23,40 @@ numerator is the tie.  ``expand()`` builds the explicit ``Expansion`` for the
 for ``value()``.
 
 ``value()`` holds one copy of that recursion, ``_stream``, which peels off
-each base-S_n digit j = a + p*b < p^2 in two radix stages: it divides by
-S_n^p for the digits D_b of base S_n^p, then each D_b by S_n for its p
-digits a, as in divide-and-conquer radix conversion.  That takes about p
-passes over the dividend where one division by S_n per digit takes about
-p^2/2.  S_n^p costs nothing to build: in characteristic p the Frobenius is
-additive and fixes every coefficient in F_p, so S_n^p is S_n with every
-exponent multiplied by p.  ``GenSeq.key_data`` builds the division data
-of S_n and S_n^p once per sequence and index, beside its value table.
-``expand()`` keeps the one-digit-at-a-time division, so the tests compare
-the two.
+each base-S_n digit j = a + p*b < p^2, for n >= 3, in two radix stages: it
+divides by S_n^p for the digits D_b of base S_n^p, then each D_b by S_n
+for its p digits a, as in divide-and-conquer radix conversion.  That takes
+about p passes over the dividend where one division by S_n per digit takes
+about p^2/2.  S_n^p costs nothing to build: in characteristic p the
+Frobenius is additive and fixes every coefficient in F_p, so S_n^p is S_n
+with every exponent multiplied by p.  ``GenSeq.key_data`` builds the
+division data of S_n and S_n^p once per sequence and index, beside its
+value table.
 
-``_stream`` runs on one term layout: an input that needs a division, such
-as the tower's sparse keys with exponents near 2^20 or a dense host
-polynomial of the ladder, is bucketed once as {e2: {e1: c}} for
-``polys._divmod_buckets``, the one dict division kernel, which
-``Poly.__divmod__`` wraps.  It divides the buckets in place: its quotient
-becomes the next dividend and its remainder is the digit, so no Poly is
-built per digit.  It checks the quotient, then the remainder, against the
-budget, so ``value()`` overflows at the size ``expand()``'s division names.
-The tests check that kernel against sympy.
+The base-S_2 digits, the last key of every expansion, need no division:
+S_2 = S_1^(p^2) - S_0 is a binomial, so for e2 = q*p^2 + r with q, r < p^2
+
+    y^e2 = y^r * (S_2 + x)^q = sum_(j <= q)  C(q, j) * x^(q-j) * y^r * S_2^j,
+
+and ``_s2_leaf`` sums each row of y^e2 straight into the rows (r, j) of
+the digits, with C(q, j) mod p from Lucas' theorem.  When it ends, its
+rows hold one term per key it streams.  While they sum, they can also hold
+terms that a later row cancels: at most one per nonzero C(q, j), j <= q,
+for each input term.  Like the keys set, they are not counted against the
+budget: the leaf makes no budget check.  ``expand()`` keeps the
+one-digit-at-a-time division by every S_n, S_2 included, and the tests
+compare the two.
+
+``_stream`` runs on one term layout: an input of y-degree p^2 or more,
+such as the tower's sparse keys with exponents near 2^20 or a dense host
+polynomial of the ladder, is bucketed once as {e2: {e1: c}}.  The leaf
+sums those rows in place, and ``polys._divmod_buckets``, the one dict
+division kernel, which ``Poly.__divmod__`` wraps, divides them in place:
+its quotient becomes the next dividend and its remainder is the digit, so
+no Poly is built per digit.  It checks the quotient, then the remainder,
+against the budget, so a division by S_n, n >= 3, overflows in
+``value()`` at the size ``expand()``'s division names.  The tests check
+that kernel against sympy.
 
 ``host_value`` is the one route from the base, intermediate and host
 fields to the host engine: it values an embedded element on its cleared
@@ -55,6 +69,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from .certificates import Certificate, _clip, check, sweep
 from .embeddings import EmbeddingConfig, uv_images, xv_images
@@ -215,9 +231,10 @@ def _stream(levels: dict, seq: GenSeq, coefs: list[int], acc: int, keys: set) ->
     # The digit recursion of _expand_into on bucketed terms {e2: {e1: c}},
     # carrying the partial term value as the integer acc; adds each term's
     # key to keys and returns the number of terms, so a shortfall in
-    # len(keys) reveals a tie.  The base-S_n digit j = a + p*b is peeled off
-    # in two radix stages: the digits D_b of base S_n^p, then the p digits
-    # a of each D_b in base S_n.
+    # len(keys) reveals a tie.  Below y^(p^4) the top key is S_1 or S_2,
+    # whose digits come in closed form; above it the base-S_n digit
+    # j = a + p*b is peeled off in two radix stages: the digits D_b of base
+    # S_n^p, then the p digits a of each D_b in base S_n.
     p = seq.p
     p2 = p * p
     d2 = max(levels)
@@ -227,6 +244,8 @@ def _stream(levels: dict, seq: GenSeq, coefs: list[int], acc: int, keys: set) ->
         m, step = coefs[0], coefs[1]
         keys.update([acc + e2 * step + m * e1 for e2, bucket in levels.items() for e1 in bucket])
         return sum(map(len, levels.values()))
+    if d2 < p2 * p2:
+        return _s2_leaf(levels, p, coefs, acc, keys)
     n = seq.index_for_degree(d2)
     deg, low, pdeg, plow = seq.key_data(n)
     step = coefs[n]
@@ -240,6 +259,54 @@ def _stream(levels: dict, seq: GenSeq, coefs: list[int], acc: int, keys: set) ->
                         raise AssertionError(f"digit exponent {j} >= p^2 in base-S{n} expansion")
                     count += _stream(digit, seq, coefs, acc + j * step, keys)
     return count
+
+
+def _s2_leaf(levels: dict, p: int, coefs: list[int], acc: int, keys: set) -> int:
+    # _stream's base-S_2 digits for p^2 <= d2 < p^4, with no division: the
+    # row {e1: c} of y^(q*p^2 + r) adds C(q, j) * c at e1 + q - j to the
+    # digit row (r, j) for each j < q, and the row itself to (r, q), as
+    # C(q, q) = 1.  Only rows of e2 >= q*p^2 + r reach (r, q), and rows
+    # arrive by increasing e2, so (r, q) is still empty then: the row moves
+    # there whole and later rows sum into it.  levels' rows are consumed,
+    # so they must not be a Poly's
+    p2 = p * p
+    lucas = _lucas(p)
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for e2 in sorted(levels):
+        row = levels[e2]
+        q, r = divmod(e2, p2)
+        for j, shift, b in lucas[q]:
+            out = rows.get((r, j))
+            if out is None:
+                # b and c are units of F_p, so no product vanishes
+                rows[r, j] = {e1 + shift: c * b % p for e1, c in row.items()}
+                continue
+            for e1, c in row.items():
+                e = e1 + shift
+                s = (out.get(e, 0) + c * b) % p
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+        rows[r, q] = row
+    m, step1, step2 = coefs[0], coefs[1], coefs[2]
+    count = 0
+    for (r, j), row in rows.items():
+        base = acc + j * step2 + r * step1
+        keys.update([base + m * e1 for e1 in row])
+        count += len(row)
+    return count
+
+
+@cache
+def _lucas(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    # for each q < p^2, (j, q - j, C(q, j) mod p) for the j < q with
+    # C(q, j) nonzero mod p.  Lucas' theorem: C(q, j) = C(q0, j0) * C(q1, j1)
+    # mod p for the base-p digits q = q0 + p*q1 and j = j0 + p*j1
+    return tuple(
+        tuple((j, q - j, c) for j in range(q) if (c := comb(q % p, j % p) * comb(q // p, j // p) % p))
+        for q in range(p * p)
+    )
 
 
 def _digits(levels: dict, deg: int, low: list, p: int):

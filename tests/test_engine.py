@@ -114,21 +114,33 @@ def test_reconstruction(seed):
     assert all(a < 4 for t in e.terms for a in t.a)
 
 
-@settings(max_examples=210, deadline=None)
+def leaf_poly(rng, ring):
+    # up to six terms of y-degree in [p^2, p^4), the closed-form base-S_2
+    # digits of value(), one of them at q = e2 // p^2 >= 2, where C(q, j)
+    # mod p need not be 1
+    p2 = ring.p**2
+    t = {(rng.randint(0, 7), rng.randrange(p2, p2 * p2)): rng.randint(1, ring.p - 1) for _ in range(5)}
+    t[rng.randint(0, 7), rng.randrange(2 * p2, p2 * p2)] = rng.randint(1, ring.p - 1)
+    return Poly(ring, t)
+
+
+@settings(max_examples=280, deadline=None)
 @given(
     st.sampled_from(["uv", "xy", "level", "sparse", "tower", "frob", "monomial"]),
-    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3, 5, 7]),
     st.integers(min_value=0, max_value=2**30),
 )
 def test_value_is_min_over_expansion(source, p, seed):
     # the streamed integer keys against the explicit expansion, whose
     # reconstruction test_reconstruction checks independently.  "level"
     # draws dense p = 2 host polynomials of the ladder; "sparse" spreads
-    # x-exponents thousands apart, as the tower's keys do.  The
-    # last three reach the radix split's empty digits: products of tower keys
-    # reach zero base-S_n digits inside a nonzero D_b, and p^t-th powers of
-    # a multiple of S_0, S_1 or S_2, bare or times a monomial, reach zero
-    # digits D_b of base S_n^p.
+    # x-exponents thousands apart, as the tower's keys do; these and
+    # "tower" are p = 2 alone.  The last three reach the radix split's
+    # empty digits: products of tower keys reach zero base-S_n digits inside
+    # a nonzero D_b, and p^t-th powers of a multiple of S_0, S_1 or S_2,
+    # bare or times a monomial, reach zero digits D_b of base S_n^p.  "uv"
+    # and "xy" add a draw for the closed-form base-S_2 digits; at p = 2
+    # every nonzero binomial is 1, so only p >= 3 tests their coefficients
     rng = random.Random(seed)
     if source == "level":
         seq = q_sequence(2)
@@ -145,19 +157,51 @@ def test_value_is_min_over_expansion(source, p, seed):
     elif source in ("frob", "monomial"):
         seq = q_sequence(p)
         g = rnd_poly(rng, seq.ring, max_deg=p + 2) * seq.poly(rng.randint(0, 2))
-        f = g.frob(rng.randint(1, 5 - p))
+        f = g.frob(rng.randint(1, max(1, 5 - p)))
         if source == "monomial":
             f = Poly.monomial(seq.ring, 1, rng.randint(0, p**3), rng.randint(0, p**3)) * f
         inputs = [f]
     else:
         seq = p_sequence(p) if source == "uv" else q_sequence(p)
-        inputs = [rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6)]
+        inputs = [rnd_poly(rng, seq.ring, max_deg=p**4 + 3, max_terms=6), leaf_poly(rng, seq.ring)]
     for f in inputs:
         exp = expand(f, seq)
         got = value(f, seq)
         assert got == min(exp.term_value(t) for t in exp.terms)
         # values lie in Z[1/p]: p^N is a multiple of the denominator for some N
         assert seq.p ** got.denominator.bit_length() % got.denominator == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_streamed_keys_are_the_expansion_term_values(p):
+    # every key value() streams, and their count, against the term values
+    # of expand(), which finds the base-S_2 digits by division, on inputs
+    # of y-degree p^2 to p^4.  In S_2^j * g, with g of y-degree below p^2,
+    # the binomial rows of (S_2 + x)^q collide and must cancel mod p down
+    # to g's own terms times S_2^j
+    from math import comb
+
+    from valcert.polys import _bucket
+
+    assert engine._lucas(p) == tuple(
+        tuple((j, q - j, comb(q, j) % p) for j in range(q) if comb(q, j) % p) for q in range(p * p)
+    )
+    rng = random.Random(f"leaf-keys:{p}")
+    for seq in (p_sequence(p), q_sequence(p)):
+        x, y = (Poly.var(seq.ring, name) for name in seq.ring.vars)
+        s2 = seq.poly(2)
+        inputs = [leaf_poly(rng, seq.ring) for _ in range(4)]
+        inputs += [s2 ** rng.randrange(2, p * p - 1) * rnd_poly(rng, seq.ring, max_deg=p * p - 1) for _ in range(3)]
+        # y^(p^4 - 1), whose p^2 binomials C(p^2 - 1, j) are all nonzero
+        inputs += [(s2 + x) ** (p * p - 1) * y ** (p * p - 1), s2 ** (p * p - 2) * (x + y + 1) ** (2 * p)]
+        den, coefs = seq.value_coefs(2)
+        for f in inputs:
+            assert p * p <= f.deg2() < p**4
+            exp = expand(f, seq)
+            keys = set()
+            count = engine._stream(_bucket(f._t), seq, coefs, 0, keys)
+            assert count == len(exp.terms) == len(keys)
+            assert {Fraction(k, den) for k in keys} == {exp.term_value(t) for t in exp.terms}
 
 
 def test_multiplicativity_seeded():
@@ -211,29 +255,44 @@ def test_distinct_values_exhaustive_small():
 def test_value_builds_each_key_data_once(monkeypatch):
     # a fresh sequence builds the division data of S_n, with S_n^p's, on the
     # first value() that divides by it; later calls reuse it and agree.
-    # keyseq calls polys._key_data by the name it imported
+    # keyseq calls polys._key_data, and engine polys._divmod_buckets, by the
+    # name it imported.  Every S_n divided by has n >= 3: the base-S_2
+    # digits come in closed form, so an input of y-degree below p^4 builds
+    # no key data and divides nothing
     from valcert import keyseq
 
-    built = []
-    key_data = keyseq._key_data
+    built, divided = [], []
+    key_data, divmod_buckets = keyseq._key_data, engine._divmod_buckets
 
     def spied(key):
         built.append(key)
         return key_data(key)
 
+    def counted(levels, *args):
+        divided.append(max(levels))
+        return divmod_buckets(levels, *args)
+
     monkeypatch.setattr(keyseq, "_key_data", spied)
+    monkeypatch.setattr(engine, "_divmod_buckets", counted)
     x3, y3 = Poly.var(ring_xy(3), "x"), Poly.var(ring_xy(3), "y")
     for f, shared in (
         ((U + V + 1) ** 20, p_sequence(2)),
         (TOWER_POLYS[-1], p_sequence(2)),
-        ((x3 + y3 + 1) ** 10 * (y3**9 + x3), q_sequence(3)),
+        ((x3 + y3 + 1) ** 10 * (y3**81 + x3), q_sequence(3)),
+        ((x3 + y3 + 1) ** 10 * (y3**70 + x3), q_sequence(3)),
     ):
         seq = GenSeq(shared.ring, shared.scale, shared.name)
         want = value(f, shared)
         built.clear()
+        divided.clear()
         assert [value(f, seq) for _ in range(3)] == [want] * 3
-        # a sparse input reaches only some of S_2..S_top
-        assert len(set(built)) == len(built) and seq.poly(seq.index_for_degree(f.deg2())) in built
+        top = seq.index_for_degree(f.deg2())
+        if top == 2:
+            assert not built and not divided
+            continue
+        # a sparse input reaches only some of S_3..S_top
+        assert len(set(built)) == len(built) and seq.poly(top) in built and divided
+        assert all(g.deg2() >= seq.p**4 for g in built)
 
 
 def test_corrupted_value_table_aborts_loudly():
@@ -272,9 +331,10 @@ def test_packed_value_budget_names_the_dict_size(monkeypatch):
     # value() streams a dense p = 2 input through the bucketed recursion,
     # which checks each quotient and remainder against the budget, so it
     # names the size of the first one past the limit: here the quotient of
-    # the first division, by S_2^2, as Poly.__divmod__ builds it
+    # the first division, by S_3^2, as Poly.__divmod__ builds it
     seq = q_sequence(2)
-    f = (X + Y + 1) ** 9 * (Y**5 + X**3 * Y + X)
+    f = (X + Y + 1) ** 9 * (Y**40 + X**3 * Y + X)
+    assert seq.index_for_degree(f.deg2()) == 3
     stream = engine._stream
     streamed = []
 
@@ -334,7 +394,7 @@ def test_key_index_one_too_low_raises_on_the_digit_exponent(monkeypatch):
 
 
 def test_value_routes_dict_inputs_through_buckets(monkeypatch):
-    # inputs that need a division, sparse p = 2 ones (a tower key), dense
+    # inputs of y-degree p^2 or more, sparse p = 2 ones (a tower key), dense
     # p = 2 ones and odd-p ones, run the bucketed digit recursion and build
     # no Poly per digit; small inputs take the one-pass leaf
     def no_divmod(f, g):
