@@ -264,6 +264,7 @@ def gap_bound_sweep(
         rng = random.Random(f"{seed}:gapbound:k={k}")
         over, first = failures(
             samples,
+            seed,
             lambda: {"g": random_level_element(rng, level, i_cap=k + 3)},
             lambda g: _gap_exceeds(g, cfg, host_seq, bound),
         )

@@ -79,16 +79,18 @@ def check(id_: str, params: dict, fn) -> Certificate:
     return Certificate(id=id_, params=params, expected=expected, actual=actual, status=status, elapsed=elapsed)
 
 
-def failures(samples: int, draw, fails) -> tuple[int, str]:
+def failures(samples: int, seed: int, draw, fails) -> tuple[int, str]:
     """Run ``samples`` draws; return how many failed and the first failure.
 
     ``draw()`` returns one sample as a dict of named elements, and
     ``fails(**sample)`` says whether it breaks the checked property.  The
-    first failure is "" when none failed, else its index and elements.
-    An element of at most 400 characters is printed whole, in a form
-    parse_expr reads back; a longer one is cut there and ends " ...".
-    Only `valcert value` and `ascheck t2 --f` replay an element, and no
-    command forms a gap-sweep sample's g - x.
+    first failure is "" when none failed, else "first failure: sample n
+    (replay: --seed S --samples n+1), " and its elements.  The draws are
+    prefix-stable, so the sweep's own command with those flags draws the
+    same first n + 1 samples and reports the same first failure, also where
+    an element is too long to print whole.  An element of at most 400
+    characters is printed whole, in a form parse_expr reads back; a longer
+    one is cut there and ends " ...".
     """
     count, first = 0, ""
     for n in range(samples):
@@ -97,7 +99,7 @@ def failures(samples: int, draw, fails) -> tuple[int, str]:
             count += 1
             if not first:
                 shown = ", ".join(f"{name} = {_clip(str(x))}" for name, x in sample.items())
-                first = f"first failure: sample {n}, {shown}"
+                first = f"first failure: sample {n} (replay: --seed {seed} --samples {n + 1}), {shown}"
     return count, first
 
 
@@ -105,14 +107,15 @@ def sweep(id_: str, params: dict, samples: int, rng_key: str, draw, fails, claim
     """Run ``failures`` as the certificate ``id_``, drawing from one seeded rng.
 
     ``draw(rng)`` returns one sample from the rng seeded with ``rng_key``
-    inside the check.  Both sides read "<samples> <claim>" when no sample
+    inside the check, and the first failure's replay names
+    ``params["seed"]``.  Both sides read "<samples> <claim>" when no sample
     fails; else the actual reads "<passed> <last word of claim>; " and the
     first failure.
     """
 
     def run():
         rng = random.Random(rng_key)
-        bad, first = failures(samples, lambda: draw(rng), fails)
+        bad, first = failures(samples, params["seed"], lambda: draw(rng), fails)
         want = f"{samples} {claim}"
         return want, f"{samples - bad} {claim.split()[-1]}; {first}" if bad else want, bad == 0
 

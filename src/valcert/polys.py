@@ -405,10 +405,12 @@ def _mul_cut(a: dict, b: dict, p: int, wx: int, wy: int, cut: int) -> dict:
     # term dicts over F_p, for positive weights wx and wy, as _mul_dict
     # filtered.  The smaller factor's terms, sorted by weight, run in the
     # inner loop, which stops at its first pair above the cut, so no pair
-    # above it is formed
+    # above it is formed.  An empty factor gives {} before any sort
+    if not a or not b:
+        return {}
     big, small = (a, b) if len(a) > len(b) else (b, a)
     rows = sorted((wx * b1 + wy * b2, b1, b2, d) for (b1, b2), d in small.items())
-    least = rows[0][0] if rows else cut + 1
+    least = rows[0][0]
     t: dict = {}
     for (a1, a2), c in big.items():
         room = cut - wx * a1 - wy * a2
@@ -623,16 +625,18 @@ _ONE = {(0, 0): 1}  # the terms of 1: base == 1 would build a Poly and check it
 # Each entry holds one power of one polynomial: a numerator or
 # denominator of an embedding image (substitute) or of a tower level's key
 # (sampling.random_level_element).  The set-up and one round of a
-# benchmark workload at seed 0 build 48 (oracle-mix) to 341
-# (ladder-sweep-p2-l1) distinct powers, of 121 to 4,210 terms in all; the
-# level keys' powers are 24 of the 341 (59 terms) and 20 of the 156 of
-# ladder-sweep-p3-l0 (54 terms).  The embeddings' images have at most two
-# terms, so an e-th power has at most e + 1: with the exponents, at most
-# 514 in those workloads, 512 entries hold at worst about 2.6 * 10^5 terms.  A
-# t-term key raised to a < p^2 has at most C(t + a - 1, a) terms: the
-# ladder workloads' keys have at most 4 terms at p = 2 (a <= 3) and 3 at
-# p = 3 (a <= 8), so at most 20 and 45, within that bound.  Other images
-# and keys are bounded only by the budget each build ran under.
+# benchmark workload at seed 0 build 48 distinct powers (oracle-mix, 121
+# terms in all), 43 (ladder-sweep-p3-l0, 186 terms) or 305
+# (ladder-sweep-p2-l1, 3,954 terms); the weight cut of _substitute_terms
+# leaves the powers of the parts it skips unbuilt.  The level keys' powers
+# are 24 of the 305 (59 terms) and 20 of the 43 (54 terms).  The
+# embeddings' images have at most two terms, so an e-th power has at most
+# e + 1: with the exponents, at most 514 in those workloads, 512 entries
+# hold at worst about 2.6 * 10^5 terms.  A t-term key raised to a < p^2
+# has at most C(t + a - 1, a) terms: the ladder workloads' keys have at
+# most 4 terms at p = 2 (a <= 3) and 3 at p = 3 (a <= 8), so at most 20
+# and 45, within that bound.  Other images and keys are bounded only by
+# the budget each build ran under.
 @_budget_memo
 @lru_cache(maxsize=512)
 def _power(base: Poly, e: int) -> Poly:
@@ -713,6 +717,18 @@ def _substitute_terms(
     come out in another order than the full build gives.  The denominator
     is built in full, as without a cut, so a caller that needs it whole
     reads it from here.
+
+    Under a cut a term's part is skipped whole when its least-weight bound
+    passes c.  With l(h) the least weight of a term of h, every term of a
+    product weighs at least the sum of its factors' least weights, so every
+    term of the part weighs at least e1 * l(n1) + (max1 - e1) * l(d1) +
+    e2 * l(n2) + (max2 - e2) * l(d2).  Past c the truncated part is empty,
+    and the four products would give {}: skipping it keeps every term of
+    the numerator and their order.  The test comes before the part's first
+    product, so a skipped part builds none of its factors' powers.  The
+    budget checks it skips are of empty dicts, but building a power checks
+    its size too, so under a small limit a build can finish that would
+    otherwise overflow in a power whose part the cut empties.
     """
     v1, v2 = f.ring.vars
     try:
@@ -729,8 +745,13 @@ def _substitute_terms(
     max1 = f.deg1()
     max2 = f.deg2()
 
+    if cut is not None:
+        wx, wy, top = cut
+        l1, l2, l3, l4 = (min(wx * a + wy * b for a, b in h._t) for h in (img1.num, img1.den, img2.num, img2.den))
     num: dict = {}
     for (e1, e2), c in f._t.items():
+        if cut is not None and l1 * e1 + l2 * (max1 - e1) + l3 * e2 + l4 * (max2 - e2) > top:
+            continue  # every term of the part weighs more than the cut
         part = _times(_times({(0, 0): c}, img1.num, e1, cut), img1.den, max1 - e1, cut)
         _add_into(num, _times(_times(part, img2.num, e2, cut), img2.den, max2 - e2, cut), p)
         _check_budget(len(num))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from valcert import artin_schreier
+from valcert import artin_schreier, polys
 from valcert.artin_schreier import (
     _attained_gap,
     _ceiling_value,
@@ -346,6 +346,33 @@ def _ladder(p, k):
     cfg = EmbeddingConfig.default(p)
     tower, apprs = ladder(cfg, k)
     return cfg, tower, apprs[k]
+
+
+@pytest.mark.parametrize("p,k", [(3, 0), (2, 1)])
+def test_cut_substitution_forms_no_empty_product(p, k, monkeypatch):
+    # each of the uv images' numerators and denominators has one term of
+    # least weight, so a part's least-weight bound is the least weight of
+    # its product: _substitute_terms skips every part the cut empties
+    # before its first product and forms no empty one.  Over the seed-0
+    # draws of the sweep, no truncated product made through polys._times
+    # is empty; one that is shows a skip that stopped firing
+    cfg, tower, appr = _ladder(p, k)
+    _, (wx, wy) = q_sequence(p).value_coefs(1)
+    for image in uv_images(cfg).values():
+        for h in (image.num, image.den):
+            weights = [wx * a + wy * b for a, b in h._t]
+            assert weights.count(min(weights)) == 1, str(h)
+    sizes = []
+    mul_cut = polys._mul_cut
+
+    def spy(*args):
+        t = mul_cut(*args)
+        sizes.append(len(t))
+        return t
+
+    monkeypatch.setattr(polys, "_mul_cut", spy)
+    assert gap_bound_sweep(tower[k], appr, cfg, samples=100, seed=0).passed
+    assert sizes and 0 not in sizes, (len(sizes), sizes.count(0))
 
 
 @pytest.mark.parametrize("p,k_max", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])

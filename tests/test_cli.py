@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -427,6 +429,33 @@ def test_structured_reports_are_byte_identical(tmp_path, capsys):
     assert doc["config"]["seed"] == 3
     assert all(c["status"] == "pass" for c in doc["certificates"])
     assert all("elapsed" not in c for c in doc["certificates"])
+
+
+@pytest.mark.parametrize("seed,command", [("3", "ascheck t1 --k 0"), ("0", "--p 3 fuzz --what mult")])
+def test_a_first_failure_replays_from_the_flags_it_names(seed, command, capsys, monkeypatch):
+    # a value() and a gap test that read their input's text alone fail the
+    # same samples on every run, the first of them past sample 0.  Each
+    # failing sweep names "first failure: sample n (replay: --seed S
+    # --samples n+1)"; the command run with those flags reports the same
+    # first failure, element included
+    from valcert import artin_schreier, engine
+
+    monkeypatch.setattr(engine, "value", lambda f, seq: Fraction(len(str(f)) % 3))
+    monkeypatch.setattr(artin_schreier, "_gap_exceeds", lambda g, cfg, seq, bound: len(str(g)) % 3 == 0)
+
+    def first_failures(flags):
+        code, out, _ = run_cli(["--format", "structured", *flags, *command.split()], capsys)
+        assert code == 1
+        return {c["id"]: c["actual"].partition("; first failure: ")[2] for c in json.loads(out)["certificates"]}
+
+    failing = {cid: first for cid, first in first_failures(["--seed", seed, "--samples", "20"]).items() if first}
+    past_zero = 0
+    for cid, first in failing.items():
+        n, replay = re.match(r"sample (\d+) \(replay: (--seed \S+ --samples \d+)\), ", first).groups()
+        assert replay == f"--seed {seed} --samples {int(n) + 1}"
+        assert first_failures(replay.split())[cid] == first
+        past_zero += n != "0"
+    assert past_zero
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

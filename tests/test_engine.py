@@ -490,7 +490,8 @@ def test_failing_sweeps_name_their_first_counterexample(monkeypatch):
     # each engine sweep keeps its claim and counts the samples that held it
     for (cert, _), claim in zip(certs, ("products split", "sums dominated", "restrictions agree")):
         assert cert.expected == f"3 {claim}"
-        assert cert.actual.startswith(f"0 {claim.split()[-1]}; first failure: sample 0, "), cert.actual
+        first = "first failure: sample 0 (replay: --seed 1 --samples 1), "
+        assert cert.actual.startswith(f"0 {claim.split()[-1]}; {first}"), cert.actual
     # the approximant attains the ladder value; every sample then beats it.
     # The approximant's gap is memoized, so the memo is cleared for the
     # first two patched calls to be that gap's, v(N - x*D) and v(D); the
@@ -502,7 +503,7 @@ def test_failing_sweeps_name_their_first_counterexample(monkeypatch):
     certs.append((gap_bound_sweep(tower[0], appr, cfg, samples=3, seed=1), ring_uv(2)))
     for cert, ring in certs:
         assert not cert.passed
-        head, _, named = cert.actual.partition("first failure: sample 0, ")
+        head, _, named = cert.actual.partition("first failure: sample 0 (replay: --seed 1 --samples 1), ")
         assert head.startswith("0 ") and named, cert.actual
         for part in named.split(", "):
             name, _, text = part.partition(" = ")

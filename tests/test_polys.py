@@ -17,10 +17,12 @@ from valcert.polys import (
     RingMismatchError,
     _mul_cut,
     _mul_dict,
+    _add_into,
     _power,
     _cleared,
     _same_ring,
     _substitute_terms,
+    _times,
     ring_uv,
     ring_xv,
     ring_xy,
@@ -652,6 +654,62 @@ def test_cut_substitution_matches_the_filtered_one(p, which, wx, wy, cut, data):
     assert got_num._t == _weight_filter(num._t, wx, wy, cut)
     if f:
         assert got_den._t == den._t
+
+
+def _chained_terms(f, images, cut=None):
+    # _substitute_terms without the least-weight bound: every part runs
+    # all four products, however far above the cut.  The oracle of the
+    # bounded build's terms and their order
+    img1, img2 = (images[name] for name in f.ring.vars)
+    max1, max2, p = f.deg1(), f.deg2(), f.ring.p
+    num: dict = {}
+    for (e1, e2), c in f._t.items():
+        part = _times(_times({(0, 0): c}, img1.num, e1, cut), img1.den, max1 - e1, cut)
+        _add_into(num, _times(_times(part, img2.num, e2, cut), img2.den, max2 - e2, cut), p)
+    den = _times(_times({(0, 0): 1}, img1.den, max1), img2.den, max2)
+    return num, den if num or cut else {(0, 0): 1}
+
+
+def _part_bounds(f, images, wx, wy):
+    # the least-weight bound of each term's part, from the images' least
+    # weights
+    img1, img2 = (images[name] for name in f.ring.vars)
+    l1, l2, l3, l4 = (min(wx * a + wy * b for a, b in h._t) for h in (img1.num, img1.den, img2.num, img2.den))
+    max1, max2 = f.deg1(), f.deg2()
+    return [l1 * e1 + l2 * (max1 - e1) + l3 * e2 + l4 * (max2 - e2) for e1, e2 in f._t]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bounded_cut_substitution_keeps_the_chained_terms_in_order(p):
+    # the bound skips only parts whose four products the chain gives as
+    # {}, so numerator and denominator have the chain's terms in the
+    # chain's order: with no cut, at a cut below every part's bound, at
+    # each part's own bound and at drawn cuts, for weights that tie the
+    # images' least terms (wx = wy; 2 * wx = wy for x^2 + y; 2 * wy = wx
+    # for y^2 + x at p = 2) and ones that do not.  A part's truncated
+    # product is empty exactly when its bound passes the cut (initial
+    # forms multiply in a domain), so a one-term f at its own bound keeps
+    # a term: a skip at a bound equal to the cut fails here
+    rng = random.Random(p)
+    skipped = 0
+    for ring, images in _image_sets(p):
+        for wx, wy in [(1, 1), (2, 2), (1, 2), (2, 1), (1, 3), (3, 2)]:
+            for n in range(10):
+                terms = 1 if n < 3 else rng.randint(2, 5)
+                f = Poly(ring, {(rng.randrange(6), rng.randrange(6)): rng.randrange(1, p) for _ in range(terms)})
+                bounds = _part_bounds(f, images, wx, wy)
+                for top in [None, min(bounds) - 1, *bounds, rng.randrange(30)]:
+                    if top is not None and top < 0:
+                        continue
+                    cut = None if top is None else (wx, wy, top)
+                    num, den = _substitute_terms(f, images, cut)
+                    want_num, want_den = _chained_terms(f, images, cut)
+                    assert list(num._t.items()) == list(want_num.items()), (str(f), cut)
+                    assert list(den._t.items()) == list(want_den.items()), (str(f), cut)
+                    if top is not None and len(bounds) == 1:
+                        assert bool(num) == (top >= bounds[0]), (str(f), cut)
+                    skipped += top is not None and top < max(bounds)
+    assert skipped
 
 
 @settings(max_examples=60, deadline=None)
