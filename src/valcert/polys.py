@@ -371,12 +371,24 @@ def _mul_dict(a: dict, b: dict, p: int) -> dict:
     # output, and every product that becomes a Poly leaves it to this one
     # rule.  A one-term small is a monomial shift of big: no two products
     # collide and c * d is nonzero in F_p, so the comprehension builds the
-    # dict the loop would, in the same order
+    # dict the loop would, in the same order.  Over F_2 every stored
+    # coefficient is 1, so each pair toggles its exponent: the pop deletes
+    # a present term and the insert adds an absent one, at exactly the
+    # moments the general loop does, so the keys and their order are the
+    # same
     big, small = (a, b) if len(a) > len(b) else (b, a)
     if len(small) == 1:
         ((a1, a2), c), = small.items()
         return {(a1 + b1, a2 + b2): c * d % p for (b1, b2), d in big.items()}
     t: dict = {}
+    if p == 2:
+        pop = t.pop
+        for a1, a2 in small:
+            for b1, b2 in big:
+                e = (a1 + b1, a2 + b2)
+                if pop(e, None) is None:
+                    t[e] = 1
+        return t
     for (a1, a2), c in small.items():
         for (b1, b2), d in big.items():
             e = (a1 + b1, a2 + b2)
@@ -456,6 +468,10 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
     on.  levels is consumed: it becomes the remainder.  Returns (quotient,
     remainder), both bucketed and without empty rows, once the budget has
     checked the quotient, then the remainder, for every caller alike.
+
+    Over F_2 every stored coefficient is 1, so each subtracted term
+    toggles its place in the lower row, as in _mul_dict: it inserts and
+    deletes where the general update does, and every row keeps its order.
     """
     heap = [-e2 for e2 in levels if e2 >= deg]
     heapq.heapify(heap)
@@ -474,13 +490,20 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
                 lv = levels[e2n] = {}
                 if e2n >= deg:
                     heapq.heappush(heap, -e2n)
-            for e1, c in bucket.items():
-                e1n = e1 + b1
-                s = (lv.get(e1n, 0) - c * cv) % p
-                if s:
-                    lv[e1n] = s
-                elif e1n in lv:
-                    del lv[e1n]
+            if p == 2:
+                pop = lv.pop
+                for e1 in bucket:
+                    e1n = e1 + b1
+                    if pop(e1n, None) is None:
+                        lv[e1n] = 1
+            else:
+                for e1, c in bucket.items():
+                    e1n = e1 + b1
+                    s = (lv.get(e1n, 0) - c * cv) % p
+                    if s:
+                        lv[e1n] = s
+                    elif e1n in lv:
+                        del lv[e1n]
     for e2 in [e2 for e2, bucket in levels.items() if not bucket]:
         del levels[e2]
     _check_budget(sum(map(len, q.values())))

@@ -1,5 +1,6 @@
 """Sparse polynomial and rational-function arithmetic."""
 
+import heapq
 import random
 import re
 
@@ -137,7 +138,7 @@ def test_divmod_matches_sympy(ring, d, data):
 
 def _mul_loop(big: dict, small: dict, p: int) -> dict:
     # the general loop of _mul_dict, one small term at a time: the oracle of
-    # its one-term path
+    # its one-term path and of its F_2 toggle
     t: dict = {}
     for (a1, a2), c in small.items():
         for (b1, b2), d in big.items():
@@ -239,6 +240,97 @@ def test_divmod_by_key_polynomials_matches_sympy():
         f = (x**3 + x * y) * host.poly(i - 1) ** 5 + key * y**3 + x**5 * y ** (key.deg2() + 1) + 1
         q, r = divmod(f, key)
         assert (_sympy(q), _sympy(r)) == _sympy(f).div(_sympy(key))
+
+
+def _divmod_loop(levels: dict, deg: int, low: list, p: int) -> tuple[dict, dict]:
+    # the general row update of _divmod_buckets over F_p, without its
+    # budget checks: the oracle of its F_2 toggle
+    heap = [-e2 for e2 in levels if e2 >= deg]
+    heapq.heapify(heap)
+    q: dict[int, dict[int, int]] = {}
+    while heap:
+        d = -heapq.heappop(heap)
+        bucket = levels.pop(d)
+        if not bucket:
+            continue
+        shift = d - deg
+        q[shift] = bucket
+        for (b1, b2), cv in low:
+            e2n = shift + b2
+            lv = levels.get(e2n)
+            if lv is None:
+                lv = levels[e2n] = {}
+                if e2n >= deg:
+                    heapq.heappush(heap, -e2n)
+            for e1, c in bucket.items():
+                e1n = e1 + b1
+                s = (lv.get(e1n, 0) - c * cv) % p
+                if s:
+                    lv[e1n] = s
+                elif e1n in lv:
+                    del lv[e1n]
+    for e2 in [e2 for e2, bucket in levels.items() if not bucket]:
+        del levels[e2]
+    return q, levels
+
+
+def _rows(levels: dict) -> list:
+    # bucketed terms with the order of their rows and of each row's terms
+    return [(e2, list(row.items())) for e2, row in levels.items()]
+
+
+def _crowded(rng: random.Random, n: int, w1: int, w2: int) -> dict:
+    # n distinct exponents of F_2 terms in a w1 x w2 box, in draw order:
+    # in a box this small most products of two such dicts collide
+    t: dict = {}
+    while len(t) < n:
+        t[rng.randrange(w1), rng.randrange(w2)] = 1
+    return t
+
+
+def test_f2_toggle_keeps_the_general_loops_terms_and_order():
+    # over F_2, _mul_dict's multi-term loop and _divmod_buckets' row update
+    # toggle each exponent; they must leave every dict with the terms the
+    # general F_p loops leave, in the same insertion order, since expand()
+    # lists a row's terms in that order.  Inputs: seeded crowded dicts,
+    # where a pair often meets an exponent that an earlier pair deleted;
+    # the numerator products of the twisted identities of
+    # build_tower(2, 4, 4), up to 288 terms; and divisions of both, and of
+    # dense dividends of y-degree up to 150, by keys of the base and host
+    # sequences at p = 2
+    from valcert.keyseq import p_sequence, q_sequence
+    from valcert.polys import _bucket, _divmod_buckets, _key_data
+    from valcert.tower import _twist_base
+
+    def product(a, b):
+        got, want = _mul_dict(a, b, 2), _mul_loop(*((a, b) if len(a) > len(b) else (b, a)), 2)
+        assert list(got.items()) == list(want.items())
+        return got
+
+    rng = random.Random("f2-toggle")
+    crowded = [(_crowded(rng, rng.randint(2, 30), 6, 6), _crowded(rng, rng.randint(2, 30), 6, 6)) for _ in range(60)]
+    products = [product(a, b) for a, b in crowded]
+    assert sum(len(t) < len(a) * len(b) for t, (a, b) in zip(products, crowded)) >= 50
+    for level in build_tower(2, 4, 4)[1:]:
+        for i in range(2, 5):
+            m, diff = _twist_base(level, i), level.keys[i].num - level.keys[i - 1].frob(2).num
+            products += [product(level.unit_factor(i).num._t, m.num._t), product(diff._t, m.den._t)]
+    assert max(map(len, products)) == 288
+    # the products take S_2 and S_4 of the base sequence (by S_3, the tower
+    # products' 5 * 10^4 rows would take 0.4 s), the dense dividends
+    # S_2..S_4 of the host sequence
+    dense = [_crowded(rng, 300, 8, 151) for _ in range(8)]
+    divided = 0
+    for seq, indices, ts in ((p_sequence(2), (2, 4), products), (q_sequence(2), (2, 3, 4), dense)):
+        for n in indices:
+            deg, low = _key_data(seq.poly(n))
+            for t in ts:
+                if max(e2 for _, e2 in t) < deg:
+                    continue
+                got, want = _divmod_buckets(_bucket(t), deg, low, 2), _divmod_loop(_bucket(t), deg, low, 2)
+                assert [_rows(d) for d in got] == [_rows(d) for d in want], (seq.ring, n)
+                divided += 1
+    assert divided >= 100
 
 
 def _tower_parts() -> list[Poly]:

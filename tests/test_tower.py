@@ -236,35 +236,26 @@ def test_twisted_recursion(tower4, tower3):
                     assert want[0] is (n == 0 or (n == 3 and not _reads_v(level, i))), (level.k, i, n)
 
 
-def _count_ratfuncs(monkeypatch) -> list:
-    # the arguments of every RatFunc that tower.py constructs by name from
-    # now on.  The name is bound to a subclass that records them, so it
-    # stays a type that isinstance accepts; the fractions built inside
-    # polys, by the arithmetic, are not counted
-    from valcert import tower
-
-    built = []
-
-    class Counted(RatFunc):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(tower, "RatFunc", Counted)
-    return built
+def _count_fraction_equalities(monkeypatch) -> list:
+    # the right side of every RatFunc equality from now on.  The numerators'
+    # comparison decides on Polys and makes none; the fallback compares the
+    # two fractions once, so the count tells the routes apart
+    compared = []
+    eq = RatFunc.__eq__
+    monkeypatch.setattr(RatFunc, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
+    return compared
 
 
 def test_closed_form_route(tower4, tower3_deep, monkeypatch):
     # gamma_(k,i) = 1 - w, w = v_k^(p^(2(i-1))), over the denominator that
-    # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which builds
-    # two fractions, decides exactly when K_i, K_(i-1)^(p^2) and gamma share
-    # one denominator: on every intact level, level 0 included, at both
-    # characteristics, and under a toggled K_i or K_(k,1).  The grown prior
-    # denominator takes the fallback, which builds none.  Either way the
-    # certificate agrees with the textbook arrangement
-    built = _count_ratfuncs(monkeypatch)
+    # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which
+    # compares no fractions, decides exactly when K_i, K_(i-1)^(p^2) and
+    # gamma share one denominator: on every intact level, level 0 included,
+    # at both characteristics, and under a toggled K_i or K_(k,1).  The
+    # grown prior denominator takes the fallback, which compares the two
+    # fractions once.  Either way the certificate agrees with the textbook
+    # arrangement
+    compared = _count_fraction_equalities(monkeypatch)
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
@@ -273,11 +264,12 @@ def test_closed_form_route(tower4, tower3_deep, monkeypatch):
                     assert key.den == level.keys[i - 1].frob(2).den == w.den == gamma.den, (level.k, i)
                     assert gamma - 1 == -w, (level.k, i)
                 for n, bent in enumerate((level, *_bent(level, i))):
-                    built.clear()
+                    compared.clear()
                     cert = verify_twisted_recursion(bent, i)
+                    fallback = len(compared)
                     shared = bent.keys[i].den == bent.keys[i - 1].frob(2).den == bent.unit_factor(i).den
                     assert shared is (n != 2), (level.k, i, n)
-                    assert len(built) == (2 if shared else 0), (level.k, i, n)
+                    assert fallback == (0 if shared else 1), (level.k, i, n)
                     assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i, n)
 
 
@@ -291,14 +283,66 @@ def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
     # level all the same, so a certificate that silently fell back would
     # show here
     assert [_terms(level.unit_factor(2)) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
-    built = _count_ratfuncs(monkeypatch)
+    compared = _count_fraction_equalities(monkeypatch)
     taken = []
     for level in tower4:
         for i in range(2, 5):
-            built.clear()
+            compared.clear()
             assert verify_twisted_recursion(level, i).passed, (level.k, i)
-            taken.append((level.k, i, len(built) == 2))
+            taken.append((level.k, i, not compared))
     assert taken == [(k, i, True) for k in range(5) for i in range(2, 5)]
+
+
+def _fraction_twisted(level, i, gamma, m):
+    # _twisted with the shared-denominator identity compared as two
+    # normalized fractions, RatFunc(diff) == RatFunc(-gamma.num) * m: the
+    # oracle of the budget records of the numerators' comparison
+    key, prior = level.keys[i], level.keys[i - 1].frob(2)
+    if key.den == prior.den == gamma.den:
+        return RatFunc(key.num - prior.num) == RatFunc(-gamma.num) * m
+    return key - prior == -(gamma * m)
+
+
+def test_numerators_comparison_keeps_every_budget_record(tower4, monkeypatch):
+    # the twisted and drift certificates of levels 3 and 4 of
+    # build_tower(2, 4, 4), at each of the 41 limits floor(1.15^j),
+    # j = 5..49, give the records they give through the fractions: the
+    # numerators' comparison checks diff, then gamma.num * m.num, then
+    # diff * m.den, so its first overflow names the size the fractions'
+    # first overflow names.  Many of the overflows are raised inside the
+    # comparison itself, and the top limit reaches every verdict
+    from valcert import tower
+
+    limits = sorted({int(1.15**j) for j in range(5, 50)})
+    raised = []
+
+    def spied(*args):
+        try:
+            return twisted(*args)
+        except BudgetExceededError:
+            raised.append(args[1])
+            raise
+
+    # each intact level and index, and the level with K_(k,i) toggled,
+    # which keeps the shared denominator but not the identity, so that the
+    # two sides of the comparison differ in size
+    cases = [(case, i) for level in tower4[3:] for i in range(2, len(level.keys)) for case in (level, next(_bent(level, i)))]
+
+    def records():
+        out = []
+        for limit in limits:
+            with support_limit(limit):
+                for case, i in cases:
+                    out += [verify(case, i).to_record() for verify in (verify_twisted_recursion, verify_drift_recursion)]
+        return out
+
+    twisted = tower._twisted
+    monkeypatch.setattr(tower, "_twisted", spied)
+    now = records()
+    assert len(now) == 1148 and len(raised) >= 100
+    assert [r["status"] for r in now[-28:]] == ["pass", "pass", "fail", "fail"] * 7
+    twisted = _fraction_twisted
+    assert records() == now
 
 
 def test_twisted_recursion_fits_a_budget_the_textbook_arrangement_overflows(tower4):
