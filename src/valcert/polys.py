@@ -372,10 +372,8 @@ def _mul_dict(a: dict, b: dict, p: int) -> dict:
     # rule.  A one-term small is a monomial shift of big: no two products
     # collide and c * d is nonzero in F_p, so the comprehension builds the
     # dict the loop would, in the same order.  Over F_2 every stored
-    # coefficient is 1, so each pair toggles its exponent: the pop deletes
-    # a present term and the insert adds an absent one, at exactly the
-    # moments the general loop does, so the keys and their order are the
-    # same
+    # coefficient is 1 and each sum toggles its exponent, which keeps that
+    # order too
     big, small = (a, b) if len(a) > len(b) else (b, a)
     if len(small) == 1:
         ((a1, a2), c), = small.items()
@@ -470,8 +468,7 @@ def _divmod_buckets(levels: dict[int, dict[int, int]], deg: int, low: list, p: i
     checked the quotient, then the remainder, for every caller alike.
 
     Over F_2 every stored coefficient is 1, so each subtracted term
-    toggles its place in the lower row, as in _mul_dict: it inserts and
-    deletes where the general update does, and every row keeps its order.
+    toggles its place in the lower row.
     """
     heap = [-e2 for e2 in levels if e2 >= deg]
     heapq.heapify(heap)

@@ -250,16 +250,15 @@ def _twisted(level: TowerLevel, i: int, gamma: RatFunc, m: RatFunc) -> bool:
     every intact level, multiplying both sides by D leaves the numerators'
     identity K_(k,i).num - K_(k,i-1)^(p^2).num == -gamma.num * m, decided
     on Polys cross-multiplied by m's denominator: diff * m.den ==
-    -(gamma.num * m.num).  They are built in that order, diff, then
-    gamma.num * m.num, then diff * m.den, so a budget overflow names the
-    size that comparing RatFunc(diff) with RatFunc(-gamma.num) * m would
-    name first.  Otherwise (only on corrupted input) the fractions
-    themselves are compared.
+    gamma.num * -m.num.  The three Polys are built in this order: diff,
+    gamma.num * -m.num, diff * m.den; the budget records depend on it.
+    Otherwise (only on corrupted input) the fractions themselves are
+    compared.
     """
     key, prior = level.keys[i], level.keys[i - 1].frob(2)
     if key.den == prior.den == gamma.den:
         diff = key.num - prior.num
-        rhs = -(gamma.num * m.num)
+        rhs = gamma.num * -m.num
         return diff * m.den == rhs
     return key - prior == -(gamma * m)
 

@@ -307,7 +307,7 @@ def test_numerators_comparison_keeps_every_budget_record(tower4, monkeypatch):
     # the twisted and drift certificates of levels 3 and 4 of
     # build_tower(2, 4, 4), at each of the 41 limits floor(1.15^j),
     # j = 5..49, give the records they give through the fractions: the
-    # numerators' comparison checks diff, then gamma.num * m.num, then
+    # numerators' comparison checks diff, then gamma.num * -m.num, then
     # diff * m.den, so its first overflow names the size the fractions'
     # first overflow names.  Many of the overflows are raised inside the
     # comparison itself, and the top limit reaches every verdict
