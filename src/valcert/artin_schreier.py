@@ -184,8 +184,6 @@ def _gap_exceeds(g: Poly | RatFunc, cfg: EmbeddingConfig, seq: GenSeq, bound: Fr
     least = min(weights)
     t = (Fraction(least, scale) if weights.count(least) == 1 else value(n2, seq)) + Fraction(bound, p)
     cut = math.floor(t * scale)
-    if cut < 0:
-        return True  # every weight is >= 0 > T, so N_T is empty
     n1, d1 = _substitute_terms(g.num, images, (wx, wy, cut))
     low = Poly._make(ring, _mul_cut(n1._t, d2._t, p, wx, wy, cut))
     low -= Poly._make(ring, _mul_cut(_times_x(d1._t), n2._t, p, wx, wy, cut))

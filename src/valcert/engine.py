@@ -276,11 +276,7 @@ def _s2_leaf(levels: dict, p: int, coefs: list[int], acc: int, keys: set) -> int
         row = levels[e2]
         q, r = divmod(e2, p2)
         for j, shift, b in lucas[q]:
-            out = rows.get((r, j))
-            if out is None:
-                # b and c are units of F_p, so no product vanishes
-                rows[r, j] = {e1 + shift: c * b % p for e1, c in row.items()}
-                continue
+            out = rows.setdefault((r, j), {})
             for e1, c in row.items():
                 e = e1 + shift
                 s = (out.get(e, 0) + c * b) % p

@@ -420,12 +420,9 @@ def _mul_cut(a: dict, b: dict, p: int, wx: int, wy: int, cut: int) -> dict:
         return {}
     big, small = (a, b) if len(a) > len(b) else (b, a)
     rows = sorted((wx * b1 + wy * b2, b1, b2, d) for (b1, b2), d in small.items())
-    least = rows[0][0]
     t: dict = {}
     for (a1, a2), c in big.items():
         room = cut - wx * a1 - wy * a2
-        if room < least:
-            continue
         for w, b1, b2, d in rows:
             if w > room:
                 break
@@ -729,14 +726,14 @@ def _substitute_terms(
     zero numerator comes with the denominator one, as a zero RatFunc has.
 
     With cut = (wx, wy, c), for positive integer weights wx and wy of the
-    target's variables and c >= 0, the numerator holds only the terms of
-    weight wx * e1 + wy * e2 <= c of the full one.  The monomials above c span an
-    ideal, so dropping them commutes with every product and sum: _times
-    forms each product by _mul_cut, which forms no pair above c, and the
-    budget checks it and each partial sum at the truncated size.  The terms
-    come out in another order than the full build gives.  The denominator
-    is built in full, as without a cut, so a caller that needs it whole
-    reads it from here.
+    target's variables and an integer c, the numerator holds only the terms
+    of weight wx * e1 + wy * e2 <= c of the full one, none when c < 0.  The
+    monomials above c span an ideal, so dropping them commutes with every
+    product and sum: _times forms each product by _mul_cut, which forms no
+    pair above c, and the budget checks it and each partial sum at the
+    truncated size.  The terms come out in another order than the full
+    build gives.  The denominator is built in full, as without a cut, so a
+    caller that needs it whole reads it from here.
 
     Under a cut a term's part is skipped whole when its least-weight bound
     passes c.  With l(h) the least weight of a term of h, every term of a

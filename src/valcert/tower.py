@@ -11,7 +11,8 @@ equality.  K_(k,i), K_(k,i-1)^(p^2) and the unit factor share one
 denominator at every level, so the twisted recursion is compared through
 the difference K_(k,i) - K_(k,i-1)^(p^2), which builds no product.  The
 drift is w * K_(k-1,i-1) by construction, so the drift recursion follows
-from the twisted one and the level's link to the one below it.
+from the twisted one and the level's link to the one below it; at level 0,
+where the drift is 0 and the unit factor 1, the two recursions coincide.
 
 The certificates value each object through its structure, never through
 a shortcut inside ``value()``.  Every tower denominator, and numerators
@@ -294,9 +295,8 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
 
 def _drift_route(level: TowerLevel, i: int, m: RatFunc) -> bool:
     """True proves the drift identity through the twisted one; see verify_drift_recursion."""
-    if level.prev is None:
-        return False
-    return m == level.prev.keys[i - 1] and _twisted(level, i, level.unit_factor(i), m)
+    below = level.prev
+    return (below is None or m == below.keys[i - 1]) and _twisted(level, i, level.unit_factor(i), m)
 
 
 def _drift_value(level: TowerLevel, i: int, seq: GenSeq) -> Fraction:
@@ -316,10 +316,11 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
     and P = K_(k-1,i-1) on the linked level, the drift is w * P by
     construction (TowerLevel.drift), and two exact checks (_drift_route)
     prove it: m == P, and K_(k,i) - c == -(1 - w) * m.  So
-    K_(k,i) - c - drift == -m.  Where a check fails (level 0 has no P) that
-    difference is compared with -m.  The drift is built either way, so a
-    budget overflow is recorded where it always was.  Its value is that
-    of its factors, p^(2(i-1)) * v(v_k) + v(P) (_drift_value), each valued
+    K_(k,i) - c - drift == -m.  At level 0 the drift is 0 and the unit
+    factor 1, so the twisted check K_(k,i) - c == -m alone is the identity.
+    Where a check fails, as only on a corrupted level, the drift is built
+    and K_(k,i) - c - drift is compared with -m.  Its value is that of
+    its factors, p^(2(i-1)) * v(v_k) + v(P) (_drift_value), each valued
     through its Frobenius root; level 0's drift is zero.
     """
     _check_index(level, i, 2, "drift recursion")
@@ -327,8 +328,8 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
     p, k = level.p, level.k
 
     def run():
-        drift, keys, m = level.drift(i), level.keys, _twist_base(level, i)
-        identity = _drift_route(level, i, m) or keys[i] - keys[i - 1].frob(2) - drift == -m
+        keys, m = level.keys, _twist_base(level, i)
+        identity = _drift_route(level, i, m) or keys[i] - keys[i - 1].frob(2) - level.drift(i) == -m
         dval = _drift_value(level, i, seq)
         bound = drift_bound(p, k, i)
         ok = identity and dval >= bound

@@ -65,15 +65,16 @@ def test_level_one_unit_factors(tower2):
 
 def test_tower_build_holds_no_derived_objects():
     # a level holds its keys, its descent unit and its link; unit factors
-    # and drifts are built by the certificates that read them.  So under a
-    # budget of 8 terms build_tower(2, 2, 4) fits, and the two drift
-    # certificates whose drifts outgrow it each record their own overflow
+    # are built by the certificates that read them, and a drift only by the
+    # fallback that compares it.  So under a budget of 8 terms
+    # build_tower(2, 2, 4) fits, and so does every drift certificate on it:
+    # the drifts at k = 2, i = 3 and 4 would have 9 terms each
     assert [f.name for f in fields(TowerLevel)] == ["k", "keys", "descent_unit", "prev"]
     with support_limit(8):
         tower = build_tower(2, 2, 4)
         certs = [verify_drift_recursion(level, i) for level in tower for i in (2, 3, 4)]
-    assert [c.status for c in certs] == ["pass"] * 7 + ["budget-exceeded"] * 2
-    assert [c.id for c in certs[7:]] == ["tower/drift-recursion/k=2/i=3", "tower/drift-recursion/k=2/i=4"]
+    assert [c.status for c in certs] == ["pass"] * 9
+    assert [tower[2].drift(i).num.support_size for i in (3, 4)] == [9, 9]
 
 
 def test_unit_descent(tower2, tower3):
@@ -450,25 +451,27 @@ def test_drift_recursion(tower4, tower3_deep):
 
 
 def test_drift_route_decides_every_intact_level(tower4, tower3_deep, monkeypatch):
-    # on every level k >= 1, at every index, the route proves the identity
-    # and the compared fallback never runs: its two fraction subtractions
-    # are the only ones the certificate makes.  Level 0 links to no level,
-    # so there the route declines and the fallback decides
+    # on every level, level 0 included, at every index, the route proves the
+    # identity and the compared fallback never runs: its two fraction
+    # subtractions are the only ones the certificate makes, and it alone
+    # builds the drift
     from valcert import tower
 
-    route, sub = tower._drift_route, RatFunc.__sub__
-    decided, subtracted = [], []
+    route, sub, drift = tower._drift_route, RatFunc.__sub__, TowerLevel.drift
+    decided, subtracted, drifts = [], [], []
     monkeypatch.setattr(tower, "_drift_route", lambda *args: decided.append(route(*args)) or decided[-1])
     monkeypatch.setattr(RatFunc, "__sub__", lambda a, b: subtracted.append(b) or sub(a, b))
+    monkeypatch.setattr(TowerLevel, "drift", lambda level, i: drifts.append(i) or drift(level, i))
     for tw in (tower4, tower3_deep):
         assert all(level.prev is below for below, level in zip([None, *tw], tw))
         for level in tw:
             for i in range(2, len(level.keys)):
                 decided.clear()
                 subtracted.clear()
+                drifts.clear()
                 assert verify_drift_recursion(level, i).passed, (level.k, i)
-                assert decided == [level.k >= 1], (level.k, i)
-                assert len(subtracted) == (0 if level.k else 2), (level.k, i)
+                assert decided == [True], (level.k, i)
+                assert subtracted == [] and drifts == [], (level.k, i)
 
 
 def test_drift_exact_value_k1_i2(tower2):
