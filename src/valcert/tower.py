@@ -10,9 +10,12 @@ claimed identity checkable as an exact cross-multiplied polynomial
 equality.  K_(k,i), K_(k,i-1)^(p^2) and the unit factor share one
 denominator at every level, so the twisted recursion is compared through
 the difference K_(k,i) - K_(k,i-1)^(p^2), which builds no product.  The
-drift is w * K_(k-1,i-1) by construction, so the drift recursion follows
-from the twisted one and the level's link to the one below it; at level 0,
-where the drift is 0 and the unit factor 1, the two recursions coincide.
+factor K_(k,0)^(p^(2(i-2))) * K_(k,i-2) of both recursions equals
+K_(k-1,i-1) on the level below, its reduced form, and at k >= 1 both
+certificates check that link and prove the twisted identity on the key.
+The drift is w * K_(k-1,i-1) by construction, so the drift recursion
+follows from the twisted one and the link; at level 0, where the drift is
+0 and the unit factor 1, the two recursions coincide.
 
 The certificates value each object through its structure, never through
 a shortcut inside ``value()``.  Every tower denominator, and numerators
@@ -244,8 +247,17 @@ def _twist_base(level: TowerLevel, i: int) -> RatFunc:
     return level.keys[0].frob(2 * (i - 2)) * level.keys[i - 2]
 
 
+def _link(level: TowerLevel, i: int, m: RatFunc) -> RatFunc:
+    """K_(k-1,i-1) itself where it equals m as a fraction (k >= 1), else m.
+
+    On an intact level the key is m reduced, several times smaller than m.
+    """
+    below = level.prev
+    return below.keys[i - 1] if below is not None and m == below.keys[i - 1] else m
+
+
 def _twisted(level: TowerLevel, i: int, gamma: RatFunc, m: RatFunc) -> bool:
-    """K_(k,i) - K_(k,i-1)^(p^2) == -gamma * m, with m = _twist_base(level, i).
+    """K_(k,i) - K_(k,i-1)^(p^2) == -gamma * m, m = _twist_base(level, i) or its _link.
 
     When K_(k,i), K_(k,i-1)^(p^2) and gamma share one denominator D, as on
     every intact level, multiplying both sides by D leaves the numerators'
@@ -271,6 +283,9 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
                         K_(k,i) = K_(k,i-1)^(p^2) - gamma * K_(k,0)^(p^(2(i-2))) * K_(k,i-2)
     Values: v(gamma) = 0 and v(gamma - 1) >= 2 * p^(-2(k+1)), the value
     floor for membership in the square of the level's maximal ideal.
+    The identity is proved on K_(k-1,i-1) where _link shows it equals
+    K_(k,0)^(p^(2(i-2))) * K_(k,i-2), else on that product, and
+    v(gamma.den) is taken once for both values.
     """
     _check_index(level, i, 2, "twisted recursion")
     seq = seq or p_sequence(level.p)
@@ -278,9 +293,10 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
 
     def run():
         gamma = level.unit_factor(i)
-        identity = _twisted(level, i, gamma, _twist_base(level, i))
-        unit_val = root_value(gamma, seq)
-        dist = root_value(gamma - 1, seq)
+        identity = _twisted(level, i, gamma, _link(level, i, _twist_base(level, i)))
+        den = root_value(gamma.den, seq)
+        unit_val = root_value(gamma.num, seq) - den
+        dist = root_value(gamma.num - gamma.den, seq) - den  # gamma - 1 over gamma's denominator
         floor = Fraction(2, p ** (2 * (k + 1)))
         ok = identity and unit_val == 0 and dist >= floor
         expected = f"identity; unit value 0; offset value >= {floor}"
@@ -295,8 +311,8 @@ def verify_twisted_recursion(level: TowerLevel, i: int, seq: GenSeq | None = Non
 
 def _drift_route(level: TowerLevel, i: int, m: RatFunc) -> bool:
     """True proves the drift identity through the twisted one; see verify_drift_recursion."""
-    below = level.prev
-    return (below is None or m == below.keys[i - 1]) and _twisted(level, i, level.unit_factor(i), m)
+    below, link = level.prev, _link(level, i, m)
+    return (below is None or link is below.keys[i - 1]) and _twisted(level, i, level.unit_factor(i), link)
 
 
 def _drift_value(level: TowerLevel, i: int, seq: GenSeq) -> Fraction:
@@ -315,13 +331,14 @@ def verify_drift_recursion(level: TowerLevel, i: int, seq: GenSeq | None = None)
     With m = _twist_base(level, i), c = K_(k,i-1)^(p^2), w = v_k^(p^(2(i-1)))
     and P = K_(k-1,i-1) on the linked level, the drift is w * P by
     construction (TowerLevel.drift), and two exact checks (_drift_route)
-    prove it: m == P, and K_(k,i) - c == -(1 - w) * m.  So
-    K_(k,i) - c - drift == -m.  At level 0 the drift is 0 and the unit
-    factor 1, so the twisted check K_(k,i) - c == -m alone is the identity.
-    Where a check fails, as only on a corrupted level, the drift is built
-    and K_(k,i) - c - drift is compared with -m.  Its value is that of
-    its factors, p^(2(i-1)) * v(v_k) + v(P) (_drift_value), each valued
-    through its Frobenius root; level 0's drift is zero.
+    prove it: m == P (_link), and K_(k,i) - c == -(1 - w) * P, decided on
+    P, the smaller of the two.  So K_(k,i) - c - drift == -m.  At level 0
+    the drift is 0 and the unit factor 1, so the twisted check
+    K_(k,i) - c == -m alone is the identity.  Where a check fails, as only
+    on a corrupted level, the drift is built and K_(k,i) - c - drift is
+    compared with -m.  Its value is that of its factors,
+    p^(2(i-1)) * v(v_k) + v(P) (_drift_value), each valued through its
+    Frobenius root; level 0's drift is zero.
     """
     _check_index(level, i, 2, "drift recursion")
     seq = seq or p_sequence(level.p)

@@ -237,26 +237,37 @@ def test_twisted_recursion(tower4, tower3):
                     assert want[0] is (n == 0 or (n == 3 and not _reads_v(level, i))), (level.k, i, n)
 
 
-def _count_fraction_equalities(monkeypatch) -> list:
-    # the right side of every RatFunc equality from now on.  The numerators'
-    # comparison decides on Polys and makes none; the fallback compares the
-    # two fractions once, so the count tells the routes apart
-    compared = []
-    eq = RatFunc.__eq__
+def _twisted_branches(monkeypatch) -> list:
+    # one entry per _twisted call from now on: True where it decided on the
+    # numerators, which compares no fractions, and False where it fell back
+    # to comparing the two fractions.  Only equalities made inside _twisted
+    # count, so the link comparison the certificates make before it does not
+    from valcert import tower
+
+    taken, compared = [], []
+    twisted, eq = tower._twisted, RatFunc.__eq__
+
+    def spied(*args):
+        compared.clear()
+        holds = twisted(*args)
+        taken.append(not compared)
+        return holds
+
     monkeypatch.setattr(RatFunc, "__eq__", lambda a, b: compared.append(b) or eq(a, b))
-    return compared
+    monkeypatch.setattr(tower, "_twisted", spied)
+    return taken
 
 
 def test_closed_form_route(tower4, tower3_deep, monkeypatch):
     # gamma_(k,i) = 1 - w, w = v_k^(p^(2(i-1))), over the denominator that
-    # K_i and K_(i-1)^(p^2) share.  The numerators' comparison, which
+    # K_i and K_(i-1)^(p^2) share.  _twisted's numerators' comparison, which
     # compares no fractions, decides exactly when K_i, K_(i-1)^(p^2) and
     # gamma share one denominator: on every intact level, level 0 included,
     # at both characteristics, and under a toggled K_i or K_(k,1).  The
     # grown prior denominator takes the fallback, which compares the two
-    # fractions once.  Either way the certificate agrees with the textbook
+    # fractions.  Either way the certificate agrees with the textbook
     # arrangement
-    compared = _count_fraction_equalities(monkeypatch)
+    taken = _twisted_branches(monkeypatch)
     for tw in (tower4, tower3_deep):
         for level in tw:
             for i in range(2, 5):
@@ -265,12 +276,11 @@ def test_closed_form_route(tower4, tower3_deep, monkeypatch):
                     assert key.den == level.keys[i - 1].frob(2).den == w.den == gamma.den, (level.k, i)
                     assert gamma - 1 == -w, (level.k, i)
                 for n, bent in enumerate((level, *_bent(level, i))):
-                    compared.clear()
+                    taken.clear()
                     cert = verify_twisted_recursion(bent, i)
-                    fallback = len(compared)
                     shared = bent.keys[i].den == bent.keys[i - 1].frob(2).den == bent.unit_factor(i).den
                     assert shared is (n != 2), (level.k, i, n)
-                    assert fallback == (0 if shared else 1), (level.k, i, n)
+                    assert taken == [shared], (level.k, i, n)
                     assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i, n)
 
 
@@ -284,14 +294,12 @@ def test_closed_form_route_is_taken_where_gamma_outgrows_v(tower4, monkeypatch):
     # level all the same, so a certificate that silently fell back would
     # show here
     assert [_terms(level.unit_factor(2)) > _terms(level.v) for level in tower4] == [False] * 4 + [True]
-    compared = _count_fraction_equalities(monkeypatch)
-    taken = []
+    taken = _twisted_branches(monkeypatch)
     for level in tower4:
         for i in range(2, 5):
-            compared.clear()
+            taken.clear()
             assert verify_twisted_recursion(level, i).passed, (level.k, i)
-            taken.append((level.k, i, not compared))
-    assert taken == [(k, i, True) for k in range(5) for i in range(2, 5)]
+            assert taken == [True], (level.k, i)
 
 
 def _fraction_twisted(level, i, gamma, m):
@@ -310,19 +318,24 @@ def test_numerators_comparison_keeps_every_budget_record(tower4, monkeypatch):
     # j = 5..49, give the records they give through the fractions: the
     # numerators' comparison checks diff, then gamma.num * -m.num, then
     # diff * m.den, so its first overflow names the size the fractions'
-    # first overflow names.  Many of the overflows are raised inside the
-    # comparison itself, and the top limit reaches every verdict
+    # first overflow names.  Many of the overflows are raised in the route,
+    # by the link comparison (_link) or inside the numerators' comparison
+    # itself, and the top limit reaches every verdict
     from valcert import tower
 
     limits = sorted({int(1.15**j) for j in range(5, 50)})
+    inner = {"_link": tower._link, "_twisted": tower._twisted}
     raised = []
 
-    def spied(*args):
-        try:
-            return twisted(*args)
-        except BudgetExceededError:
-            raised.append(args[1])
-            raise
+    def spy(name):
+        def spied(*args):
+            try:
+                return inner[name](*args)
+            except BudgetExceededError:
+                raised.append(name)
+                raise
+
+        return spied
 
     # each intact level and index, and the level with K_(k,i) toggled,
     # which keeps the shared denominator but not the identity, so that the
@@ -337,12 +350,12 @@ def test_numerators_comparison_keeps_every_budget_record(tower4, monkeypatch):
                     out += [verify(case, i).to_record() for verify in (verify_twisted_recursion, verify_drift_recursion)]
         return out
 
-    twisted = tower._twisted
-    monkeypatch.setattr(tower, "_twisted", spied)
+    for name in inner:
+        monkeypatch.setattr(tower, name, spy(name))
     now = records()
-    assert len(now) == 1148 and len(raised) >= 100
+    assert len(now) == 1148 and len(raised) >= 100 and raised.count("_twisted") >= 80
     assert [r["status"] for r in now[-28:]] == ["pass", "pass", "fail", "fail"] * 7
-    twisted = _fraction_twisted
+    inner["_twisted"] = _fraction_twisted
     assert records() == now
 
 
@@ -472,6 +485,51 @@ def test_drift_route_decides_every_intact_level(tower4, tower3_deep, monkeypatch
                 assert verify_drift_recursion(level, i).passed, (level.k, i)
                 assert decided == [True], (level.k, i)
                 assert subtracted == [] and drifts == [], (level.k, i)
+
+
+def test_twisted_operand_is_the_linked_key(tower4, tower3_deep, monkeypatch):
+    # both certificates hand _twisted K_(k-1,i-1) itself on every intact
+    # level k >= 1, and m = _twist_base(level, i) at level 0.  On a level
+    # whose K_(k-1,i-1) has one numerator term toggled, the twisted
+    # certificate proves its identity on m and still agrees with the
+    # textbook arrangement, and the drift certificate takes its fraction
+    # fallback, which builds the drift
+    from valcert import tower
+
+    twisted, drift = tower._twisted, TowerLevel.drift
+    operands, drifts = [], []
+    monkeypatch.setattr(tower, "_twisted", lambda *args: operands.append(args[3]) or twisted(*args))
+    monkeypatch.setattr(TowerLevel, "drift", lambda level, i: drifts.append(i) or drift(level, i))
+
+    def same(f, g):
+        return f.num == g.num and f.den == g.den
+
+    for tw in (tower4, tower3_deep):
+        for level in tw:
+            for i in range(2, len(level.keys)):
+                m = tower._twist_base(level, i)
+                for verify in (verify_twisted_recursion, verify_drift_recursion):
+                    operands.clear()
+                    drifts.clear()
+                    assert verify(level, i).passed, (level.k, i)
+                    assert len(operands) == 1 and drifts == [], (level.k, i)
+                    if level.prev is None:
+                        assert same(operands[0], m), (level.k, i)
+                    else:
+                        assert operands[0] is level.prev.keys[i - 1], (level.k, i)
+                if level.prev is None:
+                    continue
+                *_, bent = _drift_bent(level, i)
+                operands.clear()
+                cert = verify_twisted_recursion(bent, i)
+                assert len(operands) == 1 and same(operands[0], m), (level.k, i)
+                assert operands[0] is not bent.prev.keys[i - 1], (level.k, i)
+                assert (cert.passed, cert.actual) == _textbook_twisted(bent, i), (level.k, i)
+                operands.clear()
+                drifts.clear()
+                cert = verify_drift_recursion(bent, i)
+                assert operands == [] and drifts == [i], (level.k, i)
+                assert not cert.passed and cert.passed is _textbook_drift(bent, i), (level.k, i)
 
 
 def test_drift_exact_value_k1_i2(tower2):
